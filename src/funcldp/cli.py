@@ -42,10 +42,20 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
-def _require(cfg: dict, field: str, command: str):
+def _require(cfg: dict, field: str, command: str, kind=None):
     if field not in cfg:
         raise ConfigError(f"missing field '{field}' (command '{command}')")
-    return cfg[field]
+    return cfg[field] if kind is None else _convert(kind, cfg[field], field, command)
+
+
+def _convert(kind, value, field: str, command: str):
+    """``kind(value)``, or a ConfigError naming ``field`` when the value does not fit."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"field '{field}' must be {kind.__name__}, got {value!r} (command '{command}')"
+        ) from None
 
 
 def _build_index(spec) -> IdentityIndex | IntervalIndicator:
@@ -102,15 +112,15 @@ def _build_curve(spec, grid: Grid, field: str) -> Curve:
 def _build_weight(spec) -> ratefn.WeightDensity:
     if spec is None:
         spec = {"gaussian": {"mean": 0.0, "sd": 1.0}}
-    if "gaussian" in spec:
+    if isinstance(spec, dict) and isinstance(spec.get("gaussian"), dict):
         params = spec["gaussian"]
         return ratefn.WeightDensity.gaussian(
-            float(params.get("mean", 0.0)),
-            float(params.get("sd", 1.0)),
-            float(spec.get("half_width", 8.0)),
-            int(spec.get("nodes", 4001)),
+            _convert(float, params.get("mean", 0.0), "weight.gaussian.mean", "rate"),
+            _convert(float, params.get("sd", 1.0), "weight.gaussian.sd", "rate"),
+            _convert(float, spec.get("half_width", 8.0), "weight.half_width", "rate"),
+            _convert(int, spec.get("nodes", 4001), "weight.nodes", "rate"),
         )
-    raise ConfigError(f"unrecognized weight spec {spec!r}")
+    raise ConfigError(f"unrecognized spec in field 'weight': {spec!r} (command 'rate')")
 
 
 def _rate_model_at(model: simulate.LinearFactorModel, x: Curve, index) -> ratefn.RateModel:
@@ -163,38 +173,47 @@ def _run_estimate(cfg: dict, out: str, seed: int) -> list[str]:
 
 
 def _ladder_config(cfg: dict, x0: Curve, seed: int, command: str) -> simulate.LadderConfig:
+    def integers(field, scalar_ok):
+        values = _require(cfg, field, command)
+        if isinstance(values, list):
+            return tuple(_convert(int, v, field, command) for v in values)
+        if not scalar_ok:
+            raise ConfigError(f"field '{field}' must be a list (command '{command}')")
+        return _convert(int, values, field, command)
+
     return simulate.LadderConfig(
-        n_values=tuple(int(n) for n in _require(cfg, "n_values", command)),
-        a=float(_require(cfg, "a", command)),
-        alpha=float(_require(cfg, "alpha", command)),
-        lam=float(_require(cfg, "lambda", command)),
+        n_values=integers("n_values", scalar_ok=False),
+        a=_require(cfg, "a", command, float),
+        alpha=_require(cfg, "alpha", command, float),
+        lam=_require(cfg, "lambda", command, float),
         x0=x0,
-        replicates=_require(cfg, "replicates", command),
+        replicates=integers("replicates", scalar_ok=True),
         seed=seed,
     )
 
 
-def _run_simulate(cfg: dict, out: str, seed: int, workers: int) -> list[str]:
+def _run_simulate(cfg: dict, out: str, seed: int) -> list[str]:
     model = _build_model(_require(cfg, "model", "simulate"), "simulate")
     x0 = _build_curve(_require(cfg, "x0", "simulate"), model.grid, "x0")
     index = _build_index(cfg.get("index"))
     ladder_cfg = _ladder_config(cfg, x0, seed, "simulate")
     rate_model = _rate_model_at(model, x0, index)
-    records = simulate.pointwise_ladder(model, rate_model, ladder_cfg, workers=workers)
+    records = simulate.pointwise_ladder(model, rate_model, ladder_cfg)
     path = os.path.join(out, "ladder.csv")
     simulate.write_ladder_csv(records, path)
     return [path]
 
 
-def _run_uniform(cfg: dict, out: str, seed: int, workers: int) -> list[str]:
+def _run_uniform(cfg: dict, out: str, seed: int) -> list[str]:
     model = _build_model(_require(cfg, "model", "uniform"), "uniform")
     center_specs = _require(cfg, "centers", "uniform")
+    if not isinstance(center_specs, list) or not center_specs:
+        raise ConfigError("field 'centers' must be a nonempty list (command 'uniform')")
     centers = [_build_curve(s, model.grid, "centers") for s in center_specs]
     index = _build_index(cfg.get("index"))
     ladder_cfg = _ladder_config(cfg, centers[0], seed, "uniform")
     rate_models = [_rate_model_at(model, x, index) for x in centers]
-    records = simulate.uniform_ladder(model, centers, rate_models, ladder_cfg,
-                                      workers=workers)
+    records = simulate.uniform_ladder(model, centers, rate_models, ladder_cfg)
     path = os.path.join(out, "uniform_ladder.csv")
     simulate.write_ladder_csv(records, path)
     return [path]
@@ -207,13 +226,15 @@ def _build_class(spec, command: str) -> covering.FunctionClass:
         params = spec["scale"]
         base = read_curve_csv(_require(params, "base_csv", command))
         return covering.scale_class(
-            base, float(params["a_lo"]), float(params["a_hi"]), int(params["count"])
+            base, _require(params, "a_lo", command, float),
+            _require(params, "a_hi", command, float), _require(params, "count", command, int),
         )
     if "shift" in spec:
         params = spec["shift"]
         base = read_curve_csv(_require(params, "base_csv", command))
         return covering.shift_class(
-            base, float(params["t_lo"]), float(params["t_hi"]), int(params["count"])
+            base, _require(params, "t_lo", command, float),
+            _require(params, "t_hi", command, float), _require(params, "count", command, int),
         )
     if "explicit" in spec:
         members = [read_curve_csv(path) for path in spec["explicit"]]
@@ -287,20 +308,20 @@ def validate_config(cfg: dict) -> str:
     return command
 
 
-def run(cfg: dict, out: str, threads: int = 1) -> list[str]:
+def run(cfg: dict, out: str) -> list[str]:
     """Dispatch a validated config; returns the artifact paths written."""
     command = validate_config(cfg)
     os.makedirs(out, exist_ok=True)
-    seed = int(cfg.get("seed", 0))
+    seed = _convert(int, cfg.get("seed", 0), "seed", command)
     started = time.time()
     if command == "rate":
         outputs = _run_rate(cfg, out)
     elif command == "estimate":
         outputs = _run_estimate(cfg, out, seed)
     elif command == "simulate":
-        outputs = _run_simulate(cfg, out, seed, threads)
+        outputs = _run_simulate(cfg, out, seed)
     elif command == "uniform":
-        outputs = _run_uniform(cfg, out, seed, threads)
+        outputs = _run_uniform(cfg, out, seed)
     else:
         outputs = _run_cover(cfg, out)
     manifest = {
@@ -329,8 +350,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--command", choices=COMMANDS, help="override the config command")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="output directory (default: config 'out' or '.')")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for Monte-Carlo replicates")
     args = parser.parse_args(argv)
 
     try:
@@ -353,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out or cfg.get("out", ".")
 
     try:
-        outputs = run(cfg, out, threads=max(1, args.threads))
+        outputs = run(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

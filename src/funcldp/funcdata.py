@@ -1,7 +1,7 @@
 """Curves on shared uniform grids, semi-metrics, kernels and scaling profiles.
 
-Everything here is immutable after construction and safe to share across
-workers.  All integrals over the curve domain use the composite trapezoid
+Everything here is immutable after construction and safe to share.  All
+integrals over the curve domain use the composite trapezoid
 rule, which is exact for affine integrands.
 """
 

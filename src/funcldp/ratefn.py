@@ -284,14 +284,14 @@ def log_mgf_limit(model: RateModel, t1: float, t2: float, u_nodes: int = 2001) -
     w = model.weight.w
     du = u[1] - u[0]
 
-    total = np.zeros_like(theta)
+    moving = kp_u != 0.0  # nodes where K' = 0 contribute 0, never 0 * inf
     with np.errstate(over="ignore", invalid="ignore"):
         boundary = np.exp(theta * k1) - 1.0
         chunk = max(1, (1 << 21) // u_nodes)
         inner = np.empty_like(theta)
         for start in range(0, theta.shape[0], chunk):
             block = theta[start : start + chunk, np.newaxis]
-            integrand = block * kp_u * np.exp(block * k_u) * tau_u
+            integrand = np.where(moving, block * kp_u * np.exp(block * k_u) * tau_u, 0.0)
             inner[start : start + chunk] = np.trapezoid(integrand, dx=du, axis=1)
         total = boundary - inner
         value = model.weight.integral(np.where(w > 0, total * w, 0.0))

@@ -10,23 +10,80 @@ with small-ball scale phi(u) = 2u.
 Ladder experiments estimate rare deviation probabilities of the kernel
 regression estimate across a growing sample-size schedule and report
 empirical decay rates next to the theoretical ones.
+
+Under the integral-difference metric and the uniform kernel, the
+estimate at a center c is the index average over the observations whose
+projection P = Y * integral(signal) + eps * integral(noise) lands within
+h of c's projection, and 0 when none does.  So a ladder rung samples
+only those observations, exactly: the window endpoints c +- h cut the
+P-line into cells; one multinomial draw over (cell masses, rest) gives
+each replicate's cell counts; each in-cell P is drawn from its law
+truncated to the cell and then Y from its law given P.  Per-center sums
+and counts follow from a cell-by-center incidence matrix.  A rung draws
+from one stream, ``SeedSequence((seed, n))``, in blocks of replicates
+sized by a fixed budget of in-window draws, so its outcome depends only
+on the seed and its memory follows the budget, not n or the replicate
+count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from . import ratefn
 from .estimator import Dataset, IndexFunction
 from .funcdata import Curve, Grid, quadrature
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# In-window draws per block of ladder replicates; bounds a rung's memory.
+_BLOCK_DRAWS = 1 << 16
+# A uniform response whose projected spread is below this fraction of the
+# noise scale is treated as independent of P; the closed-form cell masses
+# would lose more to cancellation than that approximation costs.
+_FLAT_SPREAD = 1.5e-8
+
+
+def _reflect_low(lo, hi):
+    """Mirror the intervals centered above 0 onto the lower half-line."""
+    flip = lo + hi > 0
+    return flip, np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+
+
+def _normal_mass(lo, hi) -> np.ndarray:
+    """Standard normal mass of [lo, hi], taken where Phi keeps relative precision."""
+    _, lo, hi = _reflect_low(lo, hi)
+    return ndtr(hi) - ndtr(lo)
+
+
+def _truncated_normal(u: np.ndarray, lo, hi) -> np.ndarray:
+    """Standard normal truncated to [lo, hi] by inverting its CDF at the uniforms u.
+
+    Intervals in the upper half are reflected into the lower tail first,
+    so draws stay accurate far out.
+    """
+    flip, lo, hi = _reflect_low(lo, hi)
+    f_lo = ndtr(lo)
+    z = np.clip(ndtri(f_lo + u * (ndtr(hi) - f_lo)), lo, hi)
+    return np.where(flip, -z, z)
+
+
+def _phi_integral(x1, x2) -> np.ndarray:
+    """Integral of Phi over [x1, x2] from G(x) = x Phi(x) + phi(x).
+
+    Intervals centered above 0 use G(x) - x = G(-x), which avoids the
+    cancellation of two large G values.
+    """
+    flip, lo, hi = _reflect_low(x1, x2)
+    g_lo = lo * ndtr(lo) + _INV_SQRT_2PI * np.exp(-0.5 * lo * lo)
+    g_hi = hi * ndtr(hi) + _INV_SQRT_2PI * np.exp(-0.5 * hi * hi)
+    return np.where(flip, (x2 - x1) - (g_hi - g_lo), g_hi - g_lo)
 
 
 @dataclass(frozen=True)
@@ -48,6 +105,24 @@ class NormalLaw:
         z = (v - self.mean) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
+    def cell_masses(self, a: float, b: float, lo, hi) -> np.ndarray:
+        """P(lo <= a Y + b eps <= hi) for each cell, eps standard normal."""
+        mu, sd = a * self.mean, math.hypot(a * self.sd, b)
+        return _normal_mass((lo - mu) / sd, (hi - mu) / sd)
+
+    def sample_in_cells(self, rng: np.random.Generator, a: float, b: float,
+                        lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One (P, Y) per cell [lo_i, hi_i]: P = a Y + b eps given the cell, Y given P.
+
+        P is normal, and Y given P is the bivariate-normal conditional
+        N(m + a s^2 (P - a m) / sd^2, s^2 b^2 / sd^2) with sd^2 = a^2 s^2 + b^2.
+        """
+        mu, sd = a * self.mean, math.hypot(a * self.sd, b)
+        z = _truncated_normal(rng.random(lo.shape), (lo - mu) / sd, (hi - mu) / sd)
+        noise = rng.standard_normal(z.shape)
+        y = self.mean + (a * self.sd**2 / sd) * z + (self.sd * b / sd) * noise
+        return mu + sd * z, y
+
 
 @dataclass(frozen=True)
 class UniformLaw:
@@ -67,6 +142,61 @@ class UniformLaw:
         v = np.asarray(v, dtype=float)
         inside = (v >= self.lo) & (v <= self.hi)
         return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
+
+    def _projection(self, a: float) -> tuple[float, float]:
+        """Center and half-width of the support of a Y."""
+        return 0.5 * a * (self.lo + self.hi), 0.5 * abs(a) * (self.hi - self.lo)
+
+    def cell_masses(self, a: float, b: float, lo, hi) -> np.ndarray:
+        """P(lo <= a Y + b eps <= hi) for each cell, eps standard normal.
+
+        The density of P is symmetric about its center m, so cells right of
+        m are mirrored to the left, where the closed form
+        (b / 2 half) [int Phi((x + half)/b) - int Phi((x - half)/b)] over
+        the cell offsets x = P - m keeps its precision.
+        """
+        m, half = self._projection(a)
+        if half < _FLAT_SPREAD * b:
+            return _normal_mass((lo - m) / b, (hi - m) / b)
+        _, x1, x2 = _reflect_low(lo - m, hi - m)
+        inner = _phi_integral((x1 + half) / b, (x2 + half) / b)
+        outer = _phi_integral((x1 - half) / b, (x2 - half) / b)
+        # inner >= outer exactly; rounding can leave a far, thin cell a hair below 0
+        return np.maximum((b / (2.0 * half)) * (inner - outer), 0.0)
+
+    def sample_in_cells(self, rng: np.random.Generator, a: float, b: float,
+                        lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One (P, Y) per cell [lo_i, hi_i]: P = a Y + b eps given the cell, Y given P.
+
+        P is drawn by rejection from a uniform proposal on the cell; its
+        density is symmetric and unimodal about m, so the envelope is the
+        density at the cell point nearest m.  Y given P is
+        N(P / a, (b / a)^2) truncated to [lo, hi]; when a Y does not spread,
+        Y is independent of P.
+        """
+        m, half = self._projection(a)
+        if half < _FLAT_SPREAD * b:
+            p = m + b * _truncated_normal(rng.random(lo.shape), (lo - m) / b, (hi - m) / b)
+            return p, self.sample(rng, p.shape[0])
+
+        def shape(x):  # the density of P at offset x, up to a constant
+            x = -np.abs(x)
+            return ndtr((x + half) / b) - ndtr((x - half) / b)
+
+        x_lo, x_hi = lo - m, hi - m
+        envelope = shape(np.clip(0.0, x_lo, x_hi))
+        x = np.empty(lo.shape)
+        todo = np.arange(lo.shape[0])
+        while todo.size:
+            cand = x_lo[todo] + (x_hi[todo] - x_lo[todo]) * rng.random(todo.size)
+            accept = rng.random(todo.size) * envelope[todo] <= shape(cand)
+            x[todo[accept]] = cand[accept]
+            todo = todo[~accept]
+        p = m + x
+        sign = math.copysign(1.0, a)
+        z = _truncated_normal(rng.random(p.shape), sign * (a * self.lo - p) / b,
+                              sign * (a * self.hi - p) / b)
+        return p, np.clip((p + sign * b * z) / a, self.lo, self.hi)
 
 
 YLaw = NormalLaw | UniformLaw
@@ -315,45 +445,44 @@ def _projection_rates(model: LinearFactorModel, curves: Sequence[Curve]) -> np.n
     return np.array([quadrature(x.values, x.grid) for x in curves])
 
 
-def _count_hits(
+def _rung_estimates(
     model: LinearFactorModel,
     index: IndexFunction,
     centers: np.ndarray,
-    r_true: np.ndarray,
     n: int,
     h: float,
-    lam: float,
-    seed: int,
-    rep_range: range,
-) -> int:
-    """Hits of the deviation event over a range of replicate indices.
+    reps: int,
+    rng: np.random.Generator,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """In-window counts and estimates at each center, one block of replicates at a time.
 
-    Each replicate has its own RNG stream derived from (seed, n, index).
-    Under the integral-difference metric and the uniform kernel the
-    estimate at a center is the index average over the observations whose
-    curve integral lands within h of the center's integral, so only the
-    scalar projections are simulated; an empty neighborhood yields 0.
+    Yields two (block, centers) arrays.  Only the observations whose
+    projection lands within h of some center are drawn; an empty window
+    gives the estimate 0.
     """
-    hits = 0
-    for rep in rep_range:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep)))
-        y = model.y_law.sample(rng, n)
-        eps = rng.standard_normal(n)
-        proj = y * model.signal_integral + eps * model.noise_integral
-        ly = None
-        worst = 0.0
-        for c, r in zip(centers, r_true):
-            active = np.abs(c - proj) <= h
-            if np.any(active):
-                if ly is None:
-                    ly = index(y)
-                r_hat = float(np.mean(ly[active]))
-            else:
-                r_hat = 0.0
-            worst = max(worst, abs(r_hat - r))
-        if worst > lam:
-            hits += 1
-    return hits
+    a, b = model.signal_integral, model.noise_integral
+    edges = np.unique(np.concatenate([centers - h, centers + h]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    incidence = np.abs(mids[:, np.newaxis] - centers[np.newaxis, :]) <= h
+    covered = incidence.any(axis=1)
+    lo, hi = edges[:-1][covered], edges[1:][covered]
+    incidence = incidence[covered].astype(float)
+    masses = model.y_law.cell_masses(a, b, lo, hi)
+    cells, inside = masses.shape[0], float(np.sum(masses))
+    pvals = np.append(masses, max(0.0, 1.0 - inside))
+    block = max(1, int(_BLOCK_DRAWS / (n * inside + cells + 1)))
+    for start in range(0, reps, block):
+        size = min(block, reps - start)
+        counts = rng.multinomial(n, pvals, size=size)[:, :cells]
+        slot = np.repeat(np.arange(size * cells), counts.ravel())  # replicate * cells + cell
+        cell = slot % cells
+        _, y = model.y_law.sample_in_cells(rng, a, b, lo[cell], hi[cell])
+        sums = np.bincount(slot, weights=index(y), minlength=size * cells)
+        window_counts = counts @ incidence
+        window_sums = sums.reshape(size, cells) @ incidence
+        r_hat = np.divide(window_sums, window_counts, out=np.zeros_like(window_sums),
+                          where=window_counts > 0)
+        yield window_counts, r_hat
 
 
 def _run_ladder(
@@ -363,7 +492,6 @@ def _run_ladder(
     cfg: LadderConfig,
     theoretical_rate: float,
     index: IndexFunction,
-    workers: int,
 ) -> list[ExperimentRecord]:
     centers = _projection_rates(model, class_grid)
     r_true = np.array([ratefn.tilted_mean(rm, 0.0) for rm in rate_models])
@@ -371,22 +499,11 @@ def _run_ladder(
     for n, reps in zip(cfg.n_values, cfg.replicates):
         h, _ = bandwidth_schedule(n, cfg.a, cfg.alpha)
         phi_h = model.small_ball_scale(h)
-        if workers > 1:
-            bounds = np.linspace(0, reps, workers + 1).astype(int)
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _count_hits, model, index, centers, r_true, n, h, cfg.lam,
-                        cfg.seed, range(lo, hi),
-                    )
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                    if hi > lo
-                ]
-                hits = sum(f.result() for f in futures)
-        else:
-            hits = _count_hits(
-                model, index, centers, r_true, n, h, cfg.lam, cfg.seed, range(reps)
-            )
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, n)))
+        hits = 0
+        for _, r_hat in _rung_estimates(model, index, centers, n, h, reps, rng):
+            worst = np.max(np.abs(r_hat - r_true), axis=1)
+            hits += int(np.count_nonzero(worst > cfg.lam))
         p_hat = hits / reps
         lo, hi = wilson_interval(hits, reps)
         if hits >= 1:
@@ -406,7 +523,6 @@ def pointwise_ladder(
     model: LinearFactorModel,
     rate_model: ratefn.RateModel,
     cfg: LadderConfig,
-    workers: int = 1,
 ) -> list[ExperimentRecord]:
     """Rare-event ladder for the deviation of the estimate at one curve.
 
@@ -418,9 +534,7 @@ def pointwise_ladder(
     _check_weight_consistency(model, cfg.x0, rate_model)
     r_true = ratefn.tilted_mean(rate_model, 0.0)
     theory = ratefn.two_sided_rate(rate_model, r_true, cfg.lam)
-    return _run_ladder(
-        model, [cfg.x0], [rate_model], cfg, theory, rate_model.index, workers
-    )
+    return _run_ladder(model, [cfg.x0], [rate_model], cfg, theory, rate_model.index)
 
 
 def uniform_ladder(
@@ -428,7 +542,6 @@ def uniform_ladder(
     class_grid: Sequence[Curve],
     rate_models: Sequence[ratefn.RateModel],
     cfg: LadderConfig,
-    workers: int = 1,
 ) -> list[ExperimentRecord]:
     """Ladder for the worst deviation over a finite grid of centers.
 
@@ -447,9 +560,7 @@ def uniform_ladder(
         _check_weight_consistency(model, x, rm)
     entries = [(rm, ratefn.tilted_mean(rm, 0.0)) for rm in rate_models]
     theory = ratefn.class_rate(entries, cfg.lam)
-    return _run_ladder(
-        model, class_grid, rate_models, cfg, theory, rate_models[0].index, workers
-    )
+    return _run_ladder(model, class_grid, rate_models, cfg, theory, rate_models[0].index)
 
 
 def write_ladder_csv(records: Sequence[ExperimentRecord], path) -> None:

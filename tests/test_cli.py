@@ -73,6 +73,24 @@ class TestExitCodes:
         assert code == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            (_sim_config(command="uniform", centers=[]), "centers"),
+            (_sim_config(replicates="many"), "replicates"),
+            ({"command": "cover", "nu_values": [0.1],
+              "class": {"scale": {"base_csv": "bump.csv", "a_lo": 1.0, "count": 8}}}, "a_hi"),
+            ({"command": "rate", "weight": "gaussian"}, "weight"),
+        ],
+        ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string"],
+    )
+    def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bump.csv").write_text("t,value\n0.0,0.0\n0.5,1.0\n1.0,0.0\n")
+        code = main(["--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
     def test_console_entry_point(self, tmp_path):
         cfg_path = _write_config(tmp_path, {"command": "rate", "lambda_values": [1.0]})
         out = tmp_path / "rate_out"

@@ -136,6 +136,11 @@ class TestLogMgfLimit:
         b = log_mgf_limit_by_parts(model, 0.3, 0.2, u_nodes=4001)
         assert a == pytest.approx(b, abs=1e-8)
 
+    def test_overflow_is_inf_not_nan(self, gaussian_model):
+        # exp(800) overflows; the flat kernel's K' = 0 must not turn it into 0 * inf
+        assert log_mgf_limit(gaussian_model, 800.0, 0.0) == math.inf
+        assert log_mgf_limit_by_parts(gaussian_model, 800.0, 0.0) == math.inf
+
     def test_gradient_at_origin_is_mean_vector(self, gaussian_model):
         g1, g2 = log_mgf_gradient(gaussian_model, 0.0, 0.0)
         assert g1 == pytest.approx(gaussian_model.weight.mass, abs=1e-12)

@@ -1,11 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy import integrate
+from scipy.stats import binomtest, ks_2samp, kstest, norm
 
 from funcldp import ratefn, simulate
-from funcldp.estimator import EstimatorConfig, IdentityIndex, z_n
+from funcldp.estimator import Dataset, EstimatorConfig, IdentityIndex, IntervalIndicator, z_n
 from funcldp.funcdata import Curve, Grid, IdentityScaling, IntegralDifference, UniformKernel
 from funcldp.simulate import (
     LadderConfig,
@@ -29,6 +31,92 @@ def _identity_rate_model(model, x):
     return ratefn.RateModel(
         induced_weight(model, x), IdentityIndex(), UniformKernel(), IdentityScaling()
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference sampler for the ladders
+# ---------------------------------------------------------------------------
+
+
+def _oracle_draws(model, n, seed, rep):
+    """All n responses and noise coefficients of one replicate, from its own stream."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep)))
+    y = model.y_law.sample(rng, n)
+    return y, rng.standard_normal(n)
+
+
+def oracle_rung(model, index, centers, r_true, n, h, seed, reps):
+    """Per-replicate reference for one ladder rung: draws every one of the n pairs.
+
+    Returns each replicate's worst deviation over the centers and its
+    in-window count at each center; an empty window estimates 0.
+    """
+    worst = np.empty(reps)
+    counts = np.empty((reps, len(centers)), dtype=int)
+    for rep in range(reps):
+        y, eps = _oracle_draws(model, n, seed, rep)
+        proj = y * model.signal_integral + eps * model.noise_integral
+        ly = index(y)
+        deviation = 0.0
+        for k, (c, r) in enumerate(zip(centers, r_true)):
+            active = np.abs(c - proj) <= h
+            counts[rep, k] = np.count_nonzero(active)
+            r_hat = float(np.mean(ly[active])) if counts[rep, k] else 0.0
+            deviation = max(deviation, abs(r_hat - r))
+        worst[rep] = deviation
+    return worst, counts
+
+
+def sampler_rung(model, index, centers, r_true, n, h, seed, reps):
+    """The same two outputs from the ladders' sufficient-statistic sampler."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+    blocks = list(simulate._rung_estimates(
+        model, index, np.asarray(centers, dtype=float), n, h, reps, rng
+    ))
+    counts = np.vstack([c for c, _ in blocks])
+    r_hat = np.vstack([r for _, r in blocks])
+    return np.max(np.abs(r_hat - np.asarray(r_true)), axis=1), counts
+
+
+def window_probability(model, c, h):
+    """P(|P - c| <= h), by a route apart from the sampler's cell masses."""
+    a, b = model.signal_integral, model.noise_integral
+    law = model.y_law
+    if isinstance(law, NormalLaw):
+        sd = math.hypot(a * law.sd, b)
+        return float(norm.sf((c - h - a * law.mean) / sd) - norm.sf((c + h - a * law.mean) / sd))
+
+    def given_y(y):
+        return norm.cdf((c + h - a * y) / b) - norm.cdf((c - h - a * y) / b)
+
+    mass, _ = integrate.quad(given_y, law.lo, law.hi, epsabs=0.0, epsrel=1e-12)
+    return mass / (law.hi - law.lo)
+
+
+# Each agreement check below is a test at this two-sided tail; the seeds are
+# fixed, so the suite's outcome does not vary from run to run.
+_TAIL = 1e-6
+
+
+def assert_sampler_agrees(model, index, centers, n, seed, reps=10_000):
+    """KS on the worst deviations against the oracle, and every center's
+    in-window total against Binomial(n * reps, q), for sampler and oracle."""
+    h, _ = bandwidth_schedule(n, 2.0, 1.5)
+    r_true = [
+        ratefn.tilted_mean(ratefn.RateModel(
+            induced_weight(model, Curve.constant(model.grid, c)), index, UniformKernel(),
+            IdentityScaling()), 0.0)
+        for c in centers
+    ]
+    worst_s, counts_s = sampler_rung(model, index, centers, r_true, n, h, seed, reps)
+    worst_o, counts_o = oracle_rung(model, index, centers, r_true, n, h, seed, reps)
+    assert counts_s.shape == counts_o.shape == (reps, len(centers))
+    assert ks_2samp(worst_s, worst_o).pvalue > _TAIL
+    for k, c in enumerate(centers):
+        q = window_probability(model, c, h)
+        for counts in (counts_s, counts_o):
+            assert binomtest(int(counts[:, k].sum()), n * reps, q).pvalue > _TAIL
+    return worst_s, counts_s
 
 
 class TestLaws:
@@ -236,12 +324,6 @@ class TestPointwiseLadder:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_workers_do_not_change_counts(self, factor_model, induced_rate_model, zero_curve):
-        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, zero_curve, 1500, seed=55)
-        serial = pointwise_ladder(factor_model, induced_rate_model, cfg)
-        threaded = pointwise_ladder(factor_model, induced_rate_model, cfg, workers=4)
-        assert serial == threaded
-
     def test_impossible_width_flags_zero_hits(self, factor_model, induced_rate_model,
                                               zero_curve):
         cfg = LadderConfig((200,), 2.0, 1.5, 50.0, zero_curve, 1000, seed=161)
@@ -273,32 +355,28 @@ class TestPointwiseLadder:
             pointwise_ladder(factor_model, wrong, cfg)
 
     def test_matches_full_estimator_path(self, factor_model, induced_rate_model, zero_curve):
-        # replay the ladder's replicate streams through the generic
-        # curve-based estimator and reproduce the hit count exactly
+        # replay the reference sampler's replicate streams through the generic
+        # curve-based estimator and reproduce its hit count exactly
         n, reps, lam, seed = 200, 1000, 0.8, 424242
-        cfg = LadderConfig((n,), 2.0, 1.5, lam, zero_curve, reps, seed=seed)
-        record = pointwise_ladder(factor_model, induced_rate_model, cfg)[0]
         h, _ = bandwidth_schedule(n, 2.0, 1.5)
         est_cfg = EstimatorConfig(
             UniformKernel(), IntegralDifference(), h, factor_model.small_ball_scale(h)
         )
         r_true = ratefn.tilted_mean(induced_rate_model, 0.0)
+        worst, _ = oracle_rung(factor_model, IdentityIndex(), [0.0], [r_true], n, h, seed,
+                               reps)
         hits = 0
         for rep in range(reps):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep)))
-            y = factor_model.y_law.sample(rng, n)
-            eps = rng.standard_normal(n)
+            y, eps = _oracle_draws(factor_model, n, seed, rep)
             x_values = (
                 y[:, None] * factor_model.signal_curve.values[None, :]
                 + eps[:, None] * factor_model.noise_curve.values[None, :]
             )
-            from funcldp.estimator import Dataset
-
             data = Dataset(factor_model.grid, x_values, y)
             z = z_n(zero_curve, data, IdentityIndex(), est_cfg)
             if abs(z.r_hat - r_true) > lam:
                 hits += 1
-        assert hits == record.hits
+        assert hits == int(np.count_nonzero(worst > lam)) > 0
 
 
 class TestUniformLadder:
@@ -332,3 +410,117 @@ class TestUniformLadder:
         cfg = LadderConfig((200,), 2.0, 1.5, 1.0, zero_curve, 1000, seed=1)
         with pytest.raises(ValueError):
             uniform_ladder(factor_model, [zero_curve, zero_curve], [induced_rate_model], cfg)
+
+
+def _uniform_response_model(factor_model, signal_scale):
+    return LinearFactorModel(
+        Curve(factor_model.grid, signal_scale * factor_model.signal_curve.values),
+        factor_model.noise_curve,
+        UniformLaw(-1.0, 2.0),
+    )
+
+
+class TestSufficientStatisticSampler:
+    """The ladders' sampler against the per-replicate reference, law by law."""
+
+    def test_normal_law(self, factor_model):
+        assert_sampler_agrees(factor_model, IdentityIndex(), [0.0], 200, seed=8101)
+
+    def test_uniform_law(self, factor_model):
+        model = _uniform_response_model(factor_model, 1.0)
+        assert_sampler_agrees(model, IdentityIndex(), [0.3], 200, seed=8102)
+
+    def test_uniform_law_without_signal(self, factor_model):
+        # a = 0: the response is independent of the projection
+        model = _uniform_response_model(factor_model, 0.0)
+        assert model.signal_integral == 0.0
+        assert_sampler_agrees(model, IdentityIndex(), [0.0], 200, seed=8103)
+
+    def test_negative_signal_uniform_law(self, factor_model):
+        model = _uniform_response_model(factor_model, -0.7)
+        assert_sampler_agrees(model, IdentityIndex(), [-0.4, 0.4], 200, seed=8104)
+
+    def test_overlapping_windows(self, factor_model):
+        centers = [-0.02, 0.0, 0.03]
+        h, _ = bandwidth_schedule(200, 2.0, 1.5)
+        assert max(np.diff(centers)) < 2.0 * h
+        assert_sampler_agrees(factor_model, IdentityIndex(), centers, 200, seed=8105)
+
+    def test_interval_indicator_index(self, factor_model):
+        index = IntervalIndicator(((0.0, math.inf),))
+        assert_sampler_agrees(factor_model, index, [0.0, 0.5], 200, seed=8106)
+
+    def test_center_far_in_the_tail(self, factor_model):
+        # 12 is 8.5 sd of the projection out: its window is empty in every
+        # replicate of both samplers, so the worst deviation is its r_true there
+        sd_p = math.hypot(factor_model.signal_integral, factor_model.noise_integral)
+        assert 12.0 >= 8.0 * sd_p
+        worst, counts = assert_sampler_agrees(factor_model, IdentityIndex(), [0.0, 12.0],
+                                              200, seed=8107, reps=2000)
+        assert np.all(counts[:, 1] == 0) and np.all(np.isfinite(worst))
+
+    def test_tail_cells_are_exact(self, factor_model):
+        # in-cell draws 8 and 25 sd of P out follow the truncated normal law
+        # computed from survival functions, and the cell masses match them
+        law = factor_model.y_law
+        a, b = factor_model.signal_integral, factor_model.noise_integral
+        sd_p = math.hypot(a, b)
+        for z_lo, z_hi in ((8.0, 8.3), (25.0, 25.05), (-8.3, -8.0)):
+            lo, hi = z_lo * sd_p, z_hi * sd_p
+            mass = law.cell_masses(a, b, np.array([lo]), np.array([hi]))[0]
+            expected = norm.sf(z_lo) - norm.sf(z_hi) if z_lo > 0 else norm.cdf(z_hi) - norm.cdf(z_lo)
+            assert mass == pytest.approx(expected, rel=1e-10)
+            rng = np.random.default_rng(8108)
+            p, y = law.sample_in_cells(rng, a, b, np.full(20_000, lo), np.full(20_000, hi))
+            assert np.all((p >= lo) & (p <= hi)) and np.all(np.isfinite(y))
+            # the tail side of each cell keeps its precision: sf above 0, cdf below
+            f = (lambda z: -norm.sf(z)) if z_lo > 0 else norm.cdf
+            assert kstest(p, lambda v: (f(v / sd_p) - f(z_lo)) / (f(z_hi) - f(z_lo))).pvalue > _TAIL
+            # Y given P is N(a s^2 P / sd_p^2, s^2 b^2 / sd_p^2) for this law
+            residual = y - (a * law.sd**2 / sd_p**2) * p
+            assert kstest(residual, norm(0.0, law.sd * b / sd_p).cdf).pvalue > _TAIL
+
+    def test_uniform_law_tail_mass(self, factor_model):
+        model = _uniform_response_model(factor_model, 1.0)
+        a, b = model.signal_integral, model.noise_integral
+        for lo, hi in ((6.0, 6.1), (-5.0, -4.9), (0.2, 0.25)):
+            mass = model.y_law.cell_masses(a, b, np.array([lo]), np.array([hi]))[0]
+            center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            assert mass == pytest.approx(window_probability(model, center, half), rel=1e-9)
+
+    @pytest.mark.parametrize("signal_scale", [1.0, -0.7])
+    def test_uniform_law_wide_cell_draws(self, factor_model, signal_scale):
+        # (P, Y) drawn in wide cells, against plain draws kept when P lands inside
+        model = _uniform_response_model(factor_model, signal_scale)
+        a, b = model.signal_integral, model.noise_integral
+        rng = np.random.default_rng(8110)
+        y_all = model.y_law.sample(rng, 400_000)
+        p_all = a * y_all + b * rng.standard_normal(400_000)
+        for lo, hi in ((-0.6, 0.2), (1.0, 3.5)):
+            inside = (p_all >= lo) & (p_all <= hi)
+            p, y = model.y_law.sample_in_cells(rng, a, b, np.full(20_000, lo),
+                                               np.full(20_000, hi))
+            assert ks_2samp(p, p_all[inside]).pvalue > _TAIL
+            assert ks_2samp(y, y_all[inside]).pvalue > _TAIL
+
+    def test_million_observation_rung(self, factor_model, induced_rate_model, zero_curve):
+        n, reps = 10**6, 2000
+        started = time.perf_counter()
+        cfg = LadderConfig((n,), 2.0, 1.5, 1.0, zero_curve, reps, seed=8109)
+        record = pointwise_ladder(factor_model, induced_rate_model, cfg)[0]
+        assert time.perf_counter() - started < 20.0
+        assert record.replicates == reps and record.n == n
+        h, _ = bandwidth_schedule(n, 2.0, 1.5)
+        _, counts = sampler_rung(factor_model, IdentityIndex(), [0.0], [0.0], n, h, 8109, reps)
+        q = window_probability(factor_model, 0.0, h)
+        assert binomtest(int(counts.sum()), n * reps, q).pvalue > _TAIL
+
+    def test_ladder_hits_come_from_the_rung_stream(self, factor_model, induced_rate_model,
+                                                   zero_curve):
+        n, reps, lam, seed = 500, 3000, 0.8, 8111
+        cfg = LadderConfig((n,), 2.0, 1.5, lam, zero_curve, reps, seed=seed)
+        record = pointwise_ladder(factor_model, induced_rate_model, cfg)[0]
+        r_true = ratefn.tilted_mean(induced_rate_model, 0.0)
+        worst, _ = sampler_rung(factor_model, IdentityIndex(), [0.0], [r_true], n, record.h,
+                                seed, reps)
+        assert record.hits == int(np.count_nonzero(worst > lam)) > 0
