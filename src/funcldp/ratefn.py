@@ -3,9 +3,9 @@
 The limiting scaled log moment generating function of the estimator's
 component pair is a weighted double integral over the response variable
 and the kernel support.  Its Fenchel-Legendre conjugate is the rate
-function of the pair; contracting through the ratio map gives the rate
-of the regression estimate itself, and two one-sided evaluations give
-the rate of a deviation event of fixed width.
+function of the pair; a 1-D convex minimax over the ratio map's cone
+gives the rate of the regression estimate itself, and two one-sided
+evaluations give the rate of a deviation event of fixed width.
 
 All response-side integrals are trapezoid quadratures against a
 truncated weight density; exponential tilts are stabilized by shifting
@@ -15,12 +15,10 @@ the largest exponent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .estimator import IdentityIndex, IndexFunction, IntervalIndicator
 from .funcdata import IdentityScaling, Kernel, ScalingProfile, UniformKernel
@@ -28,7 +26,7 @@ from .funcdata import IdentityScaling, Kernel, ScalingProfile, UniformKernel
 PROBE_T = 50.0
 DOMAIN_MARGIN = 1e-6
 _TAIL_FACTOR = 1e-12
-_OVERFLOW_EXPONENT = 700.0
+_DECREMENT_TOL = 1e-15
 
 
 class NumericError(RuntimeError):
@@ -135,7 +133,8 @@ class RateModel:
     """Weight density, index function, kernel and small-ball scaling profile.
 
     Construction certifies numerically that the exponential moments used
-    by every formula are finite over the probe tilt range [-20, 20].
+    by every formula are finite over the probe tilt range [-20, 20], and
+    probes the reachable tilted-mean range once.
     """
 
     weight: WeightDensity
@@ -153,10 +152,20 @@ class RateModel:
         for t in (-20.0, 20.0):
             if not math.isfinite(_log_tilted_mass(self, t)):
                 raise ValueError(f"exponential moment at tilt {t} is not finite")
+        v0 = tilted_mean(self, -PROBE_T)
+        mid = tilted_mean(self, 0.0)
+        v1 = tilted_mean(self, PROBE_T)
+        if not (v0 <= mid + 1e-12 and mid <= v1 + 1e-12):
+            raise NumericError(f"tilted mean probes are not monotone: {v0}, {mid}, {v1}")
+        object.__setattr__(self, "_tilt_range", TiltRange(v0, v1))
 
     @property
     def lvals(self) -> np.ndarray:
         return self._lvals
+
+    @property
+    def tilt_range(self) -> TiltRange:
+        return self._tilt_range
 
 
 def gaussian_identity_model(nodes: int = 4001, half_width: float = 8.0) -> RateModel:
@@ -210,13 +219,14 @@ def tilted_mean(model: RateModel, t: float) -> float:
 
 
 def tilted_mean_range(model: RateModel) -> TiltRange:
-    """Probe the reachable range of the tilted mean at tilts -+PROBE_T."""
-    v0 = tilted_mean(model, -PROBE_T)
-    mid = tilted_mean(model, 0.0)
-    v1 = tilted_mean(model, PROBE_T)
-    if not (v0 <= mid + 1e-12 and mid <= v1 + 1e-12):
-        raise NumericError(f"tilted mean probes are not monotone: {v0}, {mid}, {v1}")
-    return TiltRange(v0, v1)
+    """Reachable range of the tilted mean, probed at tilts -+PROBE_T when the model is built."""
+    return model.tilt_range
+
+
+def _inside_range(model: RateModel, level: float) -> bool:
+    """Whether ``level`` lies in the reachable range, DOMAIN_MARGIN clear of its ends."""
+    rng = model.tilt_range
+    return rng.v0 + DOMAIN_MARGIN < level < rng.v1 - DOMAIN_MARGIN
 
 
 def _monotone_inverse(fn: Callable[[float], float], y: float, tol: float = 1e-10) -> float:
@@ -251,7 +261,7 @@ def _monotone_inverse(fn: Callable[[float], float], y: float, tol: float = 1e-10
 
 def tilted_mean_inverse(model: RateModel, y: float) -> float:
     """Generalized inverse of the tilted mean: smallest tilt reaching level y."""
-    rng = tilted_mean_range(model)
+    rng = model.tilt_range
     if not rng.v0 < y < rng.v1:
         raise RateDomainError(
             f"level {y} outside the reachable tilted-mean range ({rng.v0}, {rng.v1})", rng
@@ -370,17 +380,14 @@ class _TiltOps:
         return g, g1, g2
 
     def phi(self, t: np.ndarray) -> float:
+        """Limit log-MGF at ``t``; +inf on overflow, ``NumericError`` on NaN."""
         theta = t[0] + t[1] * self.lvals
         with np.errstate(over="ignore"):
             g, _, _ = self._g_tables(theta)
             value = self.integral(np.where(self.w > 0, g * self.w, 0.0))
-        return value if not math.isnan(value) else math.inf
-
-    def q_value(self, lam: np.ndarray, t: np.ndarray) -> float:
-        phi = self.phi(t)
-        if math.isinf(phi):
-            return -math.inf
-        return float(lam @ t) - phi
+        if math.isnan(value):
+            raise NumericError(f"NaN in log-MGF quadrature at t=({t[0]}, {t[1]})")
+        return value
 
     def grad_hess(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = t[0] + t[1] * self.lvals
@@ -409,68 +416,75 @@ def log_mgf_gradient(model: RateModel, t1: float, t2: float) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 
 
-def legendre_rate(
-    model: RateModel,
-    lam1: float,
-    lam2: float,
-    grad_tol: float = 1e-8,
+def _newton_minimize(
+    fn: Callable[[np.ndarray], float],
+    grad_hess: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    what: str,
     max_iter: int = 200,
-    divergence_norm: float = PROBE_T,
 ) -> float:
-    """Fenchel-Legendre conjugate of the limit log-MGF by damped Newton ascent.
+    """Minimum of a smooth convex ``fn`` by damped Newton descent from ``x``.
 
-    Maximizes Q(t) = lam . t - Phi(t) from the origin.  The objective is
-    concave; steps are Newton directions with backtracking, falling back
-    to gradient ascent when the Hessian is numerically singular.  Iterates
-    escaping ||t|| > divergence_norm while Q keeps increasing certify a
-    divergent supremum and return +inf.
+    Each Newton step is halved until ``fn`` decreases.  The descent stops
+    when the Newton decrement g' H^-1 g, twice the predicted decrease, is
+    at the rounding level of the value; a step that is not finite, or one
+    that cannot decrease ``fn`` before then, raises ``NumericError``.
     """
-    ops = _TiltOps(model)
-    lam = np.array([lam1, lam2], dtype=float)
-    t = np.zeros(2)
-    q_t = 0.0
-    tol = grad_tol * max(1.0, float(np.max(np.abs(lam))))
+    f_x = fn(x)
     for _ in range(max_iter):
-        grad, hess = ops.grad_hess(t)
-        g = lam - grad
-        if np.all(np.isfinite(g)) and float(np.linalg.norm(g)) <= tol:
-            return q_t
-        step = None
-        if np.all(np.isfinite(hess)):
-            try:
-                step = np.linalg.solve(hess, g)
-            except np.linalg.LinAlgError:
-                step = None
-        if step is None or not np.all(np.isfinite(step)):
-            norm_g = float(np.linalg.norm(g))
-            step = g / norm_g if norm_g > 1.0 else g
+        grad, hess = grad_hess(x)
+        try:
+            step = -np.linalg.solve(hess, grad)
+            decrement = float(-grad @ step)
+        except np.linalg.LinAlgError:
+            decrement = math.nan
+        if not 0.0 <= decrement < math.inf:
+            raise NumericError(f"no Newton step at {x} for {what}; Hessian {hess.tolist()}")
+        if decrement <= _DECREMENT_TOL * max(1.0, abs(f_x)):
+            return f_x
         scale = 1.0
         for _ in range(80):
-            cand = t + scale * step
-            q_cand = ops.q_value(lam, cand)
-            if q_cand > q_t:
+            cand = x + scale * step
+            f_cand = fn(cand)
+            if f_cand < f_x:
                 break
             scale *= 0.5
         else:
-            # Q cannot improve in float arithmetic; accept if the gradient
-            # is already small on the scale of lam, else report failure.
-            if float(np.linalg.norm(g)) <= 1e-6 * max(1.0, float(np.max(np.abs(lam)))):
-                return q_t
             raise NumericError(
-                f"no ascent step at t={t} for lam=({lam1}, {lam2}); grad norm "
-                f"{float(np.linalg.norm(g)):.3e}"
+                f"no descent step at {x} for {what}; Newton decrement {decrement:.3e}"
             )
-        t, q_t = cand, q_cand
-        if float(np.linalg.norm(t)) > divergence_norm:
-            return math.inf
-    raise NumericError(
-        f"Legendre ascent did not converge in {max_iter} iterations for "
-        f"lam=({lam1}, {lam2}); t={t}, Q={q_t}"
+        x, f_x = cand, f_cand
+    raise NumericError(f"Newton descent did not converge in {max_iter} iterations for {what}")
+
+
+def legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:
+    """Fenchel-Legendre conjugate of the limit log-MGF by damped Newton ascent.
+
+    Maximizes Q(t) = lam . t - Phi(t) from the origin.  The supremum is
+    finite exactly when lam1 > 0 and lam2/lam1 lies inside the reachable
+    tilted-mean range; elsewhere the rate is +inf without an ascent.
+    """
+    if lam1 <= 0 or not _inside_range(model, lam2 / lam1):
+        return math.inf
+    ops = _TiltOps(model)
+    lam = np.array([lam1, lam2], dtype=float)
+
+    def grad_hess(t):
+        grad, hess = ops.grad_hess(t)
+        return grad - lam, hess
+
+    return 0.0 - _newton_minimize(
+        lambda t: ops.phi(t) - float(lam @ t), grad_hess, np.zeros(2),
+        f"the conjugate at lam=({lam1}, {lam2})",
     )
 
 
+def _is_plain_uniform(model: RateModel) -> bool:
+    return isinstance(model.kernel, UniformKernel) and model.kernel.scale == 1.0
+
+
 def _require_plain_uniform(model: RateModel, what: str) -> None:
-    if not isinstance(model.kernel, UniformKernel) or model.kernel.scale != 1.0:
+    if not _is_plain_uniform(model):
         raise ValueError(f"{what} requires the unit uniform kernel")
 
 
@@ -484,8 +498,7 @@ def closed_rate_uniform(model: RateModel, lam1: float, lam2: float) -> float:
     if lam1 <= 0:
         return math.inf
     ratio = lam2 / lam1
-    rng = tilted_mean_range(model)
-    if not rng.v0 + DOMAIN_MARGIN < ratio < rng.v1 - DOMAIN_MARGIN:
+    if not _inside_range(model, ratio):
         return math.inf
     try:
         s = tilted_mean_inverse(model, ratio)
@@ -498,11 +511,11 @@ def closed_rate_uniform(model: RateModel, lam1: float, lam2: float) -> float:
 def conjugate_stationary_point(model: RateModel, lam1: float, lam2: float) -> tuple[float, float]:
     """Maximizer of the conjugate objective under the uniform kernel."""
     _require_plain_uniform(model, "the conjugate stationary point")
-    rng = tilted_mean_range(model)
+    rng = model.tilt_range
     if lam1 <= 0:
         raise RateDomainError(f"lam1 must be positive, got {lam1}", rng)
     ratio = lam2 / lam1
-    if not rng.v0 + DOMAIN_MARGIN < ratio < rng.v1 - DOMAIN_MARGIN:
+    if not _inside_range(model, ratio):
         raise RateDomainError(f"ratio {ratio} outside ({rng.v0}, {rng.v1})", rng)
     s = tilted_mean_inverse(model, ratio)
     return math.log(lam1) - _log_tilted_mass(model, s), s
@@ -552,33 +565,29 @@ def indicator_rate(model: RateModel, lam1: float, lam2: float, u_nodes: int = 20
 # Ratio rate (the regression estimate itself)
 # ---------------------------------------------------------------------------
 
-_LOG_SCAN_BOUND = 12.0
-
-
 def ratio_rate(model: RateModel, lam: float) -> float:
-    """Rate of the ratio estimate at level ``lam`` by contraction.
+    """Rate of the ratio estimate at level ``lam`` as a 1-D convex minimax.
 
-    Minimizes the pair rate along the ray (a, lam * a) over a > 0 on a
-    log scale: golden-section with parabolic refinement on
-    log(a) in [-12, 12].  The pair rate is evaluated by the numeric
-    Legendre ascent, keeping this route independent of the closed forms.
+    Contracting the pair rate over the cone a > 0 and swapping inf and sup
+    gives Gamma(lam) = inf_a Lambda*(a, lam a) = -min_s Phi(-lam s, s).
+    The line function f(s) = Phi(-lam s, s) is convex with f(0) = 0, so
+    damped Newton from s = 0 finds its minimum; the derivatives are the
+    directional ones of the limit log-MGF along (-lam, 1).  +inf outside
+    the reachable range.
     """
-    rng = tilted_mean_range(model)
-    if not rng.v0 + DOMAIN_MARGIN < lam < rng.v1 - DOMAIN_MARGIN:
+    if not _inside_range(model, lam):
         return math.inf
-    result = minimize_scalar(
-        lambda z: legendre_rate(model, math.exp(z), lam * math.exp(z)),
-        bounds=(-_LOG_SCAN_BOUND, _LOG_SCAN_BOUND),
-        method="bounded",
-        options={"xatol": 1e-9},
+    ops = _TiltOps(model)
+    d = np.array([-lam, 1.0])
+
+    def grad_hess(s):
+        grad, hess = ops.grad_hess(s[0] * d)
+        return np.array([grad @ d]), np.array([[d @ hess @ d]])
+
+    # 0.0 - f, not -f: the rate at the zero is +0.0, not -0.0
+    return 0.0 - _newton_minimize(
+        lambda s: ops.phi(s[0] * d), grad_hess, np.zeros(1), f"the ratio rate at {lam}"
     )
-    if abs(result.x) > _LOG_SCAN_BOUND - 1e-3:
-        warnings.warn(
-            f"ratio-rate minimizer at the log-scan boundary (log a = {result.x:.3f}); "
-            "possible domain-edge effect",
-            RuntimeWarning,
-        )
-    return float(result.fun)
 
 
 def ratio_rate_closed(model: RateModel, lam: float) -> float:
@@ -588,8 +597,7 @@ def ratio_rate_closed(model: RateModel, lam: float) -> float:
     inverse-tilt of ``lam``; +inf outside the reachable range.
     """
     _require_plain_uniform(model, "the closed ratio rate")
-    rng = tilted_mean_range(model)
-    if not rng.v0 + DOMAIN_MARGIN < lam < rng.v1 - DOMAIN_MARGIN:
+    if not _inside_range(model, lam):
         return math.inf
     try:
         s = tilted_mean_inverse(model, lam)
@@ -605,8 +613,8 @@ def ratio_rate_derivatives(model: RateModel, lam: float) -> tuple[float, float]:
     derivative of the tilted mean and is nonnegative.
     """
     _require_plain_uniform(model, "ratio-rate derivatives")
-    rng = tilted_mean_range(model)
-    if not rng.v0 + DOMAIN_MARGIN < lam < rng.v1 - DOMAIN_MARGIN:
+    if not _inside_range(model, lam):
+        rng = model.tilt_range
         raise RateDomainError(f"level {lam} outside ({rng.v0}, {rng.v1})", rng)
     s = tilted_mean_inverse(model, lam)
     log_mass, _, var = _tilted_moments(model, s)
@@ -634,80 +642,29 @@ def ratio_rate_quadratic(model: RateModel, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scan_ray(
-    gamma: Callable[[float], float],
-    lo: float,
-    hi: float,
-    scan_points: int,
-) -> float:
-    """Minimum of ``gamma`` over [lo, hi] by grid scan plus refinement."""
-    if not lo < hi:
-        return math.inf
-    grid = np.linspace(lo, hi, scan_points)
-    values = np.array([gamma(x) for x in grid])
-    finite = np.isfinite(values)
-    if not np.any(finite):
-        return math.inf
-    diffs = np.diff(values[finite])
-    sign_changes = np.count_nonzero(np.diff(np.sign(np.where(diffs == 0, 1, diffs))) != 0)
-    if sign_changes > 1:
-        warnings.warn(
-            "ray scan of the ratio rate is not unimodal; scan minimum may be local",
-            RuntimeWarning,
-        )
-    best = int(np.argmin(np.where(finite, values, math.inf)))
-    lo_ref = grid[max(best - 1, 0)]
-    hi_ref = grid[min(best + 1, scan_points - 1)]
-    if lo_ref == hi_ref:
-        return float(values[best])
-    result = minimize_scalar(gamma, bounds=(lo_ref, hi_ref), method="bounded",
-                             options={"xatol": 1e-9})
-    return float(min(result.fun, values[best]))
-
-
-def two_sided_rate(
-    model: RateModel,
-    r_true: float,
-    lam: float,
-    scan_points: int = 401,
-) -> float:
+def two_sided_rate(model: RateModel, r_true: float, lam: float) -> float:
     """Rate of a two-sided deviation of width ``lam`` around ``r_true``.
 
-    Under the unit uniform kernel the ratio rate is nonincreasing left of
-    its zero and nondecreasing right of it, so the infimum over each ray
-    sits at the inner endpoint and the rate is the smaller of the two
-    closed evaluations.  For other kernels both rays are scanned
-    numerically.
+    Every sublevel set of the ratio rate is the image of a convex set
+    under the perspective map, so the rate is quasi-convex: nonincreasing
+    left of its zero, the untilted mean m, and nondecreasing right of it.
+    Its infimum over each ray therefore sits at the ray's point nearest m,
+    and the two-sided rate is the smaller of those two evaluations, by the
+    closed form under the unit uniform kernel and by ``ratio_rate``
+    otherwise.
     """
     if lam <= 0:
         raise ValueError(f"deviation width must be positive, got {lam}")
-    if isinstance(model.kernel, UniformKernel) and model.kernel.scale == 1.0:
-        return min(ratio_rate_closed(model, r_true - lam), ratio_rate_closed(model, r_true + lam))
-    rng = tilted_mean_range(model)
-    right = _scan_ray(
-        lambda y: ratio_rate(model, y),
-        r_true + lam,
-        rng.v1 - DOMAIN_MARGIN,
-        scan_points,
-    )
-    left = _scan_ray(
-        lambda y: ratio_rate(model, y),
-        rng.v0 + DOMAIN_MARGIN,
-        r_true - lam,
-        scan_points,
-    )
-    return min(left, right)
+    gamma = ratio_rate_closed if _is_plain_uniform(model) else ratio_rate
+    m = tilted_mean(model, 0.0)
+    return min(gamma(model, min(r_true - lam, m)), gamma(model, max(r_true + lam, m)))
 
 
-def class_rate(
-    entries: Sequence[tuple[RateModel, float]],
-    lam: float,
-    scan_points: int = 401,
-) -> float:
+def class_rate(entries: Sequence[tuple[RateModel, float]], lam: float) -> float:
     """Smallest two-sided deviation rate over a finite class of centers."""
     if not entries:
         raise ValueError("class rate needs at least one (model, r_true) entry")
-    return min(two_sided_rate(m, r, lam, scan_points) for m, r in entries)
+    return min(two_sided_rate(m, r, lam) for m, r in entries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, special
 
 from funcldp import ratefn
 from funcldp.estimator import IdentityIndex, IntervalIndicator, LipschitzIndex
@@ -13,6 +18,7 @@ from funcldp.funcdata import (
     UniformKernel,
 )
 from funcldp.ratefn import (
+    NumericError,
     RateDomainError,
     RateModel,
     WeightDensity,
@@ -46,6 +52,71 @@ def gaussian_pair_rate(lam1: float, lam2: float) -> float:
 
 def gaussian_ratio_rate(lam: float) -> float:
     return 1.0 - math.exp(-0.5 * lam * lam)
+
+
+def contraction_ratio_rate(model: RateModel, lam: float) -> float:
+    """Ratio rate by contraction: bounded Brent over log a of the pair rate along (a, lam a).
+
+    The minimizing a is the tilted amplitude, below the weight mass; at
+    |lam| <= 5 on a standard Gaussian weight it lies inside the log scan.
+    """
+    hi = math.log(model.weight.mass) + 1.0
+    result = optimize.minimize_scalar(
+        lambda z: legendre_rate(model, math.exp(z), lam * math.exp(z)),
+        bounds=(-30.0, hi), method="bounded", options={"xatol": 1e-9},
+    )
+    assert -30.0 + 1e-3 < result.x < hi - 1e-3, f"minimizer at the scan edge, log a = {result.x}"
+    return float(result.fun)
+
+
+def _g_exp_decay(theta):
+    """integral_0^1 (exp(theta e^-u) - 1) du = Ei(theta) - Ei(theta / e) - 1."""
+    with np.errstate(invalid="ignore"):
+        g = special.expi(theta) - special.expi(theta / math.e) - 1.0
+    return np.where(theta == 0.0, 0.0, g)
+
+
+def _g_affine(theta):
+    """integral_0^1 (exp(theta (2 - u)) - 1) du = (e^{2 theta} - e^theta) / theta - 1."""
+    with np.errstate(over="ignore"):
+        return np.exp(theta) * special.exprel(theta) - 1.0
+
+
+def _g_uniform(theta):
+    with np.errstate(over="ignore"):
+        return np.expm1(theta)
+
+
+INNER_INTEGRAL = {ExpDecayKernel: _g_exp_decay, AffineKernel: _g_affine, UniformKernel: _g_uniform}
+
+
+def closed_inner_ratio_rate(model: RateModel, lam: float) -> float:
+    """-min_s Phi(-lam s, s) with the kernel integral in closed form, minimized by Brent."""
+    g = INNER_INTEGRAL[type(model.kernel)]
+    w = model.weight
+
+    def line(s):
+        return w.integral(w.w * g(s * (model.lvals - lam)))
+
+    start = 0.1 if lam >= 0 else -0.1
+    return -float(optimize.minimize_scalar(line, bracket=(0.0, start), tol=1e-12).fun)
+
+
+# Gaussian weights on 801 nodes: the contraction oracle runs a Newton
+# ascent per Brent step, so the property tests keep the grid small.  The
+# shifted weight breaks the symmetry Gamma(lam) = Gamma(-lam), which would
+# hide a sign error in the line direction.
+PROPERTY_MODELS = {
+    name: RateModel(WeightDensity.gaussian(mean, 1.0, nodes=801), IdentityIndex(), kernel,
+                    IdentityScaling())
+    for name, mean, kernel in (
+        ("exp_decay", 0.0, ExpDecayKernel()),
+        ("affine", 0.0, AffineKernel()),
+        ("uniform", 0.0, UniformKernel()),
+        ("affine_shifted", 0.5, AffineKernel()),
+    )
+}
+PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
 
 class TestWeightDensity:
@@ -116,6 +187,12 @@ class TestTiltedMeanRange:
         assert 0.0 < rng.v0 < 1e-6
         assert 1.0 - 1e-6 < rng.v1 <= 1.0
 
+    def test_probed_once_per_model(self, gaussian_model):
+        rng = tilted_mean_range(gaussian_model)
+        assert rng is gaussian_model.tilt_range
+        assert rng.v0 == tilted_mean(gaussian_model, -ratefn.PROBE_T)
+        assert rng.v1 == tilted_mean(gaussian_model, ratefn.PROBE_T)
+
 
 class TestLogMgfLimit:
     def test_zero_at_origin(self, gaussian_model):
@@ -140,6 +217,22 @@ class TestLogMgfLimit:
         # exp(800) overflows; the flat kernel's K' = 0 must not turn it into 0 * inf
         assert log_mgf_limit(gaussian_model, 800.0, 0.0) == math.inf
         assert log_mgf_limit_by_parts(gaussian_model, 800.0, 0.0) == math.inf
+
+    def test_nan_quadrature_raises(self):
+        # a kernel that yields NaN must surface as NumericError, never as a
+        # +inf that the Newton line search would read as overflow
+        class NanKernel(ExpDecayKernel):
+            def k(self, u):
+                return np.full_like(np.asarray(u, dtype=float), math.nan)
+
+        model = RateModel(WeightDensity.gaussian(nodes=201), IdentityIndex(), NanKernel(),
+                          IdentityScaling())
+        with pytest.raises(NumericError, match="NaN"):
+            ratefn._TiltOps(model).phi(np.array([0.1, 0.2]))
+        with pytest.raises(NumericError, match="NaN"):
+            ratio_rate(model, 0.5)
+        with pytest.raises(NumericError, match="NaN"):
+            legendre_rate(model, 1.0, 0.5)
 
     def test_gradient_at_origin_is_mean_vector(self, gaussian_model):
         g1, g2 = log_mgf_gradient(gaussian_model, 0.0, 0.0)
@@ -174,6 +267,27 @@ class TestLegendreRate:
         q = -0.5 * t1 - phi
         assert np.all(np.diff(q) < 0)
         assert legendre_rate(gaussian_model, -0.5, 0.0) == math.inf
+
+    def test_tiny_mass_level(self, gaussian_model):
+        # the ascent runs t1 down to log(1e-20); a gradient-norm stop quits
+        # with a gap near 6e-9
+        assert legendre_rate(gaussian_model, 1e-20, 0.0) == pytest.approx(
+            closed_rate_uniform(gaussian_model, 1e-20, 0.0), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("lam1", np.geomspace(0.05, 4.0, 4).tolist())
+    @pytest.mark.parametrize("ratio", [-7.9, 7.9])
+    def test_range_edge_is_finite(self, gaussian_model, lam1, ratio):
+        # the maximizer lies beyond norm 50 here, yet the supremum is finite
+        closed = closed_rate_uniform(gaussian_model, lam1, lam1 * ratio)
+        assert math.isfinite(closed)
+        assert legendre_rate(gaussian_model, lam1, lam1 * ratio) == pytest.approx(
+            closed, abs=1e-9
+        )
+
+    def test_ratio_beyond_range_is_infinite(self, gaussian_model):
+        v1 = tilted_mean_range(gaussian_model).v1
+        assert legendre_rate(gaussian_model, 1.0, v1 + 0.1) == math.inf
 
     def test_matches_closed_route_on_grid(self, gaussian_model):
         for lam1 in np.linspace(0.25, 4.0, 7):
@@ -325,6 +439,34 @@ class TestRatioRate:
         assert ratio_rate(gaussian_model, v1 + 1.0) == math.inf
         assert ratio_rate_closed(gaussian_model, v1 + 1.0) == math.inf
 
+    @pytest.mark.parametrize("kernel", [ExpDecayKernel(), AffineKernel()])
+    def test_range_edge_is_mass_not_overflow(self, kernel):
+        # at 7.9 the rate is 1 - O(1e-14); the nested contraction returned
+        # inf on the exp-decay kernel and 336 039 on the affine one
+        model = RateModel(WeightDensity.gaussian(), IdentityIndex(), kernel, IdentityScaling())
+        for lam in (-7.9, 7.9):
+            value = ratio_rate(model, lam)
+            assert value == pytest.approx(closed_inner_ratio_rate(model, lam), abs=1e-10)
+            assert value <= model.weight.mass + 1e-12
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(kernel=st.sampled_from(sorted(PROPERTY_MODELS)), u=st.floats(0.0, 1.0))
+    def test_matches_closed_inner_oracle(self, kernel, u):
+        model = PROPERTY_MODELS[kernel]
+        rng = model.tilt_range
+        lam = rng.v0 + 2e-6 + u * (rng.v1 - rng.v0 - 4e-6)
+        value = ratio_rate(model, lam)
+        assert value == pytest.approx(closed_inner_ratio_rate(model, lam), abs=1e-8)
+        assert 0.0 <= value <= model.weight.mass + 1e-12
+
+    @settings(PROPERTY_SETTINGS, max_examples=15)
+    @given(kernel=st.sampled_from(sorted(PROPERTY_MODELS)), lam=st.floats(-5.0, 5.0))
+    def test_matches_contraction_oracle(self, kernel, lam):
+        model = PROPERTY_MODELS[kernel]
+        assert ratio_rate(model, lam) == pytest.approx(
+            contraction_ratio_rate(model, lam), abs=1e-8
+        )
+
     def test_one_sided_monotone_structure(self, gaussian_model):
         left = [ratio_rate_closed(gaussian_model, x) for x in np.linspace(-3.0, -0.05, 15)]
         right = [ratio_rate_closed(gaussian_model, x) for x in np.linspace(0.05, 3.0, 15)]
@@ -422,19 +564,43 @@ class TestTwoSidedRate:
         with pytest.raises(ValueError):
             two_sided_rate(gaussian_model, 0.0, 0.0)
 
-    @pytest.mark.filterwarnings("ignore:ratio-rate minimizer at the log-scan boundary")
     def test_general_kernel_scan_matches_endpoint_route(self):
-        # affine kernel has no closed route; the ray scan must land on the
-        # same value as evaluating the contraction at the two endpoints,
-        # since the rate is unimodal around its zero
+        # no closed route off the uniform kernel; scanning the ratio rate
+        # along both rays must find nothing below the endpoints nearest the
+        # zero, since the rate is quasi-convex around it
+        for kernel in (ExpDecayKernel(), AffineKernel()):
+            model = RateModel(
+                WeightDensity.gaussian(0.0, 1.0, 8.0, 301), IdentityIndex(), kernel,
+                IdentityScaling(),
+            )
+            rng = tilted_mean_range(model)
+            m = tilted_mean(model, 0.0)
+            for r, lam in ((0.0, 0.8), (0.6, 1.0), (-1.5, 0.7)):
+                left = np.linspace(rng.v0 + 2e-6, min(r - lam, m), 25)
+                right = np.linspace(max(r + lam, m), rng.v1 - 2e-6, 25)
+                scan = [ratio_rate(model, float(y)) for y in np.concatenate([left, right])]
+                assert two_sided_rate(model, r, lam) == min(scan)
+
+    def test_found_case_is_fast_and_quiet(self):
+        # exp-decay kernel, 101-node weight: the two ray scans took 114 s
+        # and raised 304 RuntimeWarnings
         model = RateModel(
-            WeightDensity.gaussian(0.0, 1.0, 8.0, 301), IdentityIndex(), AffineKernel(),
+            WeightDensity.gaussian(nodes=101), IdentityIndex(), ExpDecayKernel(),
             IdentityScaling(),
         )
-        lam = 0.8
-        scanned = two_sided_rate(model, 0.0, lam, scan_points=7)
-        endpoints = min(ratio_rate(model, -lam), ratio_rate(model, lam))
-        assert scanned == pytest.approx(endpoints, abs=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            started = time.perf_counter()
+            value = two_sided_rate(model, 0.0, 1.0)
+            elapsed = time.perf_counter() - started
+        assert elapsed < 1.0
+        assert value == pytest.approx(
+            min(closed_inner_ratio_rate(model, -1.0), closed_inner_ratio_rate(model, 1.0)),
+            abs=1e-10,
+        )
+
+    def test_zero_when_mean_lies_on_a_ray(self, gaussian_model):
+        assert two_sided_rate(gaussian_model, 3.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestClassRate:
