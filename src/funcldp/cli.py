@@ -58,6 +58,14 @@ def _convert(kind, value, field: str, command: str):
         ) from None
 
 
+def _list_of(kind, cfg: dict, field: str, command: str) -> list:
+    """The list in ``cfg[field]``, each entry converted by ``kind``."""
+    values = _require(cfg, field, command)
+    if not isinstance(values, list):
+        raise ConfigError(f"field '{field}' must be a list (command '{command}')")
+    return [_convert(kind, v, field, command) for v in values]
+
+
 def _build_index(spec) -> IdentityIndex | IntervalIndicator:
     if spec in (None, "identity"):
         return IdentityIndex()
@@ -173,21 +181,17 @@ def _run_estimate(cfg: dict, out: str, seed: int) -> list[str]:
 
 
 def _ladder_config(cfg: dict, x0: Curve, seed: int, command: str) -> simulate.LadderConfig:
-    def integers(field, scalar_ok):
-        values = _require(cfg, field, command)
-        if isinstance(values, list):
-            return tuple(_convert(int, v, field, command) for v in values)
-        if not scalar_ok:
-            raise ConfigError(f"field '{field}' must be a list (command '{command}')")
-        return _convert(int, values, field, command)
-
+    if isinstance(cfg.get("replicates"), list):
+        replicates = tuple(_list_of(int, cfg, "replicates", command))
+    else:
+        replicates = _require(cfg, "replicates", command, int)
     return simulate.LadderConfig(
-        n_values=integers("n_values", scalar_ok=False),
+        n_values=tuple(_list_of(int, cfg, "n_values", command)),
         a=_require(cfg, "a", command, float),
         alpha=_require(cfg, "alpha", command, float),
         lam=_require(cfg, "lambda", command, float),
         x0=x0,
-        replicates=integers("replicates", scalar_ok=True),
+        replicates=replicates,
         seed=seed,
     )
 
@@ -222,39 +226,55 @@ def _run_uniform(cfg: dict, out: str, seed: int) -> list[str]:
 def _build_class(spec, command: str) -> covering.FunctionClass:
     if not isinstance(spec, dict):
         raise ConfigError(f"field 'class' must be an object (command '{command}')")
-    if "scale" in spec:
-        params = spec["scale"]
+    families = {"scale": (covering.scale_class, "a_lo", "a_hi"),
+                "shift": (covering.shift_class, "t_lo", "t_hi")}
+    for tag, (build, lo, hi) in families.items():
+        if tag not in spec:
+            continue
+        params = spec[tag]
+        if not isinstance(params, dict):
+            raise ConfigError(f"field '{tag}' must be an object (command '{command}')")
         base = read_curve_csv(_require(params, "base_csv", command))
-        return covering.scale_class(
-            base, _require(params, "a_lo", command, float),
-            _require(params, "a_hi", command, float), _require(params, "count", command, int),
-        )
-    if "shift" in spec:
-        params = spec["shift"]
-        base = read_curve_csv(_require(params, "base_csv", command))
-        return covering.shift_class(
-            base, _require(params, "t_lo", command, float),
-            _require(params, "t_hi", command, float), _require(params, "count", command, int),
-        )
+        count = _require(params, "count", command, int)
+        if count < 2:
+            raise ConfigError(f"field 'count' must be at least 2, got {count} "
+                              f"(command '{command}')")
+        return build(base, _require(params, lo, command, float),
+                     _require(params, hi, command, float), count)
     if "explicit" in spec:
         members = [read_curve_csv(path) for path in spec["explicit"]]
         return covering.FunctionClass(tuple(members))
     raise ConfigError(f"unrecognized class spec {spec!r}")
 
 
+def _cover_ladder(cfg: dict) -> list[tuple[int, float, float]]:
+    """(n, h, phi_h) rows of the optional entropy ladder of a cover run."""
+    if "ladder" not in cfg:
+        return []
+    params = cfg["ladder"]
+    if not isinstance(params, dict):
+        raise ConfigError("field 'ladder' must be an object (command 'cover')")
+    n_values = _list_of(int, params, "n_values", "cover")
+    a = _require(params, "a", "cover", float)
+    alpha = _require(params, "alpha", "cover", float)
+    return [(n, *simulate.bandwidth_schedule(n, a, alpha)) for n in n_values]
+
+
+def _cover_radii(cfg: dict) -> list[float]:
+    """The configured radii, largest first; distinct, finite and positive."""
+    nu_values = _list_of(float, cfg, "nu_values", "cover")
+    if len(set(nu_values)) != len(nu_values) or not all(0 < nu < math.inf for nu in nu_values):
+        raise ConfigError(f"field 'nu_values' must hold distinct finite positive radii, "
+                          f"got {nu_values} (command 'cover')")
+    return sorted(nu_values, reverse=True)
+
+
 def _run_cover(cfg: dict, out: str) -> list[str]:
     cls = _build_class(_require(cfg, "class", "cover"), "cover")
     metric = _build_metric(cfg.get("metric", {"lp": 1.0}))
-    ladder = []
-    if "ladder" in cfg:
-        params = cfg["ladder"]
-        for n in params["n_values"]:
-            h, phi_h = simulate.bandwidth_schedule(
-                int(n), float(params["a"]), float(params["alpha"])
-            )
-            ladder.append((int(n), h, phi_h))
+    ladder = _cover_ladder(cfg)
     if "nu_values" in cfg:
-        nu_values = sorted((float(v) for v in cfg["nu_values"]), reverse=True)
+        nu_values = _cover_radii(cfg)
     else:
         # default coupling of the cover radius to the bandwidth schedule
         nu_values = sorted({covering.default_radius(h) for _, h, _ in ladder}, reverse=True)
@@ -263,7 +283,8 @@ def _run_cover(cfg: dict, out: str) -> list[str]:
     cover_path = os.path.join(out, "cover_report.csv")
     admissible = None
     if ladder:
-        rows = covering.entropy_diagnostics(reports, ladder, float(cfg.get("A", 1.0)))
+        a_const = _convert(float, cfg.get("A", 1.0), "A", "cover")
+        rows = covering.entropy_diagnostics(reports, ladder, a_const)
         entropy_path = os.path.join(out, "entropy_diagnostics.csv")
         covering.write_entropy_csv(rows, entropy_path)
         paths.append(entropy_path)

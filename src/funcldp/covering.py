@@ -2,9 +2,13 @@
 
 A class of curves is represented by a finite sample of members on one
 shared grid.  Covering numbers of the sample are upper-bounded by a
-deterministic farthest-point greedy construction, and the entropy
-diagnostics track whether nu * log N(nu) trends to zero and whether the
-coupling of nu to the sample-size schedule stays admissible.
+deterministic farthest-point greedy construction (Gonzalez 1985), built
+center by center: each new center adds one row of distances to a running
+minimum, so a cover of k members never holds a k x k distance matrix.
+``coverage_radii`` then recomputes each member's distance to the returned
+centers as an exact post-check.  The entropy diagnostics track whether
+nu * log N(nu) trends to zero and whether the coupling of nu to the
+sample-size schedule stays admissible.
 """
 
 from __future__ import annotations
@@ -113,41 +117,34 @@ class CoverReport:
     nu_log_n: float
 
 
-def _distance_matrix(cls: FunctionClass, metric: SemiMetric) -> np.ndarray:
-    rows = cls.values_matrix()
-    k = rows.shape[0]
-    out = np.zeros((k, k))
-    for i in range(k):
-        d = metric.distance_to_rows(rows[i], rows[i + 1 :], cls.grid)
-        out[i, i + 1 :] = d
-        out[i + 1 :, i] = d
-    return out
-
-
 def greedy_cover(cls: FunctionClass, nu: float, metric: SemiMetric) -> CoverReport:
     """Farthest-point greedy cover of the sample at radius nu.
 
     Starts from the first member; repeatedly adds the member farthest
     from the current centers (ties to the lowest index) until every
-    member sits within nu of some center.  Deterministic, and an upper
-    bound on the covering number of the sample.
+    member sits within nu of some center.  Each new center costs one row
+    of distances, folded into a running minimum, so memory stays linear
+    in the sample size.  Deterministic, and an upper bound on the
+    covering number of the sample.  The result is checked by
+    ``coverage_radii``, which recomputes every member's distance to the
+    returned centers; an ``AssertionError`` flags a member beyond nu.
     """
     if nu <= 0:
         raise ValueError(f"cover radius must be positive, got {nu}")
-    dist = _distance_matrix(cls, metric)
+    rows = cls.values_matrix()
     centers = [0]
-    min_dist = dist[0].copy()
+    min_dist = metric.distance_to_rows(rows[0], rows, cls.grid)
     while float(np.max(min_dist)) > nu:
         nxt = int(np.argmax(min_dist))
         centers.append(nxt)
-        np.minimum(min_dist, dist[nxt], out=min_dist)
+        np.minimum(min_dist, metric.distance_to_rows(rows[nxt], rows, cls.grid), out=min_dist)
     report = CoverReport(
         nu=float(nu),
         n_cover=len(centers),
         centers=tuple(centers),
         nu_log_n=float(nu * math.log(len(centers))),
     )
-    if float(np.max(np.min(dist[:, report.centers], axis=1))) > nu:
+    if float(np.max(coverage_radii(cls, report, metric))) > nu:
         raise AssertionError("greedy cover failed its own coverage post-check")
     return report
 
@@ -155,10 +152,10 @@ def greedy_cover(cls: FunctionClass, nu: float, metric: SemiMetric) -> CoverRepo
 def coverage_radii(cls: FunctionClass, report: CoverReport, metric: SemiMetric) -> np.ndarray:
     """Distance of each member to its nearest center; all must be <= nu."""
     rows = cls.values_matrix()
-    dists = np.vstack([
-        metric.distance_to_rows(rows[c], rows, cls.grid) for c in report.centers
-    ])
-    return np.min(dists, axis=0)
+    nearest = np.full(rows.shape[0], np.inf)
+    for c in report.centers:
+        np.minimum(nearest, metric.distance_to_rows(rows[c], rows, cls.grid), out=nearest)
+    return nearest
 
 
 def entropy_diagnostics(

@@ -11,6 +11,16 @@ from funcldp.cli import ConfigError, main, run, validate_config
 from funcldp.funcdata import Curve, Grid, write_curve_csv
 
 
+_BUMP_CLASS = {"scale": {"base_csv": "bump.csv", "a_lo": 1.0, "a_hi": 2.0, "count": 8}}
+_COVER_LADDER = {"n_values": [200, 1000], "a": 2.0, "alpha": 2.0}
+
+
+def _cover_config(**overrides):
+    cfg = {"command": "cover", "class": _BUMP_CLASS, "nu_values": [0.1]}
+    cfg.update(overrides)
+    return cfg
+
+
 def _write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -81,8 +91,22 @@ class TestExitCodes:
             ({"command": "cover", "nu_values": [0.1],
               "class": {"scale": {"base_csv": "bump.csv", "a_lo": 1.0, "count": 8}}}, "a_hi"),
             ({"command": "rate", "weight": "gaussian"}, "weight"),
+            (_cover_config(nu_values=[0.1, 0.1], ladder=_COVER_LADDER), "nu_values"),
+            (_cover_config(nu_values=[0.0]), "nu_values"),
+            (_cover_config(nu_values=[-0.1]), "nu_values"),
+            (_cover_config(nu_values=["x"]), "nu_values"),
+            (_cover_config(nu_values=0.1), "nu_values"),
+            (_cover_config(ladder={"n_values": [200], "alpha": 2.0}), "a"),
+            (_cover_config(ladder={**_COVER_LADDER, "n_values": ["many"]}), "n_values"),
+            (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"], "count": 1}}}),
+             "count"),
+            (_cover_config(ladder=[200, 1000]), "ladder"),
+            (_cover_config(ladder=_COVER_LADDER, A="x"), "A"),
         ],
-        ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string"],
+        ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
+             "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
+             "radii-not-list", "ladder-without-a", "ladder-n-not-int", "class-count-one",
+             "ladder-not-object", "A-not-float"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)

@@ -1,9 +1,12 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from funcldp import covering
 from funcldp.covering import (
     CoverReport,
     FunctionClass,
@@ -33,13 +36,34 @@ def triangle_bump(center=0.3, half_width=0.15, grid=GRID) -> Curve:
     return Curve(grid, np.maximum(0.0, 1.0 - np.abs(t - center) / half_width))
 
 
-def brute_force_cover_size(cls: FunctionClass, nu: float, metric) -> int:
-    """Smallest number of members covering every member within nu."""
+def distance_matrix(cls: FunctionClass, metric) -> np.ndarray:
+    """All pairwise member distances, each pair computed once and mirrored."""
     rows = cls.values_matrix()
     k = rows.shape[0]
     dist = np.zeros((k, k))
     for i in range(k):
-        dist[i] = metric.distance_to_rows(rows[i], rows, cls.grid)
+        d = metric.distance_to_rows(rows[i], rows[i + 1 :], cls.grid)
+        dist[i, i + 1 :] = d
+        dist[i + 1 :, i] = d
+    return dist
+
+
+def matrix_greedy_centers(cls: FunctionClass, nu: float, metric) -> tuple[int, ...]:
+    """Farthest-point greedy over the full k x k distance matrix (oracle)."""
+    dist = distance_matrix(cls, metric)
+    centers = [0]
+    min_dist = dist[0].copy()
+    while float(np.max(min_dist)) > nu:
+        nxt = int(np.argmax(min_dist))
+        centers.append(nxt)
+        np.minimum(min_dist, dist[nxt], out=min_dist)
+    return tuple(centers)
+
+
+def brute_force_cover_size(cls: FunctionClass, nu: float, metric) -> int:
+    """Smallest number of members covering every member within nu."""
+    dist = distance_matrix(cls, metric)
+    k = dist.shape[0]
     for size in range(1, k + 1):
         for centers in itertools.combinations(range(k), size):
             if np.all(np.min(dist[:, centers], axis=1) <= nu):
@@ -161,6 +185,63 @@ class TestGreedyCover:
         greedy = greedy_cover(cls, nu, L1).n_cover
         optimal = brute_force_cover_size(cls, nu, L1)
         assert greedy <= 2 * optimal
+
+
+def _family(tag: str, count: int) -> FunctionClass:
+    if count == 1:
+        base = gaussian_bump() if tag == "scale" else triangle_bump()
+        return FunctionClass((base,), tag=tag)
+    if tag == "scale":
+        return scale_class(gaussian_bump(), 1.0, 2.0, count)
+    return shift_class(triangle_bump(), 0.0, 0.4, count)
+
+
+class TestCenterByCenterGreedy:
+    """The running-minimum greedy against the k x k matrix construction."""
+
+    @pytest.mark.parametrize("metric", [L1, LpDistance(2.0), IntegralDifference()], ids=repr)
+    @pytest.mark.parametrize("count", [1, 2, 300])
+    @pytest.mark.parametrize("tag", ["scale", "shift"])
+    def test_same_centers_as_matrix_oracle(self, tag, count, metric):
+        cls = _family(tag, count)
+        rows = cls.values_matrix()
+        # a radius at 5 % of the spread from the first member; under the
+        # integral difference the shift family's spread is rounding noise,
+        # so ties at and near distance 0 decide the centers there
+        spread = float(np.max(metric.distance_to_rows(rows[0], rows, cls.grid)))
+        for nu in (0.05 * spread or 0.1, 0.5 * spread or 1.0):
+            report = greedy_cover(cls, nu, metric)
+            assert report.centers == matrix_greedy_centers(cls, nu, metric)
+            assert report.n_cover == len(report.centers)
+
+    def test_post_check_fires(self, bump_scale_class, monkeypatch):
+        nu = 0.05
+        radii = covering.coverage_radii
+
+        def one_member_out(cls, report, metric):
+            out = radii(cls, report, metric)
+            out[7] = 2.0 * nu
+            return out
+
+        monkeypatch.setattr(covering, "coverage_radii", one_member_out)
+        with pytest.raises(AssertionError, match="post-check"):
+            greedy_cover(bump_scale_class, nu, L1)
+
+    def test_large_class_memory_and_time(self):
+        grid = Grid(0.0, 1.0, 101)
+        cls = scale_class(gaussian_bump(grid=grid), 1.0, 2.0, 2048)
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            report = greedy_cover(cls, 0.001, L1)
+            seconds = time.perf_counter() - started
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        # the k x k matrix alone would take 33.6 MB at k = 2048
+        assert peak_mb < 8.0
+        assert seconds < 10.0
+        assert report.n_cover > 100
 
 
 class TestEntropyDiagnostics:

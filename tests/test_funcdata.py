@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from funcldp import funcdata
 from funcldp.funcdata import (
     AffineKernel,
     Curve,
@@ -61,6 +62,21 @@ class TestCurve:
 
 
 class TestQuadrature:
+    def test_trapezoid_weights(self):
+        grid = Grid(-1.0, 2.0, 7)
+        weights = grid.trapezoid_weights()
+        assert weights[0] == weights[-1] == 0.5 * grid.spacing
+        np.testing.assert_array_equal(weights[1:-1], grid.spacing)
+        assert weights.sum() == pytest.approx(3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("points", [2, 3, 101, 40_000])
+    def test_matches_numpy_trapezoid(self, points):
+        grid = Grid(-1.0, 2.0, points)
+        values = np.random.default_rng(points).normal(size=points)
+        expected = float(np.trapezoid(values, dx=grid.spacing))
+        scale = float(np.trapezoid(np.abs(values), dx=grid.spacing))
+        assert abs(quadrature(values, grid) - expected) <= 1e-14 * scale
+
     def test_constant(self):
         grid = Grid(0.0, 1.0, 11)
         assert quadrature(np.full(11, 3.0), grid) == pytest.approx(3.0)
@@ -146,6 +162,83 @@ class TestDistance:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             LpDistance(0.5)
+
+
+def trapezoid_distances(x_values, rows, grid, metric):
+    """Distances from x to each row, straight from ``np.trapezoid``."""
+    diff = rows - x_values
+    if isinstance(metric, IntegralDifference):
+        return np.abs(np.trapezoid(diff, dx=grid.spacing, axis=1))
+    integral = np.trapezoid(np.abs(diff) ** metric.p, dx=grid.spacing, axis=1)
+    return integral ** (1.0 / metric.p)
+
+
+KERNEL_METRICS = [LpDistance(1.0), LpDistance(1.5), LpDistance(2.0), IntegralDifference()]
+
+
+class TestDistanceToRows:
+    """The blocked weight-vector kernel against a plain ``np.trapezoid`` reference."""
+
+    def _check(self, x_values, rows, grid, metric):
+        rows_before = rows.copy()
+        x_before = x_values.copy()
+        got = metric.distance_to_rows(x_values, rows, grid)
+        np.testing.assert_array_equal(rows, rows_before)
+        np.testing.assert_array_equal(x_values, x_before)
+        expected = trapezoid_distances(x_values, rows, grid, metric)
+        assert got.shape == (rows.shape[0],)
+        if isinstance(metric, IntegralDifference):
+            # |integral| cancels; bound the error by the integral of |row - x|
+            scale = np.trapezoid(np.abs(rows - x_values), dx=grid.spacing, axis=1)
+            assert np.all(np.abs(got - expected) <= 1e-14 * scale)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("metric", KERNEL_METRICS, ids=repr)
+    @pytest.mark.parametrize("points", [2, 101, 40_000])
+    def test_block_edges(self, points, metric):
+        grid = Grid(0.0, 1.0, points)
+        block = max(1, funcdata._BLOCK_VALUES // points)
+        rng = np.random.default_rng(points)
+        x_values = rng.normal(size=points)
+        for count in sorted({0, 1, block - 1, block, block + 1}):
+            rows = rng.normal(size=(count, points))
+            self._check(x_values, rows, grid, metric)
+
+    @pytest.mark.parametrize("metric", KERNEL_METRICS, ids=repr)
+    def test_non_contiguous_rows(self, metric):
+        grid = Grid(0.0, 1.0, 101)
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(2 * 700 + 1, 101))
+        x_values = rng.normal(size=101)
+        self._check(x_values, rows[::2], grid, metric)
+        self._check(x_values, np.asfortranarray(rows), grid, metric)
+        self._check(rows[:, ::2][3], rows[:, ::2], Grid(0.0, 1.0, 51), metric)
+
+    @pytest.mark.parametrize("metric", KERNEL_METRICS, ids=repr)
+    @pytest.mark.parametrize("points", [2, 101, 201])
+    def test_row_result_ignores_its_batch(self, points, metric):
+        # greedy covering compares distances computed in different batches
+        grid = Grid(0.0, 1.0, points)
+        block = max(1, funcdata._BLOCK_VALUES // points)
+        rng = np.random.default_rng(points + 1)
+        rows = rng.normal(size=(block + 9, points))
+        x_values = rows[0]
+        full = metric.distance_to_rows(x_values, rows, grid)
+        for offset in range(1, 9):
+            np.testing.assert_array_equal(
+                metric.distance_to_rows(x_values, rows[offset:], grid), full[offset:]
+            )
+        np.testing.assert_array_equal(
+            [metric.distance_to_rows(x_values, rows[i : i + 1], grid)[0] for i in range(9)],
+            full[:9],
+        )
+
+    @pytest.mark.parametrize("metric", KERNEL_METRICS, ids=repr)
+    def test_read_only_rows(self, metric):
+        rows = np.random.default_rng(9).normal(size=(400, 101))
+        rows.flags.writeable = False
+        self._check(rows[0].copy(), rows, Grid(0.0, 1.0, 101), metric)
 
 
 class TestKernels:
