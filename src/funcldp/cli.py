@@ -58,32 +58,47 @@ def _convert(kind, value, field: str, command: str):
         ) from None
 
 
-def _list_of(kind, cfg: dict, field: str, command: str) -> list:
-    """The list in ``cfg[field]``, each entry converted by ``kind``."""
-    values = _require(cfg, field, command)
+def _checked(fields: tuple[str, ...], command: str, build, *args):
+    """``build(*args)``, or a ConfigError naming ``fields`` when the library rejects a value.
+
+    ``fields`` are the config fields that ``build`` reads; the library's
+    message says which value is out of its domain.
+    """
+    try:
+        return build(*args)
+    except ValueError as exc:
+        names = ", ".join(f"'{f}'" for f in fields)
+        label = "field" if len(fields) == 1 else "fields"
+        raise ConfigError(f"{label} {names}: {exc} (command '{command}')") from None
+
+
+def _list_of(kind, cfg: dict, field: str, command: str, default=None) -> list:
+    """The list in ``cfg[field]`` (required unless a default is given), each entry converted."""
+    values = _require(cfg, field, command) if default is None else cfg.get(field, default)
     if not isinstance(values, list):
         raise ConfigError(f"field '{field}' must be a list (command '{command}')")
     return [_convert(kind, v, field, command) for v in values]
 
 
-def _build_index(spec) -> IdentityIndex | IntervalIndicator:
+def _build_index(spec, command: str) -> IdentityIndex | IntervalIndicator:
     if spec in (None, "identity"):
         return IdentityIndex()
     if isinstance(spec, dict) and "indicator" in spec:
         intervals = tuple(
-            (float(lo) if lo is not None else -math.inf,
-             float(hi) if hi is not None else math.inf)
+            (_convert(float, lo, "index", command) if lo is not None else -math.inf,
+             _convert(float, hi, "index", command) if hi is not None else math.inf)
             for lo, hi in spec["indicator"]
         )
-        return IntervalIndicator(intervals)
+        return _checked(("index",), command, IntervalIndicator, intervals)
     raise ConfigError(f"unrecognized index spec {spec!r}")
 
 
-def _build_metric(spec):
+def _build_metric(spec, command: str):
     if spec in (None, "integral_diff"):
         return IntegralDifference()
     if isinstance(spec, dict) and "lp" in spec:
-        return LpDistance(float(spec["lp"]))
+        return _checked(("metric",), command, LpDistance,
+                        _convert(float, spec["lp"], "metric", command))
     raise ConfigError(f"unrecognized metric spec {spec!r}")
 
 
@@ -91,24 +106,30 @@ def _build_model(spec, command: str) -> simulate.LinearFactorModel:
     if not isinstance(spec, dict):
         raise ConfigError(f"field 'model' must be an object (command '{command}')")
     if spec.get("default"):
-        return simulate.default_model(int(spec.get("points", 101)))
+        return _checked(("model",), command, simulate.default_model,
+                        _convert(int, spec.get("points", 101), "points", command))
     signal = read_curve_csv(_require(spec, "signal_csv", command))
     noise = read_curve_csv(_require(spec, "noise_csv", command))
     law_spec = spec.get("y_law", {"normal": {"mean": 0.0, "sd": 1.0}})
-    if "normal" in law_spec:
-        params = law_spec["normal"]
-        law = simulate.NormalLaw(float(params.get("mean", 0.0)), float(params.get("sd", 1.0)))
-    elif "uniform" in law_spec:
-        params = law_spec["uniform"]
-        law = simulate.UniformLaw(float(params["lo"]), float(params["hi"]))
+    law_params = law_spec if isinstance(law_spec, dict) else {}
+    if isinstance(law_params.get("normal"), dict):
+        params = law_params["normal"]
+        law = _checked(("y_law",), command, simulate.NormalLaw,
+                       _convert(float, params.get("mean", 0.0), "y_law", command),
+                       _convert(float, params.get("sd", 1.0), "y_law", command))
+    elif isinstance(law_params.get("uniform"), dict):
+        params = law_params["uniform"]
+        law = _checked(("y_law",), command, simulate.UniformLaw,
+                       _require(params, "lo", command, float),
+                       _require(params, "hi", command, float))
     else:
         raise ConfigError(f"unrecognized y_law spec {law_spec!r}")
     return simulate.LinearFactorModel(signal, noise, law)
 
 
-def _build_curve(spec, grid: Grid, field: str) -> Curve:
+def _build_curve(spec, grid: Grid, field: str, command: str) -> Curve:
     if isinstance(spec, dict) and "constant" in spec:
-        return Curve.constant(grid, float(spec["constant"]))
+        return Curve.constant(grid, _convert(float, spec["constant"], field, command))
     if isinstance(spec, dict) and "csv" in spec:
         curve = read_curve_csv(spec["csv"])
         if curve.grid != grid:
@@ -122,7 +143,8 @@ def _build_weight(spec) -> ratefn.WeightDensity:
         spec = {"gaussian": {"mean": 0.0, "sd": 1.0}}
     if isinstance(spec, dict) and isinstance(spec.get("gaussian"), dict):
         params = spec["gaussian"]
-        return ratefn.WeightDensity.gaussian(
+        return _checked(
+            ("weight",), "rate", ratefn.WeightDensity.gaussian,
             _convert(float, params.get("mean", 0.0), "weight.gaussian.mean", "rate"),
             _convert(float, params.get("sd", 1.0), "weight.gaussian.sd", "rate"),
             _convert(float, spec.get("half_width", 8.0), "weight.half_width", "rate"),
@@ -139,13 +161,12 @@ def _rate_model_at(model: simulate.LinearFactorModel, x: Curve, index) -> ratefn
 
 def _run_rate(cfg: dict, out: str) -> list[str]:
     weight = _build_weight(cfg.get("weight"))
-    index = _build_index(cfg.get("index"))
+    index = _build_index(cfg.get("index"), "rate")
     model = ratefn.RateModel(weight, index, UniformKernel(), IdentityScaling())
-    lam_values = cfg.get(
-        "lambda_values", [0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
-    )
-    lam1_values = cfg.get("lambda1_values", list(np.linspace(0.25, 4.0, 7)))
-    ratio_values = cfg.get("ratio_values", list(np.linspace(-2.0, 2.0, 7)))
+    lam_values = _list_of(float, cfg, "lambda_values", "rate",
+                          [0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0])
+    lam1_values = _list_of(float, cfg, "lambda1_values", "rate", list(np.linspace(0.25, 4.0, 7)))
+    ratio_values = _list_of(float, cfg, "ratio_values", "rate", list(np.linspace(-2.0, 2.0, 7)))
     pairs = [(l1, l1 * r) for l1 in lam1_values for r in ratio_values]
     r_true = ratefn.tilted_mean(model, 0.0)
     sweep_path = os.path.join(out, "rate_sweep.csv")
@@ -157,27 +178,39 @@ def _run_rate(cfg: dict, out: str) -> list[str]:
 
 def _run_estimate(cfg: dict, out: str, seed: int) -> list[str]:
     model = _build_model(_require(cfg, "model", "estimate"), "estimate")
-    x0 = _build_curve(_require(cfg, "x0", "estimate"), model.grid, "x0")
-    index = _build_index(cfg.get("index"))
-    metric = _build_metric(cfg.get("metric"))
-    n = int(_require(cfg, "n", "estimate"))
-    h_values = _require(cfg, "h_values", "estimate")
-    data = simulate.sample_dataset(model, n, seed)
+    x0 = _build_curve(_require(cfg, "x0", "estimate"), model.grid, "x0", "estimate")
+    index = _build_index(cfg.get("index"), "estimate")
+    metric = _build_metric(cfg.get("metric"), "estimate")
+    n = _require(cfg, "n", "estimate", int)
+    configs = [
+        _checked(("h_values",), "estimate", EstimatorConfig,
+                 UniformKernel(), metric, h, model.small_ball_scale(h))
+        for h in _list_of(float, cfg, "h_values", "estimate")
+    ]
+    data = _checked(("n",), "estimate", simulate.sample_dataset, model, n, seed)
     path = os.path.join(out, "estimate.csv")
     import csv as _csv
 
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["h", "phi_h", "r_n1", "r_n2", "r_hat", "active_count"])
-        for h in h_values:
-            phi_h = model.small_ball_scale(float(h))
-            est_cfg = EstimatorConfig(UniformKernel(), metric, float(h), phi_h)
+        for est_cfg in configs:
             z = z_n(x0, data, index, est_cfg)
             writer.writerow([
-                repr(float(h)), repr(phi_h), repr(z.r_n1), repr(z.r_n2),
+                repr(est_cfg.bandwidth), repr(est_cfg.phi_of_h), repr(z.r_n1), repr(z.r_n2),
                 repr(z.r_hat), z.active_count,
             ])
     return [path]
+
+
+def _schedule(params: dict, command: str) -> tuple[list[int], float, float]:
+    """The ladder's ``n_values``, ``a`` and ``alpha``, checked by ``bandwidth_schedule``."""
+    n_values = _list_of(int, params, "n_values", command)
+    a = _require(params, "a", command, float)
+    alpha = _require(params, "alpha", command, float)
+    for n in n_values:
+        _checked(("n_values", "a", "alpha"), command, simulate.bandwidth_schedule, n, a, alpha)
+    return n_values, a, alpha
 
 
 def _ladder_config(cfg: dict, x0: Curve, seed: int, command: str) -> simulate.LadderConfig:
@@ -185,21 +218,17 @@ def _ladder_config(cfg: dict, x0: Curve, seed: int, command: str) -> simulate.La
         replicates = tuple(_list_of(int, cfg, "replicates", command))
     else:
         replicates = _require(cfg, "replicates", command, int)
-    return simulate.LadderConfig(
-        n_values=tuple(_list_of(int, cfg, "n_values", command)),
-        a=_require(cfg, "a", command, float),
-        alpha=_require(cfg, "alpha", command, float),
-        lam=_require(cfg, "lambda", command, float),
-        x0=x0,
-        replicates=replicates,
-        seed=seed,
+    n_values, a, alpha = _schedule(cfg, command)
+    return _checked(
+        ("n_values", "lambda", "replicates"), command, simulate.LadderConfig,
+        tuple(n_values), a, alpha, _require(cfg, "lambda", command, float), x0, replicates, seed,
     )
 
 
 def _run_simulate(cfg: dict, out: str, seed: int) -> list[str]:
     model = _build_model(_require(cfg, "model", "simulate"), "simulate")
-    x0 = _build_curve(_require(cfg, "x0", "simulate"), model.grid, "x0")
-    index = _build_index(cfg.get("index"))
+    x0 = _build_curve(_require(cfg, "x0", "simulate"), model.grid, "x0", "simulate")
+    index = _build_index(cfg.get("index"), "simulate")
     ladder_cfg = _ladder_config(cfg, x0, seed, "simulate")
     rate_model = _rate_model_at(model, x0, index)
     records = simulate.pointwise_ladder(model, rate_model, ladder_cfg)
@@ -213,8 +242,8 @@ def _run_uniform(cfg: dict, out: str, seed: int) -> list[str]:
     center_specs = _require(cfg, "centers", "uniform")
     if not isinstance(center_specs, list) or not center_specs:
         raise ConfigError("field 'centers' must be a nonempty list (command 'uniform')")
-    centers = [_build_curve(s, model.grid, "centers") for s in center_specs]
-    index = _build_index(cfg.get("index"))
+    centers = [_build_curve(s, model.grid, "centers", "uniform") for s in center_specs]
+    index = _build_index(cfg.get("index"), "uniform")
     ladder_cfg = _ladder_config(cfg, centers[0], seed, "uniform")
     rate_models = [_rate_model_at(model, x, index) for x in centers]
     records = simulate.uniform_ladder(model, centers, rate_models, ladder_cfg)
@@ -254,9 +283,7 @@ def _cover_ladder(cfg: dict) -> list[tuple[int, float, float]]:
     params = cfg["ladder"]
     if not isinstance(params, dict):
         raise ConfigError("field 'ladder' must be an object (command 'cover')")
-    n_values = _list_of(int, params, "n_values", "cover")
-    a = _require(params, "a", "cover", float)
-    alpha = _require(params, "alpha", "cover", float)
+    n_values, a, alpha = _schedule(params, "cover")
     return [(n, *simulate.bandwidth_schedule(n, a, alpha)) for n in n_values]
 
 
@@ -271,7 +298,7 @@ def _cover_radii(cfg: dict) -> list[float]:
 
 def _run_cover(cfg: dict, out: str) -> list[str]:
     cls = _build_class(_require(cfg, "class", "cover"), "cover")
-    metric = _build_metric(cfg.get("metric", {"lp": 1.0}))
+    metric = _build_metric(cfg.get("metric", {"lp": 1.0}), "cover")
     ladder = _cover_ladder(cfg)
     if "nu_values" in cfg:
         nu_values = _cover_radii(cfg)

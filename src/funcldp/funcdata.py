@@ -3,16 +3,19 @@
 Everything here is immutable after construction and safe to share.  All
 integrals over the curve domain use the composite trapezoid rule, which is
 exact for affine integrands, as a dot product with the grid's trapezoid
-weights.
+weights.  Each scaling profile carries one fixed Gauss rule for its measure
+dtau on the kernel support [0, 1].
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import roots_sh_jacobi
 
 
 class GridMismatchError(ValueError):
@@ -263,15 +266,35 @@ def kernel_eval(kernel: Kernel, u: float) -> tuple[float, float]:
     return float(kernel.k(u)), float(kernel.kprime(u))
 
 
+# Nodes of the Gauss rule for a scaling measure dtau on [0, 1].  The kernels
+# are smooth in u, so 32 nodes integrate their exponentials to rounding level.
+_GAUSS_NODES = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _power_gauss_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights for the measure alpha u**(alpha - 1) du on [0, 1].
+
+    The weights of ``roots_sh_jacobi`` (Golub-Welsch) sum to the mass
+    1 / alpha of u**(alpha - 1) du, so they are scaled by alpha.
+    """
+    u, weights = roots_sh_jacobi(_GAUSS_NODES, alpha, alpha)
+    weights = weights * alpha
+    u.flags.writeable = False
+    weights.flags.writeable = False
+    return u, weights
+
+
 @dataclass(frozen=True)
 class IdentityScaling:
     """Small-ball scaling profile tau(u) = u."""
 
+    def gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the Gauss rule for dtau = du: Gauss-Legendre on [0, 1]."""
+        return _power_gauss_rule(1.0)
+
     def tau(self, u):
         return np.asarray(u, dtype=float)
-
-    def tau_prime(self, u):
-        return np.ones_like(np.asarray(u, dtype=float))
 
     def tau_inverse(self, w):
         return np.asarray(w, dtype=float)
@@ -287,12 +310,12 @@ class PowerScaling:
         if self.alpha <= 0:
             raise ValueError(f"power scaling needs alpha > 0, got {self.alpha}")
 
+    def gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the Gauss rule for dtau = alpha u**(alpha - 1) du."""
+        return _power_gauss_rule(float(self.alpha))
+
     def tau(self, u):
         return np.asarray(u, dtype=float) ** self.alpha
-
-    def tau_prime(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.alpha * u ** (self.alpha - 1.0)
 
     def tau_inverse(self, w):
         return np.asarray(w, dtype=float) ** (1.0 / self.alpha)

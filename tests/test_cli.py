@@ -27,6 +27,16 @@ def _write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def _estimate_config(**overrides):
+    cfg = {"command": "estimate", "model": {"default": True}, "x0": {"constant": 0.0},
+           "n": 300, "h_values": [0.1], "seed": 5}
+    cfg.update(overrides)
+    return cfg
+
+
+_CSV_MODEL = {"signal_csv": "bump.csv", "noise_csv": "bump.csv"}
+
+
 def _sim_config(**overrides):
     cfg = {
         "command": "simulate",
@@ -102,11 +112,30 @@ class TestExitCodes:
              "count"),
             (_cover_config(ladder=[200, 1000]), "ladder"),
             (_cover_config(ladder=_COVER_LADDER, A="x"), "A"),
+            (_sim_config(n_values=[8, 200]), "n_values"),
+            (_cover_config(ladder={**_COVER_LADDER, "n_values": [8, 200]}), "n_values"),
+            (_cover_config(metric={"lp": 0.5}), "metric"),
+            (_cover_config(metric={"lp": "x"}), "metric"),
+            (_sim_config(replicates=10), "replicates"),
+            (_estimate_config(h_values="abc"), "h_values"),
+            ({"command": "rate", "weight": {"gaussian": {"sd": -1}}}, "weight"),
+            ({"command": "rate", "lambda_values": ["a"]}, "lambda_values"),
+            ({"command": "rate", "index": {"indicator": [[0, "x"]]}}, "index"),
+            ({"command": "rate", "index": {"indicator": [[1, 1]]}}, "index"),
+            (_estimate_config(x0={"constant": "zero"}), "x0"),
+            (_estimate_config(model={"default": True, "points": "x"}), "points"),
+            (_estimate_config(model={"default": True, "points": 1}), "model"),
+            (_estimate_config(model={**_CSV_MODEL, "y_law": {"normal": {"sd": -1}}}), "y_law"),
+            (_estimate_config(model={**_CSV_MODEL, "y_law": {"uniform": {"lo": 0}}}), "hi"),
         ],
         ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
              "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
              "radii-not-list", "ladder-without-a", "ladder-n-not-int", "class-count-one",
-             "ladder-not-object", "A-not-float"],
+             "ladder-not-object", "A-not-float", "ladder-n-below-16", "cover-ladder-n-below-16",
+             "lp-below-one", "lp-not-float", "replicates-below-1000", "h-values-not-list",
+             "weight-negative-sd", "lambda-not-float", "indicator-not-float",
+             "indicator-degenerate", "x0-not-float", "points-not-int", "points-one",
+             "normal-law-negative-sd", "uniform-law-without-hi"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)

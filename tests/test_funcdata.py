@@ -304,6 +304,22 @@ class TestScalingProfiles:
         with pytest.raises(ValueError):
             PowerScaling(0.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7, 2.0, 3.0])
+    def test_gauss_rule_integrates_monomials_against_dtau(self, alpha):
+        # integral_0^1 u^j alpha u^(alpha-1) du = alpha / (j + alpha); a
+        # 32-node Gauss rule is exact through degree 63
+        profile = IdentityScaling() if alpha == 1.0 else PowerScaling(alpha)
+        u, weights = profile.gauss_rule()
+        assert u.shape == weights.shape == (32,)
+        assert np.all((0.0 < u) & (u < 1.0)) and np.all(weights > 0.0)
+        for j in (0, 1, 5, 20, 63):
+            assert weights @ u**j == pytest.approx(alpha / (j + alpha), rel=1e-13)
+
+    def test_gauss_rule_is_shared_and_read_only(self):
+        u, weights = PowerScaling(2).gauss_rule()
+        assert PowerScaling(2.0).gauss_rule()[0] is u
+        assert not u.flags.writeable and not weights.flags.writeable
+
 
 class TestCurveCsv:
     def test_roundtrip(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize, special
+from scipy import integrate, optimize, special
 
 from funcldp import ratefn
 from funcldp.estimator import IdentityIndex, IntervalIndicator, LipschitzIndex
@@ -30,7 +30,6 @@ from funcldp.ratefn import (
     legendre_rate,
     log_mgf_gradient,
     log_mgf_limit,
-    log_mgf_limit_by_parts,
     ratio_rate,
     ratio_rate_closed,
     ratio_rate_derivatives,
@@ -90,9 +89,12 @@ def _g_uniform(theta):
 INNER_INTEGRAL = {ExpDecayKernel: _g_exp_decay, AffineKernel: _g_affine, UniformKernel: _g_uniform}
 
 
-def closed_inner_ratio_rate(model: RateModel, lam: float) -> float:
-    """-min_s Phi(-lam s, s) with the kernel integral in closed form, minimized by Brent."""
-    g = INNER_INTEGRAL[type(model.kernel)]
+def closed_inner_ratio_rate(model: RateModel, lam: float, g=None) -> float:
+    """-min_s Phi(-lam s, s) with the kernel integral ``g`` given apart, minimized by Brent.
+
+    ``g`` defaults to the closed form of the model's kernel under tau(u) = u.
+    """
+    g = g or INNER_INTEGRAL[type(model.kernel)]
     w = model.weight
 
     def line(s):
@@ -100,6 +102,78 @@ def closed_inner_ratio_rate(model: RateModel, lam: float) -> float:
 
     start = 0.1 if lam >= 0 else -0.1
     return -float(optimize.minimize_scalar(line, bracket=(0.0, start), tol=1e-12).fun)
+
+
+def _trapezoid_log_mgf(model: RateModel, t1: float, t2: float, inner_values, u_nodes: int):
+    """Weight integral of G(theta(v)), G by a trapezoid rule on [0, 1] in blocks of rows.
+
+    ``inner_values(theta_column, x)`` gives the kernel-axis integrand at the
+    grid x; overflow gives +inf and NaN raises ``NumericError``.
+    """
+    theta = t1 + t2 * model.lvals
+    x = np.linspace(0.0, 1.0, u_nodes)
+    w = model.weight.w
+    g = np.empty_like(theta)
+    chunk = max(1, (1 << 21) // u_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, theta.shape[0], chunk):
+            block = theta[start : start + chunk, np.newaxis]
+            g[start : start + chunk] = np.trapezoid(inner_values(block, x), dx=x[1], axis=1)
+        value = model.weight.integral(np.where(w > 0, g * w, 0.0))
+    if math.isnan(value):
+        raise NumericError(f"NaN in log-MGF quadrature at t=({t1}, {t2})")
+    return value
+
+
+def kprime_log_mgf(model: RateModel, t1: float, t2: float, u_nodes: int = 2001) -> float:
+    """Limit log-MGF in the K' form, by trapezoid rules on both axes:
+
+        integral [exp(theta K(1)) - 1 - integral_0^1 theta K'(u) exp(theta K(u)) tau(u) du] w dv.
+
+    Nodes where K' = 0 contribute 0, so a flat kernel never forms 0 * inf.
+    """
+    kernel, k1 = model.kernel, model.kernel.k_at_one
+
+    def values(theta, u):
+        kp_u = kernel.kprime(u)
+        moving = np.where(kp_u != 0.0, theta * kp_u * np.exp(theta * kernel.k(u)), 0.0)
+        return np.exp(theta * k1) - 1.0 - moving * model.scaling.tau(u)
+
+    return _trapezoid_log_mgf(model, t1, t2, values, u_nodes)
+
+
+def by_parts_log_mgf(model: RateModel, t1: float, t2: float, u_nodes: int = 2001) -> float:
+    """Limit log-MGF in omega = tau(u), by trapezoid rules on both axes:
+
+        integral integral_0^1 (exp(theta K(tau^-1(omega))) - 1) d omega w dv.
+    """
+    def values(theta, omega):
+        return np.expm1(theta * model.kernel.k(model.scaling.tau_inverse(omega)))
+
+    return _trapezoid_log_mgf(model, t1, t2, values, u_nodes)
+
+
+def quad_kernel_integral(model: RateModel, fn) -> float:
+    """integral_0^1 fn(K(u)) dtau(u) by adaptive quadrature with the algebraic weight of dtau."""
+    alpha = getattr(model.scaling, "alpha", 1.0)
+    value, _ = integrate.quad(lambda u: fn(float(model.kernel.k(u))), 0.0, 1.0, weight="alg",
+                              wvar=(alpha - 1.0, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)
+    return alpha * value
+
+
+def quad_inner_integral(model: RateModel):
+    """theta -> integral_0^1 (exp(theta K(u)) - 1) dtau(u), elementwise, by adaptive quadrature."""
+    def g(theta):
+        return np.array([quad_kernel_integral(model, lambda k, th=th: math.expm1(th * k))
+                         for th in np.ravel(theta)]).reshape(np.shape(theta))
+
+    return g
+
+
+def quad_log_mgf(model: RateModel, t1: float, t2: float) -> float:
+    """Limit log-MGF with each kernel-side integral by adaptive quadrature."""
+    g = quad_inner_integral(model)(t1 + t2 * model.lvals)
+    return model.weight.integral(g * model.weight.w)
 
 
 # Gaussian weights on 801 nodes: the contraction oracle runs a Newton
@@ -117,6 +191,8 @@ PROPERTY_MODELS = {
     )
 }
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
+# The session fixture's model; hypothesis tests take no function-scoped fixtures.
+GAUSSIAN_MODEL = gaussian_identity_model()
 
 
 class TestWeightDensity:
@@ -194,29 +270,66 @@ class TestTiltedMeanRange:
         assert rng.v1 == tilted_mean(gaussian_model, ratefn.PROBE_T)
 
 
+LOG_MGF_ROUTES = [log_mgf_limit, kprime_log_mgf, by_parts_log_mgf]
+
+
 class TestLogMgfLimit:
     def test_zero_at_origin(self, gaussian_model):
-        assert log_mgf_limit(gaussian_model, 0.0, 0.0) == pytest.approx(0.0, abs=1e-14)
+        for route in LOG_MGF_ROUTES:
+            assert route(gaussian_model, 0.0, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_uniform_kernel_matches_plain_exponential_form(self, gaussian_model):
         # with a flat kernel the double integral collapses to a single one
         w = gaussian_model.weight
         for t1, t2 in ((0.2, 0.1), (-0.4, 0.3), (1.0, -0.5)):
             direct = w.integral((np.exp(t1 + t2 * gaussian_model.lvals) - 1.0) * w.w)
-            assert log_mgf_limit(gaussian_model, t1, t2) == pytest.approx(direct, abs=1e-10)
+            for route in LOG_MGF_ROUTES:
+                assert route(gaussian_model, t1, t2) == pytest.approx(direct, abs=1e-10)
 
     def test_by_parts_equivalence_expdecay(self):
+        # the K' and by-parts oracles agree with each other and with the
+        # Gauss rule for dtau, which is far more accurate than either
         model = RateModel(
             WeightDensity.gaussian(), IdentityIndex(), ExpDecayKernel(), IdentityScaling()
         )
-        a = log_mgf_limit(model, 0.3, 0.2, u_nodes=4001)
-        b = log_mgf_limit_by_parts(model, 0.3, 0.2, u_nodes=4001)
+        a = kprime_log_mgf(model, 0.3, 0.2, u_nodes=4001)
+        b = by_parts_log_mgf(model, 0.3, 0.2, u_nodes=4001)
         assert a == pytest.approx(b, abs=1e-8)
+        assert log_mgf_limit(model, 0.3, 0.2) == pytest.approx(b, abs=1e-8)
 
     def test_overflow_is_inf_not_nan(self, gaussian_model):
         # exp(800) overflows; the flat kernel's K' = 0 must not turn it into 0 * inf
-        assert log_mgf_limit(gaussian_model, 800.0, 0.0) == math.inf
-        assert log_mgf_limit_by_parts(gaussian_model, 800.0, 0.0) == math.inf
+        for route in LOG_MGF_ROUTES:
+            assert route(gaussian_model, 800.0, 0.0) == math.inf
+
+    def test_overflow_is_inf_on_decaying_kernels(self):
+        for kernel in (ExpDecayKernel(), AffineKernel()):
+            model = RateModel(WeightDensity.gaussian(nodes=201), IdentityIndex(), kernel,
+                              PowerScaling(2.0))
+            assert log_mgf_limit(model, 800.0, 0.0) == math.inf
+
+    @pytest.mark.parametrize("kernel", [ExpDecayKernel(), AffineKernel()])
+    @pytest.mark.parametrize("alpha", [None, 0.5, 1.7, 2.0, 3.0])
+    def test_gauss_rule_matches_adaptive_quadrature(self, kernel, alpha):
+        # the rule for dtau against quad with the algebraic weight u^(alpha-1);
+        # a Gauss-Legendre rule in omega = tau(u) is off by up to 4e-4 for
+        # alpha > 1, where k(omega^(1/alpha)) is not smooth at 0
+        scaling = IdentityScaling() if alpha is None else PowerScaling(alpha)
+        model = RateModel(WeightDensity.gaussian(nodes=201), IdentityIndex(), kernel, scaling)
+        for t in ((0.3, 0.2), (2.0, -1.0)):
+            assert log_mgf_limit(model, *t) == pytest.approx(quad_log_mgf(model, *t), rel=1e-12)
+        for t in (-3.0, 0.0, 0.7, 4.0):
+            oracle = quad_kernel_integral(model, lambda k, t=t: k * math.exp(t * k))
+            assert tilted_kernel_moment(model, t) == pytest.approx(oracle, rel=1e-12)
+        if alpha == 2.0:
+            # the ratio rate under a power profile, against the contraction
+            # and against a line minimum whose inner integrals come from quad
+            for lam in (-1.0, 0.5, 2.0):
+                value = ratio_rate(model, lam)
+                assert value == pytest.approx(contraction_ratio_rate(model, lam), abs=1e-8)
+                assert value == pytest.approx(
+                    closed_inner_ratio_rate(model, lam, quad_inner_integral(model)), abs=1e-10
+                )
 
     def test_nan_quadrature_raises(self):
         # a kernel that yields NaN must surface as NumericError, never as a
@@ -227,12 +340,36 @@ class TestLogMgfLimit:
 
         model = RateModel(WeightDensity.gaussian(nodes=201), IdentityIndex(), NanKernel(),
                           IdentityScaling())
-        with pytest.raises(NumericError, match="NaN"):
-            ratefn._TiltOps(model).phi(np.array([0.1, 0.2]))
+        for route in LOG_MGF_ROUTES:
+            with pytest.raises(NumericError, match="NaN"):
+                route(model, 0.1, 0.2)
         with pytest.raises(NumericError, match="NaN"):
             ratio_rate(model, 0.5)
         with pytest.raises(NumericError, match="NaN"):
             legendre_rate(model, 1.0, 0.5)
+
+    def test_scaled_flat_kernel(self, gaussian_model):
+        # K = 2 on [0, 1]: the double integral is integral (exp(2 theta) - 1) w dv
+        model = RateModel(gaussian_model.weight, IdentityIndex(), UniformKernel(scale=2.0),
+                          PowerScaling(3.0))
+        w = model.weight
+        direct = w.integral((np.exp(2.0 * (0.2 - 0.3 * model.lvals)) - 1.0) * w.w)
+        for route in LOG_MGF_ROUTES:
+            assert route(model, 0.2, -0.3) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("kernel", [UniformKernel(scale=2.0), ExpDecayKernel(),
+                                        AffineKernel()])
+    def test_derivatives_match_central_differences(self, kernel):
+        model = RateModel(WeightDensity.gaussian(nodes=401), IdentityIndex(), kernel,
+                          PowerScaling(2.0))
+        ops = ratefn._TiltOps(model)
+        t, step = np.array([0.3, -0.2]), 1e-4
+        grad, hess = ops.grad_hess(t)
+        for i, e in enumerate(np.eye(2) * step):
+            up, down = ops.grad_hess(t + e)[0], ops.grad_hess(t - e)[0]
+            fd = (ops.phi(t + e) - ops.phi(t - e)) / (2 * step)
+            assert grad[i] == pytest.approx(fd, rel=1e-7)
+            np.testing.assert_allclose(hess[:, i], (up - down) / (2 * step), rtol=1e-7)
 
     def test_gradient_at_origin_is_mean_vector(self, gaussian_model):
         g1, g2 = log_mgf_gradient(gaussian_model, 0.0, 0.0)
@@ -295,6 +432,24 @@ class TestLegendreRate:
                 num = legendre_rate(gaussian_model, float(lam1), float(lam1 * ratio))
                 closed = closed_rate_uniform(gaussian_model, float(lam1), float(lam1 * ratio))
                 assert num == pytest.approx(closed, abs=1e-6)
+
+    @settings(PROPERTY_SETTINGS, max_examples=150)
+    @given(
+        lam1=st.one_of(st.floats(-1.0, 0.0), st.floats(-25.0, 3.5).map(math.exp)),
+        u=st.floats(-0.1, 1.1),
+    )
+    def test_matches_closed_route_over_reachable_range(self, lam1, u):
+        # (lam1, lam2 / lam1) over the whole reachable range and a little
+        # beyond it, not only the grid: same value, and +inf at the same points
+        rng = GAUSSIAN_MODEL.tilt_range
+        lam2 = lam1 * (rng.v0 + u * (rng.v1 - rng.v0))
+        closed = closed_rate_uniform(GAUSSIAN_MODEL, lam1, lam2)
+        numeric = legendre_rate(GAUSSIAN_MODEL, lam1, lam2)
+        assert math.isinf(numeric) == math.isinf(closed)
+        if math.isfinite(closed):
+            assert numeric == pytest.approx(closed, abs=1e-8)
+        else:
+            assert numeric == closed == math.inf
 
     def test_midpoint_convexity(self, gaussian_model):
         rng = np.random.default_rng(23)
@@ -394,6 +549,18 @@ class TestIndicatorRate:
             by_newton = legendre_rate(halfline_indicator_model, lam1, lam2)
             assert by_indicator == pytest.approx(by_closed, abs=1e-6)
             assert by_indicator == pytest.approx(by_newton, abs=1e-6)
+
+    @pytest.mark.parametrize("kernel", [ExpDecayKernel(), AffineKernel()])
+    @pytest.mark.parametrize("scaling", [PowerScaling(0.5), PowerScaling(2.0)])
+    def test_decaying_kernels_match_legendre(self, halfline_indicator_model, kernel, scaling):
+        # the kernel moment inversions and the correction term share the
+        # Gauss rule for dtau with the Newton route's log-MGF
+        model = RateModel(halfline_indicator_model.weight, halfline_indicator_model.index,
+                          kernel, scaling)
+        for lam1, lam2 in ((1.0, 0.75), (2.0, 0.3)):
+            assert indicator_rate(model, lam1, lam2) == pytest.approx(
+                legendre_rate(model, lam1, lam2), abs=1e-10
+            )
 
     def test_domain_convention(self, halfline_indicator_model):
         assert indicator_rate(halfline_indicator_model, 1.0, 0.0) == math.inf
@@ -640,16 +807,19 @@ class TestScalingVariants:
         flat_b = RateModel(
             WeightDensity.gaussian(), IdentityIndex(), UniformKernel(), PowerScaling(2.0)
         )
-        assert log_mgf_limit(flat_a, *args) == pytest.approx(
-            log_mgf_limit(flat_b, *args), abs=1e-10
-        )
         dec_a = RateModel(
             WeightDensity.gaussian(), IdentityIndex(), ExpDecayKernel(), IdentityScaling()
         )
         dec_b = RateModel(
             WeightDensity.gaussian(), IdentityIndex(), ExpDecayKernel(), PowerScaling(2.0)
         )
-        assert abs(log_mgf_limit(dec_a, *args) - log_mgf_limit(dec_b, *args)) > 1e-4
+        for route in LOG_MGF_ROUTES:
+            assert route(flat_a, *args) == pytest.approx(route(flat_b, *args), abs=1e-10)
+            assert abs(route(dec_a, *args) - route(dec_b, *args)) > 1e-4
+        # the trapezoid oracles carry a few 1e-6 of error under a power profile
+        assert log_mgf_limit(dec_b, *args) == pytest.approx(
+            by_parts_log_mgf(dec_b, *args, u_nodes=4001), rel=1e-5
+        )
 
 
 class TestCsvExport:
