@@ -84,10 +84,15 @@ def _build_index(spec, command: str) -> IdentityIndex | IntervalIndicator:
     if spec in (None, "identity"):
         return IdentityIndex()
     if isinstance(spec, dict) and "indicator" in spec:
+        pairs = spec["indicator"]
+        if not (isinstance(pairs, list)
+                and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+            raise ConfigError(f"field 'index': 'indicator' must be a list of [lo, hi] pairs, "
+                              f"got {pairs!r} (command '{command}')")
         intervals = tuple(
             (_convert(float, lo, "index", command) if lo is not None else -math.inf,
              _convert(float, hi, "index", command) if hi is not None else math.inf)
-            for lo, hi in spec["indicator"]
+            for lo, hi in pairs
         )
         return _checked(("index",), command, IntervalIndicator, intervals)
     raise ConfigError(f"unrecognized index spec {spec!r}")

@@ -194,9 +194,6 @@ class UniformKernel(_KernelBase):
     def k(self, u):
         return self.scale * np.ones_like(np.asarray(u, dtype=float))
 
-    def kprime(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
-
     @property
     def k_at_one(self) -> float:
         return self.scale
@@ -216,9 +213,6 @@ class ExpDecayKernel(_KernelBase):
 
     def k(self, u):
         return self.scale * np.exp(-np.asarray(u, dtype=float))
-
-    def kprime(self, u):
-        return -self.scale * np.exp(-np.asarray(u, dtype=float))
 
     @property
     def k_at_one(self) -> float:
@@ -240,9 +234,6 @@ class AffineKernel(_KernelBase):
     def k(self, u):
         return self.scale * (2.0 - np.asarray(u, dtype=float))
 
-    def kprime(self, u):
-        return np.full_like(np.asarray(u, dtype=float), -self.scale)
-
     @property
     def k_at_one(self) -> float:
         return self.scale
@@ -257,13 +248,6 @@ class AffineKernel(_KernelBase):
 
 
 Kernel = UniformKernel | ExpDecayKernel | AffineKernel
-
-
-def kernel_eval(kernel: Kernel, u: float) -> tuple[float, float]:
-    """Evaluate (K(u), K'(u)); u must lie in the support [0, 1]."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"kernel argument {u} outside the support [0, 1]")
-    return float(kernel.k(u)), float(kernel.kprime(u))
 
 
 # Nodes of the Gauss rule for a scaling measure dtau on [0, 1].  The kernels
@@ -293,12 +277,6 @@ class IdentityScaling:
         """Nodes and weights of the Gauss rule for dtau = du: Gauss-Legendre on [0, 1]."""
         return _power_gauss_rule(1.0)
 
-    def tau(self, u):
-        return np.asarray(u, dtype=float)
-
-    def tau_inverse(self, w):
-        return np.asarray(w, dtype=float)
-
 
 @dataclass(frozen=True)
 class PowerScaling:
@@ -313,12 +291,6 @@ class PowerScaling:
     def gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the Gauss rule for dtau = alpha u**(alpha - 1) du."""
         return _power_gauss_rule(float(self.alpha))
-
-    def tau(self, u):
-        return np.asarray(u, dtype=float) ** self.alpha
-
-    def tau_inverse(self, w):
-        return np.asarray(w, dtype=float) ** (1.0 / self.alpha)
 
 
 ScalingProfile = IdentityScaling | PowerScaling

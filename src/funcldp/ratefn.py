@@ -7,10 +7,15 @@ function of the pair; a 1-D convex minimax over the ratio map's cone
 gives the rate of the regression estimate itself, and two one-sided
 evaluations give the rate of a deviation event of fixed width.
 
-All response-side integrals are trapezoid quadratures against a
-truncated weight density; exponential tilts are stabilized by shifting
-the largest exponent.  All kernel-side integrals use one fixed Gauss rule
-for the scaling measure dtau on [0, 1] (``_kernel_rule``).
+All response-side integrals are dot products with the model's moment
+rows: the trapezoid weights of a truncated weight density times 1, l and
+l^2 over the nodes where the weight is positive.  Exponential tilts are
+stabilized by shifting the largest exponent.  All kernel-side integrals
+use one fixed Gauss rule for the scaling measure dtau on [0, 1]
+(``_kernel_rule``).  Every minimiser and inverse is a damped Newton
+descent on a convex function (``_newton_minimize``): the inverse of the
+tilted mean is the minimiser of the dual log M(s) - y s, where M is the
+tilted mass.
 """
 
 from __future__ import annotations
@@ -22,12 +27,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimator import IdentityIndex, IndexFunction, IntervalIndicator
-from .funcdata import IdentityScaling, Kernel, ScalingProfile, UniformKernel
+from .funcdata import Grid, IdentityScaling, Kernel, ScalingProfile, UniformKernel
 
 PROBE_T = 50.0
 DOMAIN_MARGIN = 1e-6
 _TAIL_FACTOR = 1e-12
-_DECREMENT_TOL = 1e-15
+# Relative change below which a Newton descent counts as settled: a little
+# above the rounding level of the values and points that the callers compute.
+_SETTLE_TOL = 1e-13
 
 
 class NumericError(RuntimeError):
@@ -133,9 +140,11 @@ class WeightDensity:
 class RateModel:
     """Weight density, index function, kernel and small-ball scaling profile.
 
-    Construction certifies numerically that the exponential moments used
-    by every formula are finite over the probe tilt range [-20, 20], and
-    probes the reachable tilted-mean range once.
+    Construction builds the read-only moment rows [q, q l, q l^2], where q
+    is the trapezoid weight times w over the nodes with w > 0, certifies
+    numerically that the exponential moments used by every formula are
+    finite over the probe tilt range [-20, 20], and probes the reachable
+    tilted-mean range once.
     """
 
     weight: WeightDensity
@@ -150,6 +159,16 @@ class RateModel:
         lvals = lvals.copy()
         lvals.flags.writeable = False
         object.__setattr__(self, "_lvals", lvals)
+        # Only nodes with w > 0 enter a response-side integral, so an
+        # exponent that overflows on a zero-weight node never meets 0 * inf.
+        w = self.weight
+        support = w.w > 0
+        q = (Grid(w.v_lo, w.v_hi, w.w.shape[0]).trapezoid_weights() * w.w)[support]
+        l_support = lvals[support]
+        rows = np.vstack([q, q * l_support, q * l_support**2])
+        for arr, name in ((l_support, "_l_support"), (rows, "_rows")):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         for t in (-20.0, 20.0):
             if not math.isfinite(_tilted_moments(self, t)[0]):
                 raise ValueError(f"exponential moment at tilt {t} is not finite")
@@ -185,16 +204,14 @@ def gaussian_identity_model(nodes: int = 4001, half_width: float = 8.0) -> RateM
 
 
 def _tilted_moments(model: RateModel, s: float) -> tuple[float, float, float]:
-    """(log mass, mean, variance) of the index under the tilted weight."""
-    w = model.weight.w
-    lvals = model.lvals
-    e = s * lvals
-    support = w > 0
-    shift = float(np.max(e[support])) if np.any(support) else 0.0
-    tilted = np.exp(e - shift) * w
-    t0 = model.weight.integral(tilted)
-    t1 = model.weight.integral(tilted * lvals)
-    t2 = model.weight.integral(tilted * lvals**2)
+    """(log mass, mean, variance) of the index under the tilted weight.
+
+    One dot of the moment rows with exp(s l - shift) over the support,
+    the shift being the largest exponent there.
+    """
+    e = s * model._l_support
+    shift = float(np.max(e))
+    t0, t1, t2 = model._rows.dot(np.exp(e - shift)).tolist()
     mean = t1 / t0
     var = max(t2 / t0 - mean**2, 0.0)
     return shift + math.log(t0), mean, var
@@ -221,44 +238,34 @@ def _inside_range(model: RateModel, level: float) -> bool:
     return rng.v0 + DOMAIN_MARGIN < level < rng.v1 - DOMAIN_MARGIN
 
 
-def _monotone_inverse(fn: Callable[[float], float], y: float, tol: float = 1e-10) -> float:
-    """Leftmost point where the nondecreasing ``fn`` reaches ``y``.
+def _tilt_dual(model: RateModel, y: float, polish: bool = False) -> tuple[float, float]:
+    """Minimiser and minimum of the convex dual log M(s) - y s, by Newton from s = 0.
 
-    Brackets by doubling from [-1, 1], then bisects keeping the invariant
-    fn(lo) < y <= fn(hi); returns ``hi``, the smallest certified point.
+    Its gradient is the tilted mean less y and its Hessian the tilted
+    variance; all three come from one ``_tilted_moments`` call.
+    ``polish`` refines the minimiser past the rounding level of the value.
     """
-    lo, hi = -1.0, 1.0
-    for _ in range(64):
-        if fn(lo) < y:
-            break
-        hi = lo
-        lo *= 2.0
-    else:
-        raise NumericError(f"no left bracket for inverse at level {y}")
-    for _ in range(64):
-        if fn(hi) >= y:
-            break
-        lo = hi
-        hi = hi * 2.0 if hi > 0 else 1.0
-    else:
-        raise NumericError(f"no right bracket for inverse at level {y}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= y:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    def local(s):
+        log_mass, mean, var = _tilted_moments(model, s[0])
+        return log_mass - y * s[0], np.array([mean - y]), np.array([[var]])
+
+    s, value = _newton_minimize(local, np.zeros(1), f"the tilted-mean inverse at {y}", polish)
+    return float(s[0]), value
 
 
 def tilted_mean_inverse(model: RateModel, y: float) -> float:
-    """Generalized inverse of the tilted mean: smallest tilt reaching level y."""
+    """Tilt whose tilted mean is y.
+
+    The minimiser of the convex dual log M(s) - y s by damped Newton
+    descent from s = 0, polished until the tilted mean meets y to its
+    rounding level.  ``RateDomainError`` outside the reachable range.
+    """
     rng = model.tilt_range
     if not rng.v0 < y < rng.v1:
         raise RateDomainError(
             f"level {y} outside the reachable tilted-mean range ({rng.v0}, {rng.v1})", rng
         )
-    return _monotone_inverse(lambda s: tilted_mean(model, s), y)
+    return _tilt_dual(model, y, polish=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +290,13 @@ class _TiltOps:
     """The limit log-MGF and its derivatives from one exponential table per point.
 
     Phi(t) = integral G(theta(v)) w(v) dv with theta = t1 + t2 l(v) and
-    G(theta) = integral_0^1 (exp(theta K(u)) - 1) dtau(u).  G, G' and G''
-    are dot products of the table exp(theta K(u_j)) with the weights of
-    ``_kernel_rule``.  The rule's nodes lie in u, where the kernels are smooth;
+    G(theta) = integral_0^1 (exp(theta K(u)) - 1) dtau(u).  The table
+    exp(theta(v_i) K(u_j)) has a row for each node where w > 0, so an
+    overflow on a zero-weight node never meets 0 * inf.  G, G' and G'' are
+    its dot products with the weights of ``_kernel_rule``; on the response
+    side Phi is one dot with the first moment row, the gradient one with
+    the first two and the Hessian one with all three.  The rule's nodes
+    lie in u, where the kernels are smooth;
     a 32-node Gauss-Legendre rule in omega = tau(u) is off by up to 4e-4
     relative for alpha > 1, since k(omega**(1/alpha)) is not smooth at 0.
     On the exp-decay and affine kernels, for alpha in {0.5, 1, 1.7, 2, 3},
@@ -295,40 +306,25 @@ class _TiltOps:
     """
 
     def __init__(self, model: RateModel):
-        self.w = model.weight.w
-        self.lvals = model.lvals
-        self.integral = model.weight.integral
+        self.rows = model._rows
+        self.lvals = model._l_support
         self.k, self.weights = _kernel_rule(model)
-        self.wk = self.weights * self.k
-        self.wk2 = self.wk * self.k
+        self.wk = np.column_stack([self.weights * self.k, self.weights * self.k**2])
 
-    def _table(self, t: np.ndarray) -> np.ndarray:
-        return np.exp((t[0] + t[1] * self.lvals)[:, np.newaxis] * self.k)
+    def local(self, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Phi, its gradient and its Hessian at ``t``, all from one table.
 
-    def phi(self, t: np.ndarray) -> float:
-        """Limit log-MGF at ``t``; +inf on overflow, ``NumericError`` on NaN."""
+        Overflow gives the +inf sentinel; a NaN raises ``NumericError``.
+        """
         with np.errstate(over="ignore", invalid="ignore"):
-            g = (self._table(t) - 1.0).dot(self.weights)
-            value = self.integral(np.where(self.w > 0, g * self.w, 0.0))
+            exps = np.exp((t[0] + t[1] * self.lvals)[:, np.newaxis] * self.k)
+            value = float(self.rows[0].dot((exps - 1.0).dot(self.weights)))
+            g = exps.dot(self.wk)
+            grad = self.rows[:2].dot(g[:, 0])
+            h00, h01, h11 = self.rows.dot(g[:, 1])
         if math.isnan(value):
             raise NumericError(f"NaN in log-MGF quadrature at t=({t[0]}, {t[1]})")
-        return value
-
-    def grad_hess(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(over="ignore"):
-            exps = self._table(t)
-            g1 = exps.dot(self.wk)
-            g2 = exps.dot(self.wk2)
-            wl = self.w * self.lvals
-            grad = np.array([
-                self.integral(g1 * self.w),
-                self.integral(g1 * wl),
-            ])
-            hess = np.empty((2, 2))
-            hess[0, 0] = self.integral(g2 * self.w)
-            hess[0, 1] = hess[1, 0] = self.integral(g2 * wl)
-            hess[1, 1] = self.integral(g2 * wl * self.lvals)
-        return grad, hess
+        return value, grad, np.array([[h00, h01], [h01, h11]])
 
 
 def log_mgf_limit(model: RateModel, t1: float, t2: float) -> float:
@@ -341,12 +337,12 @@ def log_mgf_limit(model: RateModel, t1: float, t2: float) -> float:
     Overflow of the exponentials yields the +inf sentinel; NaN raises
     ``NumericError``.
     """
-    return _TiltOps(model).phi(np.array([t1, t2], dtype=float))
+    return _TiltOps(model).local(np.array([t1, t2], dtype=float))[0]
 
 
 def log_mgf_gradient(model: RateModel, t1: float, t2: float) -> tuple[float, float]:
     """Gradient of the limiting scaled log-MGF; at the origin it is the mean vector."""
-    grad, _ = _TiltOps(model).grad_hess(np.array([t1, t2]))
+    grad = _TiltOps(model).local(np.array([t1, t2], dtype=float))[1]
     return float(grad[0]), float(grad[1])
 
 
@@ -356,22 +352,28 @@ def log_mgf_gradient(model: RateModel, t1: float, t2: float) -> tuple[float, flo
 
 
 def _newton_minimize(
-    fn: Callable[[np.ndarray], float],
-    grad_hess: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    local: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
     x: np.ndarray,
     what: str,
+    polish: bool = False,
     max_iter: int = 200,
-) -> float:
-    """Minimum of a smooth convex ``fn`` by damped Newton descent from ``x``.
+) -> tuple[np.ndarray, float]:
+    """Minimiser and minimum of a smooth convex function by damped Newton descent from ``x``.
 
-    Each Newton step is halved until ``fn`` decreases.  The descent stops
+    ``local(x)`` returns the value, gradient and Hessian at ``x``.  Each
+    Newton step is halved until the value decreases.  The descent settles
     when the Newton decrement g' H^-1 g, twice the predicted decrease, is
-    at the rounding level of the value; a step that is not finite, or one
-    that cannot decrease ``fn`` before then, raises ``NumericError``.
+    below _SETTLE_TOL of the value (at least 1): there the value can no
+    longer confirm a step, and the descent returns the iterate and its
+    value.  With ``polish``, settled steps are taken in full while each
+    one moves the point by more than _SETTLE_TOL relative and at least
+    quarters the decrement, so the point is as accurate as the gradient,
+    not the value, allows.  A step that is not finite, or one that cannot
+    decrease the value before the descent settles, raises ``NumericError``.
     """
-    f_x = fn(x)
+    f_x, grad, hess = local(x)
+    settled = math.inf
     for _ in range(max_iter):
-        grad, hess = grad_hess(x)
         try:
             step = -np.linalg.solve(hess, grad)
             decrement = float(-grad @ step)
@@ -379,12 +381,17 @@ def _newton_minimize(
             decrement = math.nan
         if not 0.0 <= decrement < math.inf:
             raise NumericError(f"no Newton step at {x} for {what}; Hessian {hess.tolist()}")
-        if decrement <= _DECREMENT_TOL * max(1.0, abs(f_x)):
-            return f_x
+        if decrement <= _SETTLE_TOL * max(1.0, abs(f_x)):
+            moves = np.any(np.abs(step) > _SETTLE_TOL * np.maximum(1.0, np.abs(x)))
+            if not (polish and moves and decrement < 0.25 * settled):
+                return x, f_x
+            settled, x = decrement, x + step
+            f_x, grad, hess = local(x)
+            continue
         scale = 1.0
         for _ in range(80):
             cand = x + scale * step
-            f_cand = fn(cand)
+            f_cand, g_cand, h_cand = local(cand)
             if f_cand < f_x:
                 break
             scale *= 0.5
@@ -392,7 +399,7 @@ def _newton_minimize(
             raise NumericError(
                 f"no descent step at {x} for {what}; Newton decrement {decrement:.3e}"
             )
-        x, f_x = cand, f_cand
+        x, f_x, grad, hess = cand, f_cand, g_cand, h_cand
     raise NumericError(f"Newton descent did not converge in {max_iter} iterations for {what}")
 
 
@@ -408,14 +415,13 @@ def legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:
     ops = _TiltOps(model)
     lam = np.array([lam1, lam2], dtype=float)
 
-    def grad_hess(t):
-        grad, hess = ops.grad_hess(t)
-        return grad - lam, hess
+    def local(t):
+        value, grad, hess = ops.local(t)
+        return value - float(lam @ t), grad - lam, hess
 
     return 0.0 - _newton_minimize(
-        lambda t: ops.phi(t) - float(lam @ t), grad_hess, np.zeros(2),
-        f"the conjugate at lam=({lam1}, {lam2})",
-    )
+        local, np.zeros(2), f"the conjugate at lam=({lam1}, {lam2})"
+    )[1]
 
 
 def _is_plain_uniform(model: RateModel) -> bool:
@@ -434,17 +440,10 @@ def closed_rate_uniform(model: RateModel, lam1: float, lam2: float) -> float:
     reachable tilted-mean range; +inf elsewhere.
     """
     _require_plain_uniform(model, "the closed conjugate rate")
-    if lam1 <= 0:
+    if lam1 <= 0 or not _inside_range(model, lam2 / lam1):
         return math.inf
-    ratio = lam2 / lam1
-    if not _inside_range(model, ratio):
-        return math.inf
-    try:
-        s = tilted_mean_inverse(model, ratio)
-    except RateDomainError:
-        return math.inf
-    log_mass = _tilted_moments(model, s)[0]
-    return lam1 * (math.log(lam1) - 1.0) + lam2 * s - lam1 * log_mass + model.weight.mass
+    dual = _tilt_dual(model, lam2 / lam1)[1]
+    return lam1 * (math.log(lam1) - 1.0 - dual) + model.weight.mass
 
 
 def conjugate_stationary_point(model: RateModel, lam1: float, lam2: float) -> tuple[float, float]:
@@ -470,12 +469,35 @@ def tilted_kernel_moment(model: RateModel, t: float) -> float:
     return float((weights * k).dot(np.exp(t * k)))
 
 
+def _kernel_dual(model: RateModel, y: float) -> tuple[float, float]:
+    """Minimiser and minimum of the convex dual integral exp(t K) dtau - y t, y > 0.
+
+    The minimiser inverts the kernel exponential moment: the gradient is
+    ``tilted_kernel_moment`` less y, the Hessian integral K^2 exp(t K) dtau,
+    all from the Gauss rule for dtau.  Newton starts at the root of the
+    log-linear model of the moment at t = 0, which is exact for a flat kernel.
+    """
+    k, weights = _kernel_rule(model)
+    m1, m2 = weights.dot(k), weights.dot(k * k)
+
+    def local(t):
+        with np.errstate(over="ignore"):
+            e = weights * np.exp(t[0] * k)
+        return float(e.sum()) - y * t[0], np.array([e.dot(k) - y]), np.array([[e.dot(k * k)]])
+
+    t, value = _newton_minimize(local, np.array([math.log(y / m1) * m1 / m2]),
+                                f"the kernel-moment inverse at {y}", polish=True)
+    return float(t[0]), value
+
+
 def indicator_rate(model: RateModel, lam1: float, lam2: float) -> float:
     """Conjugate rate specialized to an indicator index.
 
-    Splits the weight mass on and off the indicator set, inverts the
-    kernel exponential moment on each part, and assembles the displayed
-    closed form.  Outside 0 < lam2 < lam1 the rate is +inf.
+    Splits the weight mass on and off the indicator set and inverts the
+    kernel exponential moment on each part through its dual
+    D(y) = min_t [integral exp(t K) dtau - y t]; the displayed closed form
+    is then mass - mass_on D(lam2 / mass_on) - mass_off D((lam1 - lam2) / mass_off).
+    Outside 0 < lam2 < lam1 the rate is +inf.
     """
     if not isinstance(model.index, IntervalIndicator):
         raise ValueError("the indicator rate requires an indicator index")
@@ -488,11 +510,8 @@ def indicator_rate(model: RateModel, lam1: float, lam2: float) -> float:
         )
     if not 0.0 < lam2 < lam1:
         return math.inf
-    t_on = _monotone_inverse(lambda t: tilted_kernel_moment(model, t), lam2 / mass_on)
-    t_off = _monotone_inverse(lambda t: tilted_kernel_moment(model, t), (lam1 - lam2) / mass_off)
-    k, weights = _kernel_rule(model)
-    correction = float(weights.dot(mass_on * np.exp(t_on * k) + mass_off * np.exp(t_off * k)))
-    return (lam1 - lam2) * t_off + lam2 * t_on + model.weight.mass - correction
+    return (model.weight.mass - mass_on * _kernel_dual(model, lam2 / mass_on)[1]
+            - mass_off * _kernel_dual(model, (lam1 - lam2) / mass_off)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -514,30 +533,24 @@ def ratio_rate(model: RateModel, lam: float) -> float:
     ops = _TiltOps(model)
     d = np.array([-lam, 1.0])
 
-    def grad_hess(s):
-        grad, hess = ops.grad_hess(s[0] * d)
-        return np.array([grad @ d]), np.array([[d @ hess @ d]])
+    def local(s):
+        value, grad, hess = ops.local(s[0] * d)
+        return value, np.array([grad @ d]), np.array([[d @ hess @ d]])
 
     # 0.0 - f, not -f: the rate at the zero is +0.0, not -0.0
-    return 0.0 - _newton_minimize(
-        lambda s: ops.phi(s[0] * d), grad_hess, np.zeros(1), f"the ratio rate at {lam}"
-    )
+    return 0.0 - _newton_minimize(local, np.zeros(1), f"the ratio rate at {lam}")[1]
 
 
 def ratio_rate_closed(model: RateModel, lam: float) -> float:
     """Closed-form ratio rate under the uniform kernel.
 
-    Single quadrature: mass minus the tilted mass discounted at the
-    inverse-tilt of ``lam``; +inf outside the reachable range.
+    Mass minus exp(min_s [log M(s) - lam s]), the tilted mass discounted
+    at the inverse tilt of ``lam``; +inf outside the reachable range.
     """
     _require_plain_uniform(model, "the closed ratio rate")
     if not _inside_range(model, lam):
         return math.inf
-    try:
-        s = tilted_mean_inverse(model, lam)
-    except RateDomainError:
-        return math.inf
-    return model.weight.mass - math.exp(-lam * s + _tilted_moments(model, s)[0])
+    return model.weight.mass - math.exp(_tilt_dual(model, lam)[1])
 
 
 def ratio_rate_derivatives(model: RateModel, lam: float) -> tuple[float, float]:

@@ -122,6 +122,9 @@ class TestExitCodes:
             ({"command": "rate", "lambda_values": ["a"]}, "lambda_values"),
             ({"command": "rate", "index": {"indicator": [[0, "x"]]}}, "index"),
             ({"command": "rate", "index": {"indicator": [[1, 1]]}}, "index"),
+            ({"command": "rate", "index": {"indicator": 5}}, "index"),
+            ({"command": "rate", "index": {"indicator": [[0]]}}, "index"),
+            ({"command": "rate", "index": {"indicator": [0, 1]}}, "index"),
             (_estimate_config(x0={"constant": "zero"}), "x0"),
             (_estimate_config(model={"default": True, "points": "x"}), "points"),
             (_estimate_config(model={"default": True, "points": 1}), "model"),
@@ -134,7 +137,8 @@ class TestExitCodes:
              "ladder-not-object", "A-not-float", "ladder-n-below-16", "cover-ladder-n-below-16",
              "lp-below-one", "lp-not-float", "replicates-below-1000", "h-values-not-list",
              "weight-negative-sd", "lambda-not-float", "indicator-not-float",
-             "indicator-degenerate", "x0-not-float", "points-not-int", "points-one",
+             "indicator-degenerate", "indicator-not-list", "indicator-short-pair",
+             "indicator-flat-list", "x0-not-float", "points-not-int", "points-one",
              "normal-law-negative-sd", "uniform-law-without-hi"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
@@ -42,6 +42,7 @@ from funcldp.ratefn import (
     write_conjugate_sweep_csv,
     write_ratio_sweep_csv,
 )
+from kernel_calculus import kernel_prime, tau, tau_inverse
 
 
 def gaussian_pair_rate(lam1: float, lam2: float) -> float:
@@ -135,9 +136,9 @@ def kprime_log_mgf(model: RateModel, t1: float, t2: float, u_nodes: int = 2001) 
     kernel, k1 = model.kernel, model.kernel.k_at_one
 
     def values(theta, u):
-        kp_u = kernel.kprime(u)
+        kp_u = kernel_prime(kernel, u)
         moving = np.where(kp_u != 0.0, theta * kp_u * np.exp(theta * kernel.k(u)), 0.0)
-        return np.exp(theta * k1) - 1.0 - moving * model.scaling.tau(u)
+        return np.exp(theta * k1) - 1.0 - moving * tau(model.scaling, u)
 
     return _trapezoid_log_mgf(model, t1, t2, values, u_nodes)
 
@@ -148,7 +149,7 @@ def by_parts_log_mgf(model: RateModel, t1: float, t2: float, u_nodes: int = 2001
         integral integral_0^1 (exp(theta K(tau^-1(omega))) - 1) d omega w dv.
     """
     def values(theta, omega):
-        return np.expm1(theta * model.kernel.k(model.scaling.tau_inverse(omega)))
+        return np.expm1(theta * model.kernel.k(tau_inverse(model.scaling, omega)))
 
     return _trapezoid_log_mgf(model, t1, t2, values, u_nodes)
 
@@ -176,6 +177,55 @@ def quad_log_mgf(model: RateModel, t1: float, t2: float) -> float:
     return model.weight.integral(g * model.weight.w)
 
 
+def bisection_inverse(fn, y: float, tol: float = 1e-10) -> float:
+    """Leftmost point where the nondecreasing ``fn`` reaches ``y``, by bisection.
+
+    Brackets by doubling from [-1, 1], then bisects keeping the invariant
+    fn(lo) < y <= fn(hi) until hi - lo <= tol; returns ``hi``.
+    """
+    lo, hi = -1.0, 1.0
+    while fn(lo) >= y:
+        lo, hi = 2.0 * lo, lo
+    while fn(hi) < y:
+        lo, hi = hi, 2.0 * hi if hi > 0 else 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if fn(mid) >= y:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def integral_moments(model: RateModel, s: float) -> tuple[float, float, float]:
+    """(log mass, mean, variance) of the tilted weight by ``WeightDensity.integral``.
+
+    Runs over every node; a zero-weight node gets the exponent -inf, so it
+    contributes 0 whatever s l is there.
+    """
+    w, l = model.weight.w, model.lvals
+    e = np.where(w > 0, s * l, -np.inf)
+    shift = float(np.max(e))
+    tilted = np.exp(e - shift) * w
+    t0, t1, t2 = (model.weight.integral(tilted * l**j) for j in range(3))
+    mean = t1 / t0
+    return shift + math.log(t0), mean, max(t2 / t0 - mean**2, 0.0)
+
+
+def integral_log_mgf(model: RateModel, t1: float, t2: float) -> float:
+    """Limit log-MGF with the response side by ``WeightDensity.integral`` over every node.
+
+    Zero-weight nodes are masked after the kernel side, so their overflow
+    never reaches the sum; overflow elsewhere gives +inf.
+    """
+    k, weights = ratefn._kernel_rule(model)
+    theta = t1 + t2 * model.lvals
+    w = model.weight.w
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (np.exp(theta[:, np.newaxis] * k) - 1.0).dot(weights)
+        return model.weight.integral(np.where(w > 0, g * w, 0.0))
+
+
 # Gaussian weights on 801 nodes: the contraction oracle runs a Newton
 # ascent per Brent step, so the property tests keep the grid small.  The
 # shifted weight breaks the symmetry Gamma(lam) = Gamma(-lam), which would
@@ -191,8 +241,16 @@ PROPERTY_MODELS = {
     )
 }
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
-# The session fixture's model; hypothesis tests take no function-scoped fixtures.
+# The session fixtures' models; hypothesis tests take no function-scoped fixtures.
 GAUSSIAN_MODEL = gaussian_identity_model()
+HALFLINE_MODEL = RateModel(WeightDensity.gaussian(0.0, 1.0, 8.0, 4000),
+                           IntervalIndicator(((0.0, math.inf),)), UniformKernel(),
+                           IdentityScaling())
+DUAL_MODELS = {"gaussian": GAUSSIAN_MODEL, "halfline": HALFLINE_MODEL}
+# (1 - v^2)^3 on [-2, 2]: every node with |v| >= 1 has weight exactly 0, and
+# at any tilt s != 0 a zero-weight end node carries the largest exponent s v.
+ZERO_NODE_WEIGHT = WeightDensity.from_function(
+    lambda v: np.clip(1.0 - v * v, 0.0, None) ** 3, -2.0, 2.0, nodes=801)
 
 
 class TestWeightDensity:
@@ -251,6 +309,146 @@ class TestTiltedMeanInverse:
         with pytest.raises(RateDomainError) as err:
             tilted_mean_inverse(halfline_indicator_model, 1.5)
         assert err.value.tilt_range.v1 <= 1.0
+
+
+class TestNewtonDuals:
+    """Every inverse is a Newton minimiser of a convex dual; bisection is the oracle."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=120)
+    @given(name=st.sampled_from(sorted(DUAL_MODELS)), u=st.floats(0.0, 1.0))
+    @example(name="halfline", u=0.0)
+    @example(name="halfline", u=1.0)
+    @example(name="gaussian", u=0.0)
+    @example(name="gaussian", u=1.0)
+    def test_tilted_mean_inverse_matches_bisection(self, name, u):
+        model = DUAL_MODELS[name]
+        rng = model.tilt_range
+        y = rng.v0 + 1e-9 + u * (rng.v1 - rng.v0 - 2e-9)
+        oracle = bisection_inverse(lambda t: integral_moments(model, t)[1], y)
+        # no route resolves the tilt past the rounding level of the mean
+        # divided by its slope, the tilted variance: 9e-7 at 1 - 1e-9 on the
+        # half-line indicator, at most 1.3e-11 on the Gaussian
+        floor = 4 * np.finfo(float).eps * abs(y) / integral_moments(model, oracle)[2]
+        assert abs(tilted_mean_inverse(model, y) - oracle) <= 2e-10 + floor
+
+    @settings(PROPERTY_SETTINGS, max_examples=80)
+    @given(kernel=st.sampled_from(["exp_decay", "affine"]), alpha=st.sampled_from([1.0, 2.0]),
+           log_y=st.floats(-25.0, 25.0))
+    def test_kernel_moment_inverse_matches_bisection(self, kernel, alpha, log_y):
+        model = RateModel(HALFLINE_MODEL.weight, HALFLINE_MODEL.index,
+                          PROPERTY_MODELS[kernel].kernel, PowerScaling(alpha))
+        y = math.exp(log_y)
+        t, value = ratefn._kernel_dual(model, y)
+        oracle = bisection_inverse(lambda r: tilted_kernel_moment(model, r), y)
+        assert t == pytest.approx(oracle, abs=2e-10)
+        mgf = quad_kernel_integral(model, lambda k: math.exp(oracle * k))
+        assert value == pytest.approx(mgf - y * oracle, rel=1e-12)
+
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(kernel=st.sampled_from(["exp_decay", "affine"]), lam1=st.floats(0.05, 5.0),
+           u=st.floats(0.01, 0.99))
+    def test_indicator_rate_matches_bisection_closed_form(self, kernel, lam1, u):
+        # the displayed closed form with both inverses by bisection and the
+        # kernel-side integrals by adaptive quadrature
+        model = RateModel(HALFLINE_MODEL.weight, HALFLINE_MODEL.index,
+                          PROPERTY_MODELS[kernel].kernel, IdentityScaling())
+        lam2 = u * lam1
+        w = model.weight
+        mass_on = w.integral(model.lvals * w.w)
+        mass_off = w.mass - mass_on
+        t_on = bisection_inverse(lambda t: tilted_kernel_moment(model, t), lam2 / mass_on)
+        t_off = bisection_inverse(lambda t: tilted_kernel_moment(model, t),
+                                  (lam1 - lam2) / mass_off)
+        correction = sum(mass * quad_kernel_integral(model, lambda k, t=t: math.exp(t * k))
+                         for mass, t in ((mass_on, t_on), (mass_off, t_off)))
+        expected = (lam1 - lam2) * t_off + lam2 * t_on + w.mass - correction
+        assert indicator_rate(model, lam1, lam2) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    @settings(PROPERTY_SETTINGS, max_examples=120)
+    @given(name=st.sampled_from(sorted(DUAL_MODELS)), u=st.floats(0.0, 1.0),
+           lam1=st.floats(-5.0, 3.0).map(math.exp))
+    def test_closed_rates_match_bisection_formulas(self, name, u, lam1):
+        model = DUAL_MODELS[name]
+        rng = model.tilt_range
+        lam = rng.v0 + 2e-6 + u * (rng.v1 - rng.v0 - 4e-6)
+        s = bisection_inverse(lambda t: integral_moments(model, t)[1], lam)
+        log_mass = integral_moments(model, s)[0]
+        mass = model.weight.mass
+        assert ratio_rate_closed(model, lam) == pytest.approx(
+            mass - math.exp(-lam * s + log_mass), rel=1e-12, abs=1e-14)
+        assert closed_rate_uniform(model, lam1, lam1 * lam) == pytest.approx(
+            lam1 * (math.log(lam1) - 1.0) + lam1 * lam * s - lam1 * log_mass + mass,
+            rel=1e-12, abs=1e-14)
+
+
+class TestSolverCost:
+    """``_tilted_moments`` calls per solve, counted, so the guard cannot be flaky.
+
+    The bisection that the Newton dual replaced made 38 calls per inverse.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        inner = ratefn._tilted_moments
+
+        def counting(model, s):
+            count[0] += 1
+            return inner(model, s)
+
+        monkeypatch.setattr(ratefn, "_tilted_moments", counting)
+        return count
+
+    def test_inverse_at_seven_tenths(self, gaussian_model, calls):
+        # one Newton step, one polish step and the check that ends it: a
+        # polish that runs on below the rounding level of the tilt takes 5
+        tilted_mean_inverse(gaussian_model, 0.7)
+        assert calls[0] <= 4
+
+    def test_inverse_over_reachable_range(self, gaussian_model, calls):
+        rng = gaussian_model.tilt_range
+        for y in np.linspace(rng.v0 + 1e-9, rng.v1 - 1e-9, 81):
+            calls[0] = 0
+            tilted_mean_inverse(gaussian_model, float(y))
+            assert calls[0] <= 24, y
+
+    @pytest.mark.parametrize("lam, bound", [(-7.9, 24), (1.0, 6), (7.9, 24)])
+    def test_ratio_rate_closed(self, gaussian_model, calls, lam, bound):
+        ratio_rate_closed(gaussian_model, lam)
+        assert calls[0] <= bound
+
+
+class TestZeroWeightNodes:
+    """The moment rows run over the support of the weight only.
+
+    Over all nodes, exp(s v - shift) overflows on a zero-weight node once
+    s (2 - 1) passes 709 and 0 * inf turns the sums into NaN.
+    """
+
+    @pytest.mark.parametrize("s", [-800.0, -30.0, -0.5, 0.0, 0.5, 30.0, 710.0, 800.0])
+    def test_tilted_moments_match_integral_route(self, s):
+        model = RateModel(ZERO_NODE_WEIGHT, IdentityIndex(), UniformKernel(), IdentityScaling())
+        log_mass, mean, var = ratefn._tilted_moments(model, s)
+        want = integral_moments(model, s)
+        assert log_mass == pytest.approx(want[0], rel=1e-12, abs=1e-13)
+        assert mean == pytest.approx(want[1], rel=1e-12, abs=1e-13)
+        assert var == pytest.approx(want[2], rel=1e-9, abs=1e-13)
+
+    @pytest.mark.parametrize("kernel", [UniformKernel(), ExpDecayKernel(), AffineKernel()])
+    def test_log_mgf_matches_integral_route(self, kernel):
+        model = RateModel(ZERO_NODE_WEIGHT, IdentityIndex(), kernel, IdentityScaling())
+        ops = ratefn._TiltOps(model)
+        # (0, 400) overflows only on zero-weight nodes except under the
+        # affine kernel, where K = 2; (-100, -450) only on zero-weight nodes
+        for t in ((0.3, 0.2), (2.0, -1.0), (0.0, 400.0), (-100.0, -450.0), (0.0, 800.0),
+                  (800.0, 0.0), (-800.0, 0.0)):
+            want = integral_log_mgf(model, *t)
+            got = log_mgf_limit(model, *t)
+            assert math.isinf(got) == math.isinf(want) and not math.isnan(got)
+            if math.isfinite(want):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+                _, grad, hess = ops.local(np.array(t))
+                assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
 
 
 class TestTiltedMeanRange:
@@ -364,10 +562,10 @@ class TestLogMgfLimit:
                           PowerScaling(2.0))
         ops = ratefn._TiltOps(model)
         t, step = np.array([0.3, -0.2]), 1e-4
-        grad, hess = ops.grad_hess(t)
+        _, grad, hess = ops.local(t)
         for i, e in enumerate(np.eye(2) * step):
-            up, down = ops.grad_hess(t + e)[0], ops.grad_hess(t - e)[0]
-            fd = (ops.phi(t + e) - ops.phi(t - e)) / (2 * step)
+            (phi_up, up, _), (phi_down, down, _) = ops.local(t + e), ops.local(t - e)
+            fd = (phi_up - phi_down) / (2 * step)
             assert grad[i] == pytest.approx(fd, rel=1e-7)
             np.testing.assert_allclose(hess[:, i], (up - down) / (2 * step), rtol=1e-7)
 
