@@ -1,13 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from funcldp.cli import ConfigError, main, run, validate_config
+from funcldp.cli import ConfigError, main, run
 from funcldp.funcdata import Curve, Grid, write_curve_csv
 
 
@@ -54,24 +60,24 @@ def _sim_config(**overrides):
 
 
 class TestValidation:
-    def test_unknown_command(self):
+    def test_unknown_command(self, tmp_path):
         with pytest.raises(ConfigError, match="command"):
-            validate_config({"command": "frobnicate"})
+            run({"command": "frobnicate"}, str(tmp_path))
 
-    def test_missing_lambda_names_field(self):
+    def test_missing_lambda_names_field(self, tmp_path):
         cfg = _sim_config()
         del cfg["lambda"]
         with pytest.raises(ConfigError, match="missing field 'lambda'"):
-            validate_config(cfg)
+            run(cfg, str(tmp_path))
 
-    def test_seed_required_for_stochastic_commands(self):
+    def test_seed_required_for_stochastic_commands(self, tmp_path):
         cfg = _sim_config()
         del cfg["seed"]
         with pytest.raises(ConfigError, match="seed"):
-            validate_config(cfg)
+            run(cfg, str(tmp_path))
 
-    def test_rate_needs_no_seed(self):
-        assert validate_config({"command": "rate"}) == "rate"
+    def test_rate_needs_no_seed(self, tmp_path):
+        assert run({"command": "rate"}, str(tmp_path))
 
 
 class TestExitCodes:
@@ -130,6 +136,29 @@ class TestExitCodes:
             (_estimate_config(model={"default": True, "points": 1}), "model"),
             (_estimate_config(model={**_CSV_MODEL, "y_law": {"normal": {"sd": -1}}}), "y_law"),
             (_estimate_config(model={**_CSV_MODEL, "y_law": {"uniform": {"lo": 0}}}), "hi"),
+            (_sim_config(**{"lambda": math.nan}), "lambda"),
+            (_estimate_config(h_values=[math.nan]), "h_values"),
+            (_cover_config(ladder=_COVER_LADDER, A=math.nan), "A"),
+            ({"command": "rate", "ratio_values": [math.nan]}, "ratio_values"),
+            (_sim_config(a=math.inf), "a"),
+            (_sim_config(seed=1.5), "seed"),
+            (_estimate_config(n=300.7), "n"),
+            (_sim_config(seed=True), "seed"),
+            (_sim_config(seed=-1), "seed"),
+            (_estimate_config(seed=-1), "seed"),
+            (_sim_config(replicates=1500.5), "replicates"),
+            (_sim_config(replicates=[1500, 0]), "replicates"),
+            (_cover_config(**{"class": {"explicit": 5}}), "explicit"),
+            (_estimate_config(model={"signal_csv": 5, "noise_csv": 5}), "signal_csv"),
+            (_cover_config(**{"class": {"explicit": []}}), "class"),
+            (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"], "a_lo": -1.0,
+                                                  "a_hi": 1.0, "count": 3}}}), "class"),
+            (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"],
+                                                  "base_csv": "missing.csv"}}}), "base_csv"),
+            ({"command": "rate", "index": "foo"}, "index"),
+            (_estimate_config(metric="foo"), "metric"),
+            (_estimate_config(model={**_CSV_MODEL, "y_law": [1]}), "y_law"),
+            (_sim_config(command="uniform", centers=[5]), "centers"),
         ],
         ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
              "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
@@ -139,14 +168,35 @@ class TestExitCodes:
              "weight-negative-sd", "lambda-not-float", "indicator-not-float",
              "indicator-degenerate", "indicator-not-list", "indicator-short-pair",
              "indicator-flat-list", "x0-not-float", "points-not-int", "points-one",
-             "normal-law-negative-sd", "uniform-law-without-hi"],
+             "normal-law-negative-sd", "uniform-law-without-hi", "lambda-nan", "h-values-nan",
+             "A-nan", "ratio-values-nan", "a-infinite", "seed-fraction", "n-fraction",
+             "seed-bool", "simulate-seed-negative", "estimate-seed-negative",
+             "replicates-fraction", "replicates-zero-rung", "explicit-not-list",
+             "csv-path-not-string", "explicit-empty", "scale-range-through-zero",
+             "base-csv-missing", "index-unrecognized", "metric-unrecognized",
+             "y-law-unrecognized", "centers-unrecognized"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bump.csv").write_text("t,value\n0.0,0.0\n0.5,1.0\n1.0,0.0\n")
         code = main(["--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"'{field}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err
+        assert f"(command '{cfg['command']}')" in err
+
+    def test_out_not_a_path_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["--config", _write_config(tmp_path, {"command": "rate", "out": 5})])
+        assert code == 2
+        assert "'out'" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("a file, not a directory")
+        cfg_path = _write_config(tmp_path, {"command": "rate", "lambda_values": [1.0]})
+        code = main(["--config", cfg_path, "--out", str(tmp_path / "taken")])
+        assert code == 1
+        assert "run error" in capsys.readouterr().err
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = _write_config(tmp_path, {"command": "rate", "lambda_values": [1.0]})
@@ -289,4 +339,65 @@ class TestCoverCommand:
     def test_cover_requires_radii_or_ladder(self, tmp_path):
         cfg = {"command": "cover", "class": {"explicit": []}}
         with pytest.raises(ConfigError, match="nu_values"):
-            validate_config(cfg)
+            run(cfg, str(tmp_path))
+
+
+_JUNK = st.sampled_from([None, "x", [], {}, -1, 0, 1.5, True, math.nan, [[0]], {"x": 1}])
+
+
+def _fuzz_bases(bump_path: str) -> dict:
+    """Small configs of all five commands, each a successful run."""
+    return {
+        "rate": {"command": "rate", "lambda_values": [1.0], "lambda1_values": [1.0],
+                 "ratio_values": [0.0, 1.0]},
+        "estimate": _estimate_config(),
+        "simulate": _sim_config(n_values=[200], replicates=1000),
+        "uniform": _sim_config(command="uniform", centers=[{"constant": 0.0}],
+                               replicates=[1000, 1000]),
+        "cover": _cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"],
+                                                      "base_csv": bump_path}}},
+                               ladder=_COVER_LADDER),
+    }
+
+
+@st.composite
+def _mutants(draw, bases: dict) -> dict:
+    """A base config with one field dropped, replaced by junk, or given junk one level down."""
+    cfg = copy.deepcopy(bases[draw(st.sampled_from(sorted(bases)))])
+    key = draw(st.sampled_from(sorted(cfg)))
+    action = draw(st.sampled_from(["drop", "replace", "nested"]))
+    if action == "drop":
+        del cfg[key]
+    elif action == "nested" and isinstance(cfg[key], (dict, list)) and cfg[key]:
+        inner = cfg[key]
+        slot = draw(st.sampled_from(sorted(inner) if isinstance(inner, dict) else
+                                    range(len(inner))))
+        inner[slot] = draw(_JUNK)
+    else:
+        cfg[key] = draw(_JUNK)
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "bump.csv").write_text("t,value\n0.0,0.0\n0.5,1.0\n1.0,0.0\n")
+    return path
+
+
+class TestConfigFuzz:
+    def test_mutated_configs_exit_zero_or_two(self, fuzz_dir):
+        bases = _fuzz_bases(str(fuzz_dir / "bump.csv"))
+
+        @settings(deadline=None, derandomize=True, database=None, max_examples=150)
+        @given(_mutants(bases))
+        def check(cfg):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(["--config", _write_config(fuzz_dir, cfg),
+                             "--out", str(fuzz_dir / "out")])
+            assert code in (0, 2), (cfg, code, stderr.getvalue())
+            if code == 2:
+                assert re.search(r"fields? '\w+'", stderr.getvalue()), (cfg, stderr.getvalue())
+
+        check()
