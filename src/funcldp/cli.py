@@ -1,15 +1,17 @@
 """Config-driven command line front end.
 
 One JSON config file describes a run; the command dispatches to the
-library and writes plot-ready CSV artifacts plus a ``manifest.json``
-that echoes the config, seed and versions so the run can be reproduced
-exactly.  All outputs stay inside the declared output directory.
+library, which returns records, and writes them as plot-ready CSV
+artifacts through ``_write_csv``, plus a ``manifest.json`` that echoes
+the config, seed and versions so the run can be reproduced exactly.
+All outputs stay inside the declared output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -25,6 +27,10 @@ from .funcdata import (Curve, Grid, IdentityScaling, IntegralDifference, LpDista
 
 _STOCHASTIC = ("estimate", "simulate", "uniform")
 _REQUIRED = object()  # default of a field that the config must give
+# Rate routes that fail numerically or lie off their domain; such a cell reads nan.
+_RATE_FAILURES = (ratefn.NumericError, ratefn.RateDomainError)
+_ENTROPY_FIELDS = ("nu", "n_cover", "nu_log_n", "n", "h", "phi_h", "log_n_over_speed",
+                   "admissible")
 
 
 class ConfigError(ValueError):
@@ -55,6 +61,25 @@ def _checked(fields: tuple[str, ...], build, *args):
         return build(*args)
     except ValueError as exc:
         raise ConfigError(f"fields {', '.join(repr(f) for f in fields)}: {exc}") from None
+
+
+def _cell(value):
+    """One CSV cell: floats (NumPy ones too) by ``repr``, bools in lower case."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value
+
+
+def _write_csv(out: str, name: str, header, rows) -> str:
+    """Write ``header`` and ``rows`` to ``out/name``; the only artifact writer."""
+    path = os.path.join(out, name)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    return path
 
 
 def _number(value) -> float:
@@ -173,13 +198,32 @@ def _run_rate(cfg: dict, out: str, seed: int) -> list[str]:
                         [0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0])
     lam1_values = _field(cfg, "lambda1_values", numbers, np.linspace(0.25, 4.0, 7).tolist())
     ratio_values = _field(cfg, "ratio_values", numbers, np.linspace(-2.0, 2.0, 7).tolist())
-    pairs = [(l1, l1 * r) for l1 in lam1_values for r in ratio_values]
     r_true = ratefn.tilted_mean(model, 0.0)
-    sweep_path = os.path.join(out, "rate_sweep.csv")
-    conj_path = os.path.join(out, "rate_conjugate.csv")
-    ratefn.write_ratio_sweep_csv(model, r_true, lam_values, sweep_path)
-    ratefn.write_conjugate_sweep_csv(model, pairs, conj_path)
-    return [sweep_path, conj_path]
+    sweep = []
+    for lam in lam_values:
+        try:
+            g1, g2 = ratefn.ratio_rate_derivatives(model, lam)
+        except _RATE_FAILURES:
+            g1 = g2 = math.nan
+        beta = ratefn.two_sided_rate(model, r_true, lam) if lam > 0 else math.nan
+        sweep.append((lam, ratefn.ratio_rate_closed(model, lam), g1, g2, beta))
+    conjugate = []
+    for lam1, lam2 in ((l1, l1 * r) for l1 in lam1_values for r in ratio_values):
+        try:
+            num = ratefn.legendre_rate(model, lam1, lam2)
+        except _RATE_FAILURES:
+            num = math.nan
+        closed = ratefn.closed_rate_uniform(model, lam1, lam2)
+        both_finite = math.isfinite(num) and math.isfinite(closed)
+        diff = abs(num - closed) if both_finite else 0.0 if num == closed else math.nan
+        conjugate.append((lam1, lam2, num, closed, diff))
+    return [
+        _write_csv(out, "rate_sweep.csv",
+                   ["lambda", "gamma", "gamma_prime", "gamma_second", "beta"], sweep),
+        _write_csv(out, "rate_conjugate.csv",
+                   ["lambda1", "lambda2", "gamma_legendre", "gamma_closed", "abs_diff"],
+                   conjugate),
+    ]
 
 
 def _run_estimate(cfg: dict, out: str, seed: int) -> list[str]:
@@ -195,17 +239,13 @@ def _run_estimate(cfg: dict, out: str, seed: int) -> list[str]:
 
     configs = _field(cfg, "h_values", _list_of(estimator_config))
     data = simulate.sample_dataset(model, n, seed)
-    path = os.path.join(out, "estimate.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "phi_h", "r_n1", "r_n2", "r_hat", "active_count"])
-        for est_cfg in configs:
-            z = z_n(x0, data, index, est_cfg)
-            writer.writerow([
-                repr(est_cfg.bandwidth), repr(est_cfg.phi_of_h), repr(z.r_n1), repr(z.r_n2),
-                repr(z.r_hat), z.active_count,
-            ])
-    return [path]
+    rows = []
+    for est_cfg in configs:
+        z = z_n(x0, data, index, est_cfg)
+        rows.append((est_cfg.bandwidth, est_cfg.phi_of_h, z.r_n1, z.r_n2, z.r_hat,
+                     z.active_count))
+    return [_write_csv(out, "estimate.csv",
+                       ["h", "phi_h", "r_n1", "r_n2", "r_hat", "active_count"], rows)]
 
 
 def _schedule(params: dict) -> tuple[list[int], float, float]:
@@ -231,6 +271,11 @@ def _ladder_config(cfg: dict, x0: Curve, seed: int) -> simulate.LadderConfig:
     )
 
 
+def _write_ladder(out: str, name: str, records) -> str:
+    return _write_csv(out, name, [f.name for f in dataclasses.fields(simulate.ExperimentRecord)],
+                      [dataclasses.astuple(r) for r in records])
+
+
 def _run_simulate(cfg: dict, out: str, seed: int) -> list[str]:
     model = _field(cfg, "model", _model)
     x0 = _field(cfg, "x0", _curve_on(model.grid))
@@ -238,9 +283,7 @@ def _run_simulate(cfg: dict, out: str, seed: int) -> list[str]:
     ladder_cfg = _ladder_config(cfg, x0, seed)
     rate_model = _rate_model_at(model, x0, index)
     records = simulate.pointwise_ladder(model, rate_model, ladder_cfg)
-    path = os.path.join(out, "ladder.csv")
-    simulate.write_ladder_csv(records, path)
-    return [path]
+    return [_write_ladder(out, "ladder.csv", records)]
 
 
 def _run_uniform(cfg: dict, out: str, seed: int) -> list[str]:
@@ -252,9 +295,7 @@ def _run_uniform(cfg: dict, out: str, seed: int) -> list[str]:
     ladder_cfg = _ladder_config(cfg, centers[0], seed)
     rate_models = [_rate_model_at(model, x, index) for x in centers]
     records = simulate.uniform_ladder(model, centers, rate_models, ladder_cfg)
-    path = os.path.join(out, "uniform_ladder.csv")
-    simulate.write_ladder_csv(records, path)
-    return [path]
+    return [_write_ladder(out, "uniform_ladder.csv", records)]
 
 
 def _class(spec) -> covering.FunctionClass:
@@ -296,17 +337,16 @@ def _run_cover(cfg: dict, out: str, seed: int) -> list[str]:
     metric = _field(cfg, "metric", _metric, {"lp": 1.0})
     a_const = _field(cfg, "A", _number, 1.0)
     reports = [covering.greedy_cover(cls, nu, metric) for nu in nu_values]
-    cover_path = os.path.join(out, "cover_report.csv")
-    paths = [cover_path]
-    admissible = None
+    entropy = covering.entropy_diagnostics(reports, ladder, a_const)
+    # a radius is admissible when it is so at every rung; no ladder, no flag
+    rows = [(r.nu, r.n_cover, r.nu_log_n,
+             all(row["admissible"] for row in entropy if row["nu"] == r.nu) if ladder else "")
+            for r in reports]
+    paths = [_write_csv(out, "cover_report.csv",
+                        ["nu", "n_cover", "nu_log_n", "admissible_flag"], rows)]
     if ladder:
-        rows = covering.entropy_diagnostics(reports, ladder, a_const)
-        entropy_path = os.path.join(out, "entropy_diagnostics.csv")
-        covering.write_entropy_csv(rows, entropy_path)
-        paths.append(entropy_path)
-        admissible = [all(row["admissible"] for row in rows if row["nu"] == r.nu)
-                      for r in reports]
-    covering.write_cover_csv(reports, cover_path, admissible)
+        paths.append(_write_csv(out, "entropy_diagnostics.csv", _ENTROPY_FIELDS,
+                                [[row[f] for f in _ENTROPY_FIELDS] for row in entropy]))
     return paths
 
 

@@ -13,7 +13,6 @@ sample-size schedule stays admissible.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -194,31 +193,3 @@ def default_radius(h: float) -> float:
     """Default coupling of the cover radius to the bandwidth: nu = h^2."""
     return h * h
 
-
-def write_cover_csv(
-    reports: Sequence[CoverReport], path, admissible: Sequence[bool] | None = None
-) -> None:
-    """Write cover reports as ``nu,n_cover,nu_log_n,admissible_flag`` rows."""
-    if admissible is not None and len(admissible) != len(reports):
-        raise ValueError("admissible flags must match the reports one to one")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nu", "n_cover", "nu_log_n", "admissible_flag"])
-        for i, r in enumerate(reports):
-            flag = "" if admissible is None else str(bool(admissible[i])).lower()
-            writer.writerow([repr(r.nu), r.n_cover, repr(r.nu_log_n), flag])
-
-
-def write_entropy_csv(rows: Sequence[dict], path) -> None:
-    """Write the entropy cross table produced by ``entropy_diagnostics``."""
-    fields = ["nu", "n_cover", "nu_log_n", "n", "h", "phi_h", "log_n_over_speed",
-              "admissible"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([
-                repr(row["nu"]), row["n_cover"], repr(row["nu_log_n"]), row["n"],
-                repr(row["h"]), repr(row["phi_h"]), repr(row["log_n_over_speed"]),
-                str(bool(row["admissible"])).lower(),
-            ])

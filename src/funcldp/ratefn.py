@@ -612,49 +612,3 @@ def class_rate(entries: Sequence[tuple[RateModel, float]], lam: float) -> float:
     if not entries:
         raise ValueError("class rate needs at least one (model, r_true) entry")
     return min(two_sided_rate(m, r, lam) for m, r in entries)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def write_conjugate_sweep_csv(model: RateModel, pairs, path) -> None:
-    """Sweep the pair rate over (lam1, lam2) pairs, comparing both routes.
-
-    Rows that fail numerically carry nan markers; the sweep continues.
-    """
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["lambda1", "lambda2", "gamma_legendre", "gamma_closed", "abs_diff"])
-        for lam1, lam2 in pairs:
-            try:
-                num = legendre_rate(model, lam1, lam2)
-            except NumericError:
-                num = math.nan
-            closed = closed_rate_uniform(model, lam1, lam2)
-            diff = abs(num - closed) if math.isfinite(num) and math.isfinite(closed) else (
-                0.0 if num == closed else math.nan
-            )
-            writer.writerow([repr(float(lam1)), repr(float(lam2)), repr(float(num)),
-                             repr(float(closed)), repr(float(diff))])
-
-
-def write_ratio_sweep_csv(model: RateModel, r_true: float, lam_values, path) -> None:
-    """Sweep the ratio rate, its derivatives and the two-sided rate over levels."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["lambda", "gamma", "gamma_prime", "gamma_second", "beta"])
-        for lam in lam_values:
-            gamma = ratio_rate_closed(model, lam)
-            try:
-                g1, g2 = ratio_rate_derivatives(model, lam)
-            except RateDomainError:
-                g1, g2 = math.nan, math.nan
-            beta = two_sided_rate(model, r_true, lam) if lam > 0 else math.nan
-            writer.writerow([repr(float(lam)), repr(float(gamma)), repr(float(g1)),
-                             repr(float(g2)), repr(float(beta))])

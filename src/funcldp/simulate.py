@@ -28,7 +28,6 @@ count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -562,18 +561,3 @@ def uniform_ladder(
     theory = ratefn.class_rate(entries, cfg.lam)
     return _run_ladder(model, class_grid, rate_models, cfg, theory, rate_models[0].index)
 
-
-def write_ladder_csv(records: Sequence[ExperimentRecord], path) -> None:
-    """Write ladder records with the fixed experiment schema."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "n", "h", "phi_h", "replicates", "hits", "p_hat", "wilson_low",
-            "wilson_high", "empirical_rate", "theoretical_rate", "flag",
-        ])
-        for r in records:
-            writer.writerow([
-                r.n, repr(r.h), repr(r.phi_h), r.replicates, r.hits, repr(r.p_hat),
-                repr(r.wilson_low), repr(r.wilson_high), repr(r.empirical_rate),
-                repr(r.theoretical_rate), r.flag,
-            ])

@@ -212,20 +212,25 @@ class TestExitCodes:
 
 class TestRateCommand:
     def test_default_model_ratio_rate_at_one(self, tmp_path):
-        cfg = {"command": "rate", "lambda_values": [0.5, 1.0]}
+        cfg = {"command": "rate", "lambda_values": [0.5, 1.0, 9.0]}
         outputs = run(cfg, str(tmp_path / "out"))
         sweep = next(p for p in outputs if p.endswith("rate_sweep.csv"))
         lines = open(sweep).read().splitlines()
+        assert lines[0] == "lambda,gamma,gamma_prime,gamma_second,beta"
         gamma = float(lines[2].split(",")[1])
         assert gamma == pytest.approx(1.0 - math.exp(-0.5), abs=1e-6)
+        # beyond the reachable range: an infinite rate and no derivatives
+        assert lines[3].split(",")[1:3] == ["inf", "nan"]
 
     def test_conjugate_sweep_columns(self, tmp_path):
-        cfg = {"command": "rate", "lambda1_values": [1.0], "ratio_values": [0.0, 1.0]}
+        cfg = {"command": "rate", "lambda1_values": [1.0, 2.0], "ratio_values": [0.0, 1.0]}
         outputs = run(cfg, str(tmp_path / "out"))
         conj = next(p for p in outputs if p.endswith("rate_conjugate.csv"))
         lines = open(conj).read().splitlines()
         assert lines[0] == "lambda1,lambda2,gamma_legendre,gamma_closed,abs_diff"
         assert all(float(line.split(",")[4]) < 1e-6 for line in lines[1:])
+        assert lines[3].split(",")[:2] == ["2.0", "0.0"]
+        assert float(lines[3].split(",")[3]) == pytest.approx(2 * math.log(2.0) - 1.0, abs=1e-9)
 
 
 class TestSimulateCommand:
@@ -235,6 +240,10 @@ class TestSimulateCommand:
         run(dict(cfg), str(out1))
         run(dict(cfg), str(out2))
         assert (out1 / "ladder.csv").read_bytes() == (out2 / "ladder.csv").read_bytes()
+        assert (out1 / "ladder.csv").read_text().splitlines()[0] == (
+            "n,h,phi_h,replicates,hits,p_hat,wilson_low,wilson_high,empirical_rate,"
+            "theoretical_rate,flag"
+        )
 
     def test_manifest_reproducibility_fields(self, tmp_path):
         cfg = _sim_config(n_values=[200], replicates=1000)
@@ -317,7 +326,15 @@ class TestCoverCommand:
         assert cover_lines[0] == "nu,n_cover,nu_log_n,admissible_flag"
         assert len(cover_lines) == 3
         entropy_lines = (tmp_path / "out" / "entropy_diagnostics.csv").read_text().splitlines()
+        assert entropy_lines[0] == "nu,n_cover,nu_log_n,n,h,phi_h,log_n_over_speed,admissible"
         assert len(entropy_lines) == 1 + 2 * 2
+        # without a ladder there is no entropy table and the flag is empty
+        del cfg["ladder"]
+        outputs = run(cfg, str(tmp_path / "bare"))
+        assert not any(p.endswith("entropy_diagnostics.csv") for p in outputs)
+        bare_lines = (tmp_path / "bare" / "cover_report.csv").read_text().splitlines()
+        assert len(bare_lines) == 3
+        assert all(line.endswith(",") for line in bare_lines[1:])
 
     def test_default_radius_from_ladder(self, tmp_path):
         grid = Grid(0.0, 1.0, 201)

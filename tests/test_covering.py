@@ -16,8 +16,6 @@ from funcldp.covering import (
     greedy_cover,
     scale_class,
     shift_class,
-    write_cover_csv,
-    write_entropy_csv,
 )
 from funcldp.funcdata import Curve, Grid, IntegralDifference, LpDistance
 from funcldp.simulate import bandwidth_schedule
@@ -284,20 +282,3 @@ class TestEntropyDiagnostics:
             assert row["log_n_over_speed"] > 0.0
             assert isinstance(row["admissible"], bool)
 
-
-class TestCsv:
-    def test_cover_csv(self, bump_scale_class, tmp_path):
-        reports = [greedy_cover(bump_scale_class, nu, L1) for nu in (0.1, 0.05)]
-        path = tmp_path / "cover.csv"
-        write_cover_csv(reports, path, admissible=[True, True])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "nu,n_cover,nu_log_n,admissible_flag"
-        assert lines[1].endswith("true")
-
-    def test_entropy_csv(self, bump_scale_class, tmp_path):
-        reports = [greedy_cover(bump_scale_class, nu, L1) for nu in (0.1, 0.05)]
-        rows = entropy_diagnostics(reports, [(200, 0.09, 0.016)])
-        path = tmp_path / "entropy.csv"
-        write_entropy_csv(rows, path)
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("nu,n_cover,nu_log_n,n,h,phi_h")

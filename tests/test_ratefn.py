@@ -39,8 +39,6 @@ from funcldp.ratefn import (
     tilted_mean_inverse,
     tilted_mean_range,
     two_sided_rate,
-    write_conjugate_sweep_csv,
-    write_ratio_sweep_csv,
 )
 from kernel_calculus import kernel_prime, tau, tau_inverse
 
@@ -1017,25 +1015,4 @@ class TestScalingVariants:
         # the trapezoid oracles carry a few 1e-6 of error under a power profile
         assert log_mgf_limit(dec_b, *args) == pytest.approx(
             by_parts_log_mgf(dec_b, *args, u_nodes=4001), rel=1e-5
-        )
-
-
-class TestCsvExport:
-    def test_ratio_sweep(self, gaussian_model, tmp_path):
-        path = tmp_path / "sweep.csv"
-        write_ratio_sweep_csv(gaussian_model, 0.0, [0.5, 1.0, 9.0], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lambda,gamma,gamma_prime,gamma_second,beta"
-        row = dict(zip(lines[0].split(","), lines[2].split(",")))
-        assert float(row["gamma"]) == pytest.approx(gaussian_ratio_rate(1.0), abs=1e-8)
-        out_of_domain = lines[3].split(",")
-        assert out_of_domain[1] == "inf" and out_of_domain[2] == "nan"
-
-    def test_conjugate_sweep(self, gaussian_model, tmp_path):
-        path = tmp_path / "conj.csv"
-        write_conjugate_sweep_csv(gaussian_model, [(1.0, 0.0), (2.0, 0.0)], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lambda1,lambda2,gamma_legendre,gamma_closed,abs_diff"
-        assert float(lines[2].split(",")[3]) == pytest.approx(
-            2 * math.log(2.0) - 1.0, abs=1e-9
         )

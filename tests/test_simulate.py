@@ -23,7 +23,6 @@ from funcldp.simulate import (
     small_ball_probe,
     uniform_ladder,
     wilson_interval,
-    write_ladder_csv,
 )
 
 
@@ -313,16 +312,6 @@ class TestPointwiseLadder:
     def test_theoretical_rate_matches_closed_form(self, ladder):
         expected = (1.0 - math.exp(-1.0)) / math.sqrt(4.0 * math.pi)
         assert ladder[0].theoretical_rate == pytest.approx(expected, abs=1e-9)
-
-    def test_csv_deterministic(self, factor_model, induced_rate_model, zero_curve, tmp_path):
-        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, zero_curve, 1000, seed=2718)
-        paths = []
-        for name in ("a.csv", "b.csv"):
-            records = pointwise_ladder(factor_model, induced_rate_model, cfg)
-            path = tmp_path / name
-            write_ladder_csv(records, path)
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_impossible_width_flags_zero_hits(self, factor_model, induced_rate_model,
                                               zero_curve):
