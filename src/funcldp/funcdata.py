@@ -309,13 +309,15 @@ def write_curve_csv(curve: Curve, path) -> None:
 def read_curve_csv(path) -> Curve:
     """Read a ``t,value`` CSV and validate that the grid is uniform.
 
-    The relative deviation of node spacings from their mean must stay
-    below 1e-9.
+    The nodes must be finite, and the relative deviation of node spacings
+    from their mean must stay below 1e-9.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise ValueError(f"curve CSV {path} must have two columns and at least two rows")
     t, values = data[:, 0], data[:, 1]
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"curve CSV {path} has non-finite nodes")
     steps = np.diff(t)
     mean_step = float(np.mean(steps))
     if mean_step <= 0:

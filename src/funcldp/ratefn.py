@@ -443,7 +443,8 @@ def closed_rate_uniform(model: RateModel, lam1: float, lam2: float) -> float:
     if lam1 <= 0 or not _inside_range(model, lam2 / lam1):
         return math.inf
     dual = _tilt_dual(model, lam2 / lam1)[1]
-    return lam1 * (math.log(lam1) - 1.0 - dual) + model.weight.mass
+    # the trapezoid mass and the moment-row dual round apart at the zero
+    return max(0.0, lam1 * (math.log(lam1) - 1.0 - dual) + model.weight.mass)
 
 
 def conjugate_stationary_point(model: RateModel, lam1: float, lam2: float) -> tuple[float, float]:
@@ -545,12 +546,13 @@ def ratio_rate_closed(model: RateModel, lam: float) -> float:
     """Closed-form ratio rate under the uniform kernel.
 
     Mass minus exp(min_s [log M(s) - lam s]), the tilted mass discounted
-    at the inverse tilt of ``lam``; +inf outside the reachable range.
+    at the inverse tilt of ``lam``, and never below 0; +inf outside the
+    reachable range.
     """
     _require_plain_uniform(model, "the closed ratio rate")
     if not _inside_range(model, lam):
         return math.inf
-    return model.weight.mass - math.exp(_tilt_dual(model, lam)[1])
+    return max(0.0, model.weight.mass - math.exp(_tilt_dual(model, lam)[1]))
 
 
 def ratio_rate_derivatives(model: RateModel, lam: float) -> tuple[float, float]:
@@ -595,16 +597,17 @@ def two_sided_rate(model: RateModel, r_true: float, lam: float) -> float:
     Every sublevel set of the ratio rate is the image of a convex set
     under the perspective map, so the rate is quasi-convex: nonincreasing
     left of its zero, the untilted mean m, and nondecreasing right of it.
-    Its infimum over each ray therefore sits at the ray's point nearest m,
-    and the two-sided rate is the smaller of those two evaluations, by the
-    closed form under the unit uniform kernel and by ``ratio_rate``
-    otherwise.
+    Its infimum over each ray therefore sits at the ray's point nearest m:
+    exactly 0 when m lies on a ray, and otherwise the smaller of the rates
+    at r_true - lam and r_true + lam, by the closed form under the unit
+    uniform kernel and by ``ratio_rate`` otherwise.
     """
     if lam <= 0:
         raise ValueError(f"deviation width must be positive, got {lam}")
+    if not r_true - lam < tilted_mean(model, 0.0) < r_true + lam:
+        return 0.0
     gamma = ratio_rate_closed if _is_plain_uniform(model) else ratio_rate
-    m = tilted_mean(model, 0.0)
-    return min(gamma(model, min(r_true - lam, m)), gamma(model, max(r_true + lam, m)))
+    return min(gamma(model, r_true - lam), gamma(model, r_true + lam))
 
 
 def class_rate(entries: Sequence[tuple[RateModel, float]], lam: float) -> float:

@@ -391,6 +391,8 @@ class LadderConfig:
             raise ValueError(
                 f"need at least 1000 replicates at the smallest n, got {reps[0]}"
             )
+        if min(reps) < 1:
+            raise ValueError(f"need at least 1 replicate at every n, got {list(reps)}")
         if self.lam <= 0:
             raise ValueError(f"deviation width must be positive, got {self.lam}")
         object.__setattr__(self, "n_values", n_values)

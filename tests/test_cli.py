@@ -155,6 +155,8 @@ class TestExitCodes:
                                                   "a_hi": 1.0, "count": 3}}}), "class"),
             (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"],
                                                   "base_csv": "missing.csv"}}}), "base_csv"),
+            (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"],
+                                                  "base_csv": "nan.csv"}}}), "base_csv"),
             ({"command": "rate", "index": "foo"}, "index"),
             (_estimate_config(metric="foo"), "metric"),
             (_estimate_config(model={**_CSV_MODEL, "y_law": [1]}), "y_law"),
@@ -173,12 +175,13 @@ class TestExitCodes:
              "seed-bool", "simulate-seed-negative", "estimate-seed-negative",
              "replicates-fraction", "replicates-zero-rung", "explicit-not-list",
              "csv-path-not-string", "explicit-empty", "scale-range-through-zero",
-             "base-csv-missing", "index-unrecognized", "metric-unrecognized",
+             "base-csv-missing", "base-csv-nan-node", "index-unrecognized", "metric-unrecognized",
              "y-law-unrecognized", "centers-unrecognized"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bump.csv").write_text("t,value\n0.0,0.0\n0.5,1.0\n1.0,0.0\n")
+        (tmp_path / "nan.csv").write_text("t,value\n0.0,0.0\nnan,1.0\n1.0,0.0\n")
         code = main(["--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
@@ -377,21 +380,37 @@ def _fuzz_bases(bump_path: str) -> dict:
     }
 
 
+def _paths(value, prefix=()):
+    """Paths to every entry of a config, down to the third level."""
+    if isinstance(value, dict):
+        entries = value.items()
+    elif isinstance(value, list):
+        entries = enumerate(value)
+    else:
+        return
+    for slot, inner in entries:
+        yield prefix + (slot,)
+        if len(prefix) < 2:
+            yield from _paths(inner, prefix + (slot,))
+
+
 @st.composite
 def _mutants(draw, bases: dict) -> dict:
-    """A base config with one field dropped, replaced by junk, or given junk one level down."""
-    cfg = copy.deepcopy(bases[draw(st.sampled_from(sorted(bases)))])
-    key = draw(st.sampled_from(sorted(cfg)))
-    action = draw(st.sampled_from(["drop", "replace", "nested"]))
-    if action == "drop":
-        del cfg[key]
-    elif action == "nested" and isinstance(cfg[key], (dict, list)) and cfg[key]:
-        inner = cfg[key]
-        slot = draw(st.sampled_from(sorted(inner) if isinstance(inner, dict) else
-                                    range(len(inner))))
-        inner[slot] = draw(_JUNK)
+    """A base config with one entry, up to three levels down, dropped or replaced by junk.
+
+    Third-level entries are, for example, ``class.scale.count``,
+    ``centers[0].constant`` and ``ladder.n_values[0]``.
+    """
+    name, path = draw(st.sampled_from([(name, path) for name in sorted(bases)
+                                       for path in _paths(bases[name])]))
+    cfg = copy.deepcopy(bases[name])
+    parent = cfg
+    for slot in path[:-1]:
+        parent = parent[slot]
+    if draw(st.booleans()):
+        del parent[path[-1]]
     else:
-        cfg[key] = draw(_JUNK)
+        parent[path[-1]] = draw(_JUNK)
     return cfg
 
 
@@ -406,7 +425,7 @@ class TestConfigFuzz:
     def test_mutated_configs_exit_zero_or_two(self, fuzz_dir):
         bases = _fuzz_bases(str(fuzz_dir / "bump.csv"))
 
-        @settings(deadline=None, derandomize=True, database=None, max_examples=150)
+        @settings(deadline=None, derandomize=True, database=None, max_examples=250)
         @given(_mutants(bases))
         def check(cfg):
             stderr = io.StringIO()

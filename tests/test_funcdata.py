@@ -341,3 +341,11 @@ class TestCurveCsv:
         path.write_text("t,value\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
         with pytest.raises(ValueError, match="uniform"):
             read_curve_csv(path)
+
+    @pytest.mark.parametrize("nodes", [("0.0", "nan", "1.0"), ("0.0", "0.5", "inf")],
+                             ids=["nan-node", "inf-end"])
+    def test_non_finite_nodes_rejected(self, tmp_path, nodes):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n" + "".join(f"{t},1.0\n" for t in nodes))
+        with pytest.raises(ValueError, match="non-finite"):
+            read_curve_csv(path)

@@ -963,7 +963,19 @@ class TestTwoSidedRate:
         )
 
     def test_zero_when_mean_lies_on_a_ray(self, gaussian_model):
-        assert two_sided_rate(gaussian_model, 3.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert two_sided_rate(gaussian_model, 3.0, 1.0) == 0.0
+        assert two_sided_rate(gaussian_model, 5.0, 1.0) == 0.0
+
+    def test_no_negative_rates(self, gaussian_model):
+        # at the untilted mean the trapezoid mass and the moment-row dual
+        # round apart by a few 1e-16; no route may report that as a rate
+        m = tilted_mean(gaussian_model, 0.0)
+        for lam in np.append(np.linspace(-2.0, 2.0, 41), [m, 1e-9, -1e-9]):
+            lam = float(lam)
+            assert ratio_rate_closed(gaussian_model, lam) >= 0.0
+            assert ratio_rate(gaussian_model, lam) >= 0.0
+            assert closed_rate_uniform(gaussian_model, 1.0, lam) >= 0.0
+            assert two_sided_rate(gaussian_model, lam, 1e-9) >= 0.0
 
 
 class TestClassRate:

@@ -290,6 +290,11 @@ class TestLadderConfig:
         with pytest.raises(ValueError, match="1000"):
             LadderConfig((200,), 2.0, 1.5, 1.0, zero_curve, 10, 0)
 
+    @pytest.mark.parametrize("later", [0, -5])
+    def test_every_rung_needs_a_replicate(self, zero_curve, later):
+        with pytest.raises(ValueError, match="replicate"):
+            LadderConfig((200, 500), 2.0, 1.5, 1.0, zero_curve, (1000, later), 0)
+
     def test_replicates_broadcast(self, zero_curve):
         cfg = LadderConfig((200, 500), 2.0, 1.5, 1.0, zero_curve, 1000, 0)
         assert cfg.replicates == (1000, 1000)
