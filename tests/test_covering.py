@@ -17,7 +17,8 @@ from funcldp.covering import (
     scale_class,
     shift_class,
 )
-from funcldp.funcdata import Curve, Grid, IntegralDifference, LpDistance
+from funcldp.cli import run
+from funcldp.funcdata import Curve, Grid, IntegralDifference, LpDistance, write_curve_csv
 from funcldp.simulate import bandwidth_schedule
 
 GRID = Grid(0.0, 1.0, 201)
@@ -282,3 +283,29 @@ class TestEntropyDiagnostics:
             assert row["log_n_over_speed"] > 0.0
             assert isinstance(row["admissible"], bool)
 
+
+class TestCsv:
+    """The cover tables as the CLI writes them to cover_report.csv and entropy_diagnostics.csv."""
+
+    @staticmethod
+    def _config(tmp_path, **overrides):
+        write_curve_csv(gaussian_bump(), tmp_path / "bump.csv")
+        cfg = {"command": "cover",
+               "class": {"scale": {"base_csv": str(tmp_path / "bump.csv"),
+                                   "a_lo": 1.0, "a_hi": 2.0, "count": 64}},
+               "ladder": {"n_values": [200, 1000], "a": 2.0, "alpha": 2.0}}
+        cfg.update(overrides)
+        return cfg
+
+    def test_cover_csv(self, tmp_path):
+        # the default radii, one per rung, are admissible at every rung
+        run(self._config(tmp_path), str(tmp_path / "out"))
+        lines = (tmp_path / "out" / "cover_report.csv").read_text().splitlines()
+        assert lines[0] == "nu,n_cover,nu_log_n,admissible_flag"
+        assert lines[1].endswith("true")
+
+    def test_entropy_csv(self, tmp_path):
+        cfg = self._config(tmp_path, nu_values=[0.1, 0.05])
+        run(cfg, str(tmp_path / "out"))
+        header = (tmp_path / "out" / "entropy_diagnostics.csv").read_text().splitlines()[0]
+        assert header.startswith("nu,n_cover,nu_log_n,n,h,phi_h")

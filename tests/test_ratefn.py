@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
 from funcldp import ratefn
+from funcldp.cli import run
 from funcldp.estimator import IdentityIndex, IntervalIndicator, LipschitzIndex
 from funcldp.funcdata import (
     AffineKernel,
@@ -1027,4 +1028,28 @@ class TestScalingVariants:
         # the trapezoid oracles carry a few 1e-6 of error under a power profile
         assert log_mgf_limit(dec_b, *args) == pytest.approx(
             by_parts_log_mgf(dec_b, *args, u_nodes=4001), rel=1e-5
+        )
+
+
+class TestCsvExport:
+    """The rate sweeps as the CLI writes them to rate_sweep.csv and rate_conjugate.csv."""
+
+    def test_ratio_sweep(self, tmp_path):
+        outputs = run({"command": "rate", "lambda_values": [0.5, 1.0, 9.0]}, str(tmp_path))
+        path = next(p for p in outputs if p.endswith("rate_sweep.csv"))
+        lines = open(path).read().splitlines()
+        assert lines[0] == "lambda,gamma,gamma_prime,gamma_second,beta"
+        row = dict(zip(lines[0].split(","), lines[2].split(",")))
+        assert float(row["gamma"]) == pytest.approx(gaussian_ratio_rate(1.0), abs=1e-8)
+        out_of_domain = lines[3].split(",")
+        assert out_of_domain[1] == "inf" and out_of_domain[2] == "nan"
+
+    def test_conjugate_sweep(self, tmp_path):
+        cfg = {"command": "rate", "lambda1_values": [1.0, 2.0], "ratio_values": [0.0]}
+        outputs = run(cfg, str(tmp_path))
+        path = next(p for p in outputs if p.endswith("rate_conjugate.csv"))
+        lines = open(path).read().splitlines()
+        assert lines[0] == "lambda1,lambda2,gamma_legendre,gamma_closed,abs_diff"
+        assert float(lines[2].split(",")[3]) == pytest.approx(
+            2 * math.log(2.0) - 1.0, abs=1e-9
         )

@@ -7,6 +7,7 @@ from scipy import integrate
 from scipy.stats import binomtest, ks_2samp, kstest, norm
 
 from funcldp import ratefn, simulate
+from funcldp.cli import run
 from funcldp.estimator import Dataset, EstimatorConfig, IdentityIndex, IntervalIndicator, z_n
 from funcldp.funcdata import Curve, Grid, IdentityScaling, IntegralDifference, UniformKernel
 from funcldp.simulate import (
@@ -317,6 +318,16 @@ class TestPointwiseLadder:
     def test_theoretical_rate_matches_closed_form(self, ladder):
         expected = (1.0 - math.exp(-1.0)) / math.sqrt(4.0 * math.pi)
         assert ladder[0].theoretical_rate == pytest.approx(expected, abs=1e-9)
+
+    def test_csv_deterministic(self, tmp_path):
+        cfg = {"command": "simulate", "model": {"default": True}, "x0": {"constant": 0.0},
+               "n_values": [200], "a": 2.0, "alpha": 1.5, "lambda": 1.0,
+               "replicates": 1000, "seed": 2718}
+        paths = []
+        for name in ("a", "b"):
+            run(dict(cfg), str(tmp_path / name))
+            paths.append(tmp_path / name / "ladder.csv")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_impossible_width_flags_zero_hits(self, factor_model, induced_rate_model,
                                               zero_curve):
