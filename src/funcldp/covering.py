@@ -28,7 +28,6 @@ class FunctionClass:
     """A finite sample of curves standing in for a class of curves."""
 
     members: tuple[Curve, ...]
-    tag: str = "explicit"
     undersampled: bool = False
 
     def __post_init__(self):
@@ -55,7 +54,7 @@ def scale_class(base: Curve, a_lo: float, a_hi: float, count: int) -> FunctionCl
     argument scaling outruns the base curve's own resolution flags the
     class as undersampled.
     """
-    if count < 2:
+    if not count >= 2:
         raise ValueError(f"scale class needs at least 2 members, got {count}")
     a_values = np.linspace(a_lo, a_hi, count)
     if np.any(a_values == 0.0):
@@ -76,7 +75,7 @@ def scale_class(base: Curve, a_lo: float, a_hi: float, count: int) -> FunctionCl
             "outruns the base curve resolution",
             RuntimeWarning,
         )
-    return FunctionClass(tuple(members), tag="scale", undersampled=undersampled)
+    return FunctionClass(tuple(members), undersampled=undersampled)
 
 
 def shift_class(base: Curve, t_lo: float, t_hi: float, count: int) -> FunctionClass:
@@ -86,7 +85,7 @@ def shift_class(base: Curve, t_lo: float, t_hi: float, count: int) -> FunctionCl
     after every shift; otherwise mass would be clipped away and the
     Lipschitz-in-shift structure lost.
     """
-    if count < 2:
+    if not count >= 2:
         raise ValueError(f"shift class needs at least 2 members, got {count}")
     grid = base.grid
     support = np.nonzero(np.abs(base.values) > 0.0)[0]
@@ -103,7 +102,7 @@ def shift_class(base: Curve, t_lo: float, t_hi: float, count: int) -> FunctionCl
     members = []
     for t in np.linspace(t_lo, t_hi, count):
         members.append(Curve(grid, np.interp(nodes - t, nodes, base.values, left=0.0, right=0.0)))
-    return FunctionClass(tuple(members), tag="shift")
+    return FunctionClass(tuple(members))
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def greedy_cover(cls: FunctionClass, nu: float, metric: SemiMetric) -> CoverRepo
     ``coverage_radii``, which recomputes every member's distance to the
     returned centers; an ``AssertionError`` flags a member beyond nu.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError(f"cover radius must be positive, got {nu}")
     rows = cls.values_matrix()
     centers = [0]

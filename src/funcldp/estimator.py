@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .funcdata import Curve, Grid, Kernel, SemiMetric
+from .funcdata import Curve, Grid, GridMismatchError, Kernel, SemiMetric
 
 _INTERVAL = tuple[float, float]
 
@@ -62,7 +62,6 @@ class LipschitzIndex:
 
     fn: Callable[[np.ndarray], np.ndarray]
     sup_bound: float
-    tag: str = "lipschitz"
 
     def __post_init__(self):
         if not math.isfinite(self.sup_bound):
@@ -111,9 +110,6 @@ class Dataset:
     def n(self) -> int:
         return self.x_values.shape[0]
 
-    def curve(self, i: int) -> Curve:
-        return Curve(self.grid, self.x_values[i])
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -125,9 +121,9 @@ class EstimatorConfig:
     phi_of_h: float
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.phi_of_h <= 0:
+        if not self.phi_of_h > 0:
             raise ValueError(f"phi_of_h must be positive, got {self.phi_of_h}")
 
 
@@ -146,27 +142,28 @@ class RegressionEstimate:
     active_count: int
 
 
-def delta(x: Curve, xi: Curve, cfg: EstimatorConfig) -> float:
-    """Kernel weight K(d(x, X_i)/h), hard-zeroed outside d/h <= 1."""
-    u = cfg.metric.distance(x, xi) / cfg.bandwidth
-    if u > 1.0:
-        return 0.0
-    return float(cfg.kernel.k(u))
+def _weights(x: Curve, rows: np.ndarray, grid: Grid,
+             cfg: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel weights K(d(x, row)/h) of the rows and the window u = d/h <= 1.
 
-
-def _weights(x: Curve, data: Dataset, cfg: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
-    if x.grid != data.grid:
-        raise ValueError("evaluation curve and dataset live on different grids")
-    d = cfg.metric.distance_to_rows(x.values, data.x_values, data.grid)
-    u = d / cfg.bandwidth
+    The window is closed at u = 1; a row outside it gets weight 0.
+    """
+    if x.grid != grid:
+        raise GridMismatchError("evaluation curve and dataset live on different grids")
+    u = cfg.metric.distance_to_rows(x.values, rows, grid) / cfg.bandwidth
     active = u <= 1.0
     w = np.where(active, cfg.kernel.k(np.clip(u, 0.0, 1.0)), 0.0)
     return w, active
 
 
+def delta(x: Curve, xi: Curve, cfg: EstimatorConfig) -> float:
+    """Kernel weight K(d(x, X_i)/h), hard-zeroed outside d/h <= 1: ``_weights`` of one row."""
+    return float(_weights(x, xi.values[np.newaxis], xi.grid, cfg)[0][0])
+
+
 def z_n(x: Curve, data: Dataset, index: IndexFunction, cfg: EstimatorConfig) -> RegressionEstimate:
     """Evaluate the estimator components at ``x`` over the whole dataset."""
-    w, active = _weights(x, data, cfg)
+    w, active = _weights(x, data.x_values, data.grid, cfg)
     norm = data.n * cfg.phi_of_h
     r_n1 = float(np.sum(w)) / norm
     r_n2 = float(np.sum(index(data.y) * w)) / norm
@@ -200,7 +197,7 @@ def finite_n_log_mgf(
     whose exponent is itself non-finite flags the estimate and yields an
     infinite value.
     """
-    if replicates < 1:
+    if not replicates >= 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     exponents = np.empty(replicates)
     n = None
@@ -211,7 +208,7 @@ def finite_n_log_mgf(
             n = data.n
         elif data.n != n:
             raise ValueError("data_law must produce datasets of a fixed size")
-        w, _ = _weights(x, data, cfg)
+        w, _ = _weights(x, data.x_values, data.grid, cfg)
         exponents[rep] = np.sum((t1 + t2 * index(data.y)) * w)
     if not np.all(np.isfinite(exponents)):
         return LogMgfEstimate(math.inf, True)

@@ -1,10 +1,12 @@
 """Curves on shared uniform grids, semi-metrics, kernels and scaling profiles.
 
 Everything here is immutable after construction and safe to share.  All
-integrals over the curve domain use the composite trapezoid rule, which is
-exact for affine integrands, as a dot product with the grid's trapezoid
-weights.  Each scaling profile carries one fixed Gauss rule for its measure
-dtau on the kernel support [0, 1].
+integrals over a uniform grid use the composite trapezoid rule, which is
+exact for affine integrands: one ``einsum`` of the rows with the grid's
+trapezoid weights (``_integrate_rows``).  A scalar integral or distance is
+the one-row case of the batched one, so the two agree bitwise.  Each
+scaling profile carries one fixed Gauss rule for its measure dtau on the
+kernel support [0, 1].
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class Grid:
     points: int
 
     def __post_init__(self):
-        if self.points < 2:
+        if not self.points >= 2:
             raise ValueError(f"grid needs at least 2 points, got {self.points}")
         if not self.t_min < self.t_max:
             raise ValueError(f"grid requires t_min < t_max, got [{self.t_min}, {self.t_max}]")
@@ -86,12 +88,24 @@ class Curve:
         return quadrature(self.values, self.grid)
 
 
+def _integrate_rows(block: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
+    """Trapezoid integral of each row of a C-contiguous block.
+
+    ``einsum`` sums each row in one fixed order, so a row's integral does
+    not depend on the rows passed with it (BLAS ``matmul`` does not).
+    """
+    return np.einsum("ij,j->i", block, weights, out=out)
+
+
 def quadrature(values, grid: Grid) -> float:
-    """Composite trapezoid rule on the grid nodes; exact for affine integrands."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape[-1] != grid.points:
-        raise ValueError(f"got {arr.shape[-1]} values for a {grid.points}-point grid")
-    return float(arr @ grid.trapezoid_weights())
+    """Composite trapezoid rule on the grid nodes; exact for affine integrands.
+
+    The one-row case of ``_integrate_rows``.
+    """
+    arr = np.ascontiguousarray(values, dtype=float)
+    if arr.shape != (grid.points,):
+        raise ValueError(f"got values of shape {arr.shape} for a {grid.points}-point grid")
+    return float(_integrate_rows(arr[np.newaxis], grid.trapezoid_weights())[0])
 
 
 # Values per block of rows in ``_row_integrals``: 256 KB of float64, small
@@ -105,8 +119,6 @@ def _row_integrals(x_values: np.ndarray, rows: np.ndarray, grid: Grid,
 
     Walks ``rows`` in cache-sized blocks through one scratch buffer, so no
     temporary grows with the number of rows; ``rows`` is left unchanged.
-    ``einsum`` sums each row in one fixed order, so a pair's distance does
-    not depend on the rows passed with it (BLAS ``matmul`` does not).
     """
     weights = grid.trapezoid_weights()
     out = np.empty(rows.shape[0])
@@ -120,13 +132,8 @@ def _row_integrals(x_values: np.ndarray, rows: np.ndarray, grid: Grid,
             np.abs(block, out=block)
             if p != 1:
                 block **= p
-        np.einsum("ij,j->i", block, weights, out=out[start:stop])
+        _integrate_rows(block, weights, out=out[start:stop])
     return out
-
-
-def _require_same_grid(x: Curve, y: Curve) -> None:
-    if x.grid != y.grid:
-        raise GridMismatchError(f"curves live on different grids: {x.grid} vs {y.grid}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +143,6 @@ class IntegralDifference:
     A genuine semi-metric: distinct curves with equal integrals are at
     distance zero.
     """
-
-    def distance(self, x: Curve, y: Curve) -> float:
-        _require_same_grid(x, y)
-        return abs(quadrature(x.values - y.values, x.grid))
 
     def distance_to_rows(self, x_values: np.ndarray, rows: np.ndarray, grid: Grid) -> np.ndarray:
         return np.abs(_row_integrals(x_values, rows, grid, None))
@@ -152,12 +155,8 @@ class LpDistance:
     p: float = 2.0
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:
             raise ValueError(f"L_p distance needs p >= 1, got {self.p}")
-
-    def distance(self, x: Curve, y: Curve) -> float:
-        _require_same_grid(x, y)
-        return quadrature(np.abs(x.values - y.values) ** self.p, x.grid) ** (1.0 / self.p)
 
     def distance_to_rows(self, x_values: np.ndarray, rows: np.ndarray, grid: Grid) -> np.ndarray:
         return _row_integrals(x_values, rows, grid, self.p) ** (1.0 / self.p)
@@ -167,8 +166,13 @@ SemiMetric = IntegralDifference | LpDistance
 
 
 def distance(x: Curve, y: Curve, metric: SemiMetric) -> float:
-    """Distance between two curves on the same grid under the given semi-metric."""
-    return metric.distance(x, y)
+    """Distance between two curves on the same grid under the given semi-metric.
+
+    The one-row case of ``metric.distance_to_rows``.
+    """
+    if x.grid != y.grid:
+        raise GridMismatchError(f"curves live on different grids: {x.grid} vs {y.grid}")
+    return float(metric.distance_to_rows(x.values, y.values[np.newaxis], x.grid)[0])
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ class _KernelBase:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ValueError(f"kernel scale must be positive, got {self.scale}")
 
 
@@ -285,7 +289,7 @@ class PowerScaling:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"power scaling needs alpha > 0, got {self.alpha}")
 
     def gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +324,7 @@ def read_curve_csv(path) -> Curve:
         raise ValueError(f"curve CSV {path} has non-finite nodes")
     steps = np.diff(t)
     mean_step = float(np.mean(steps))
-    if mean_step <= 0:
+    if not mean_step > 0:
         raise ValueError(f"curve CSV {path} has non-increasing nodes")
     if np.max(np.abs(steps - mean_step)) / mean_step >= 1e-9:
         raise ValueError(f"curve CSV {path} is not on a uniform grid")

@@ -21,13 +21,13 @@ tilted mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .estimator import IdentityIndex, IndexFunction, IntervalIndicator
-from .funcdata import Grid, IdentityScaling, Kernel, ScalingProfile, UniformKernel
+from .funcdata import Grid, IdentityScaling, Kernel, ScalingProfile, UniformKernel, quadrature
 
 PROBE_T = 50.0
 DOMAIN_MARGIN = 1e-6
@@ -69,24 +69,25 @@ class WeightDensity:
     The weight plays the role of a joint local factor: conditional
     small-ball density times response density.  Truncation tails must be
     negligible against the peak so quadratures against exponential tilts
-    stay meaningful.
+    stay meaningful.  Its nodes and integrals are those of the grid
+    ``Grid(v_lo, v_hi, len(w))``.
     """
 
     v_lo: float
     v_hi: float
     w: np.ndarray
+    grid: Grid = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False)
+    mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
-        if w.ndim != 1 or w.shape[0] < 2:
-            raise ValueError("weight density needs a 1-D array of at least 2 values")
-        if not self.v_lo < self.v_hi:
-            raise ValueError(f"weight window [{self.v_lo}, {self.v_hi}] is degenerate")
+        if w.ndim != 1:
+            raise ValueError(f"weight density needs a 1-D array, got shape {w.shape}")
+        grid = Grid(self.v_lo, self.v_hi, w.shape[0])  # checks v_lo < v_hi and 2+ nodes
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("weight values must be finite and nonnegative")
         peak = float(np.max(w))
-        if peak <= 0:
-            raise ValueError("weight density must have positive mass")
         if w[0] > _TAIL_FACTOR * peak or w[-1] > _TAIL_FACTOR * peak:
             raise ValueError(
                 "weight density tails are not negligible; widen the window "
@@ -95,39 +96,28 @@ class WeightDensity:
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
-        nodes = np.linspace(self.v_lo, self.v_hi, w.shape[0])
+        nodes = grid.nodes()
         nodes.flags.writeable = False
-        object.__setattr__(self, "_nodes", nodes)
-        mass = float(np.trapezoid(w, dx=self.spacing))
-        if mass <= 0:
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "nodes", nodes)
+        mass = quadrature(w, grid)
+        if not mass > 0:
             raise ValueError("weight density must have positive mass")
-        object.__setattr__(self, "_mass", mass)
-
-    @property
-    def spacing(self) -> float:
-        return (self.v_hi - self.v_lo) / (self.w.shape[0] - 1)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._nodes
-
-    @property
-    def mass(self) -> float:
-        return self._mass
+        object.__setattr__(self, "mass", mass)
 
     def integral(self, values: np.ndarray) -> float:
-        return float(np.trapezoid(values, dx=self.spacing))
+        return quadrature(values, self.grid)
 
     @classmethod
     def from_function(cls, fn, v_lo: float, v_hi: float, nodes: int = 4001) -> "WeightDensity":
-        v = np.linspace(v_lo, v_hi, nodes)
+        v = Grid(v_lo, v_hi, nodes).nodes()
         return cls(v_lo, v_hi, np.asarray(fn(v), dtype=float))
 
     @classmethod
     def gaussian(cls, mean: float = 0.0, sd: float = 1.0, half_width: float = 8.0,
                  nodes: int = 4001) -> "WeightDensity":
         """Gaussian-shaped weight truncated at mean +- half_width * sd."""
-        if sd <= 0:
+        if not sd > 0:
             raise ValueError(f"gaussian weight needs sd > 0, got {sd}")
 
         def pdf(v):
@@ -163,7 +153,7 @@ class RateModel:
         # exponent that overflows on a zero-weight node never meets 0 * inf.
         w = self.weight
         support = w.w > 0
-        q = (Grid(w.v_lo, w.v_hi, w.w.shape[0]).trapezoid_weights() * w.w)[support]
+        q = (w.grid.trapezoid_weights() * w.w)[support]
         l_support = lvals[support]
         rows = np.vstack([q, q * l_support, q * l_support**2])
         for arr, name in ((l_support, "_l_support"), (rows, "_rows")):
@@ -410,7 +400,7 @@ def legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:
     finite exactly when lam1 > 0 and lam2/lam1 lies inside the reachable
     tilted-mean range; elsewhere the rate is +inf without an ascent.
     """
-    if lam1 <= 0 or not _inside_range(model, lam2 / lam1):
+    if not lam1 > 0 or not _inside_range(model, lam2 / lam1):
         return math.inf
     ops = _TiltOps(model)
     lam = np.array([lam1, lam2], dtype=float)
@@ -440,7 +430,7 @@ def closed_rate_uniform(model: RateModel, lam1: float, lam2: float) -> float:
     reachable tilted-mean range; +inf elsewhere.
     """
     _require_plain_uniform(model, "the closed conjugate rate")
-    if lam1 <= 0 or not _inside_range(model, lam2 / lam1):
+    if not lam1 > 0 or not _inside_range(model, lam2 / lam1):
         return math.inf
     dual = _tilt_dual(model, lam2 / lam1)[1]
     # the trapezoid mass and the moment-row dual round apart at the zero
@@ -451,7 +441,7 @@ def conjugate_stationary_point(model: RateModel, lam1: float, lam2: float) -> tu
     """Maximizer of the conjugate objective under the uniform kernel."""
     _require_plain_uniform(model, "the conjugate stationary point")
     rng = model.tilt_range
-    if lam1 <= 0:
+    if not lam1 > 0:
         raise RateDomainError(f"lam1 must be positive, got {lam1}", rng)
     ratio = lam2 / lam1
     if not _inside_range(model, ratio):
@@ -494,17 +484,18 @@ def _kernel_dual(model: RateModel, y: float) -> tuple[float, float]:
 def indicator_rate(model: RateModel, lam1: float, lam2: float) -> float:
     """Conjugate rate specialized to an indicator index.
 
-    Splits the weight mass on and off the indicator set and inverts the
-    kernel exponential moment on each part through its dual
+    Splits the weight mass on and off the indicator set (the mass on it is
+    the sum of the moment row q l) and inverts the kernel exponential
+    moment on each part through its dual
     D(y) = min_t [integral exp(t K) dtau - y t]; the displayed closed form
     is then mass - mass_on D(lam2 / mass_on) - mass_off D((lam1 - lam2) / mass_off).
     Outside 0 < lam2 < lam1 the rate is +inf.
     """
     if not isinstance(model.index, IntervalIndicator):
         raise ValueError("the indicator rate requires an indicator index")
-    mass_on = model.weight.integral(model.lvals * model.weight.w)
+    mass_on = float(np.sum(model._rows[1]))
     mass_off = model.weight.mass - mass_on
-    if mass_on <= 0 or mass_off <= 0:
+    if not (mass_on > 0 and mass_off > 0):
         raise RateDomainError(
             f"indicator set must carry positive weight on both sides, got "
             f"({mass_on:.3e}, {mass_off:.3e})"
@@ -582,7 +573,7 @@ def ratio_rate_quadratic(model: RateModel, lam: float) -> float:
     mean0 = tilted_mean(model, 0.0)
     if abs(mean0) >= 1e-10:
         raise ValueError(f"quadratic approximation needs a centered index, mean {mean0:.3e}")
-    second = model.weight.integral(model.lvals**2 * model.weight.w) / model.weight.mass
+    second = float(np.sum(model._rows[2])) / model.weight.mass
     return lam * lam * model.weight.mass / (2.0 * second)
 
 
@@ -602,7 +593,7 @@ def two_sided_rate(model: RateModel, r_true: float, lam: float) -> float:
     at r_true - lam and r_true + lam, by the closed form under the unit
     uniform kernel and by ``ratio_rate`` otherwise.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"deviation width must be positive, got {lam}")
     if not r_true - lam < tilted_mean(model, 0.0) < r_true + lam:
         return 0.0

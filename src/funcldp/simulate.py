@@ -37,7 +37,7 @@ from scipy.special import ndtr, ndtri
 
 from . import ratefn
 from .estimator import Dataset, IndexFunction
-from .funcdata import Curve, Grid, quadrature
+from .funcdata import Curve, Grid
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -93,7 +93,7 @@ class NormalLaw:
     sd: float = 1.0
 
     def __post_init__(self):
-        if self.sd <= 0:
+        if not self.sd > 0:
             raise ValueError(f"normal law needs sd > 0, got {self.sd}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -239,8 +239,9 @@ class LinearFactorModel:
 def default_model(points: int = 101) -> LinearFactorModel:
     """Signal and noise curves with unit integrals and a standard normal response.
 
-    The oscillating parts integrate to zero exactly under the trapezoid
-    rule on a uniform closed grid, so both curve integrals are exactly 1.
+    The oscillating parts integrate to zero under the trapezoid rule on a
+    uniform closed grid, so both curve integrals equal 1 to rounding (a
+    few ulp; ``default_model(201).signal_integral`` is 1 - 2**-53).
     """
     grid = Grid(0.0, 1.0, points)
     t = grid.nodes()
@@ -249,19 +250,13 @@ def default_model(points: int = 101) -> LinearFactorModel:
     return LinearFactorModel(signal, noise, NormalLaw(0.0, 1.0))
 
 
-def sample_dataset(
-    model: LinearFactorModel, n: int, seed: int, zero_noise: bool = False
-) -> Dataset:
-    """Draw n covariate curves and responses; deterministic given the seed.
-
-    ``zero_noise`` freezes the noise coefficients at zero, a degenerate
-    mode for structural checks.
-    """
-    if n < 1:
+def sample_dataset(model: LinearFactorModel, n: int, seed: int) -> Dataset:
+    """Draw n covariate curves and responses; deterministic given the seed."""
+    if not n >= 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
     y = model.y_law.sample(rng, n)
-    eps = np.zeros(n) if zero_noise else rng.standard_normal(n)
+    eps = rng.standard_normal(n)
     x_values = (
         y[:, np.newaxis] * model.signal_curve.values[np.newaxis, :]
         + eps[:, np.newaxis] * model.noise_curve.values[np.newaxis, :]
@@ -276,7 +271,7 @@ def conditional_density(model: LinearFactorModel, x: Curve, v):
     the curve projection of ``x`` lands, scaled by the noise integral.
     """
     v = np.asarray(v, dtype=float)
-    c = quadrature(x.values, x.grid)
+    c = x.integral()
     z = (c - v * model.signal_integral) / model.noise_integral
     out = np.exp(-0.5 * z * z) / (model.noise_integral * math.sqrt(2.0 * math.pi))
     return float(out) if out.ndim == 0 else out
@@ -295,7 +290,7 @@ def induced_weight(
     uniform response the window pads the support so the weight vanishes
     at the edges.
     """
-    c = quadrature(x.values, x.grid)
+    c = x.integral()
     if isinstance(model.y_law, NormalLaw):
         ih, il = model.signal_integral, model.noise_integral
         precision = (ih / il) ** 2 + 1.0 / model.y_law.sd**2
@@ -306,7 +301,7 @@ def induced_weight(
     else:
         pad = 2.0 * (model.y_law.hi - model.y_law.lo) / (nodes - 1)
         v_lo, v_hi = model.y_law.lo - pad, model.y_law.hi + pad
-    v = np.linspace(v_lo, v_hi, nodes)
+    v = Grid(v_lo, v_hi, nodes).nodes()
     w = conditional_density(model, x, v) * model.y_law.pdf(v)
     return ratefn.WeightDensity(v_lo, v_hi, w)
 
@@ -338,10 +333,10 @@ def small_ball_probe(
     resampled; the analytic value is the small-ball scale times the local
     density.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     rng = np.random.default_rng(seed)
-    c = quadrature(x.values, x.grid) - v * model.signal_integral
+    c = x.integral() - v * model.signal_integral
     eps = rng.standard_normal(replicates)
     hits = int(np.count_nonzero(np.abs(c - eps * model.noise_integral) <= radius))
     analytic = model.small_ball_scale(radius) * conditional_density(model, x, v)
@@ -354,14 +349,22 @@ def bandwidth_schedule(n: int, a: float, alpha: float) -> tuple[float, float]:
     h = (log log n / n)^(1/alpha) and phi_h = a * log log n / n; requires
     n >= 16 so the iterated logarithm is positive, a > 0 and alpha > 1.
     """
-    if n < 16:
+    if not n >= 16:
         raise ValueError(f"schedule needs n >= 16, got {n}")
-    if a <= 0:
+    if not a > 0:
         raise ValueError(f"schedule needs a > 0, got {a}")
-    if alpha <= 1:
+    if not alpha > 1:
         raise ValueError(f"schedule needs alpha > 1, got {alpha}")
     ratio = math.log(math.log(n)) / n
     return ratio ** (1.0 / alpha), a * ratio
+
+
+def _whole_numbers(values, name: str) -> tuple[int, ...]:
+    """The values as ints; ValueError names the first one that is not a whole number."""
+    for v in values:
+        if not float(v).is_integer():
+            raise ValueError(f"{name} must be whole numbers, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,23 +380,22 @@ class LadderConfig:
     seed: int
 
     def __post_init__(self):
-        n_values = tuple(int(n) for n in self.n_values)
+        n_values = _whole_numbers(self.n_values, "n_values")
         if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be a nonempty strictly increasing sequence")
         reps = self.replicates
-        if isinstance(reps, int):
+        if np.ndim(reps) == 0:
             reps = (reps,) * len(n_values)
-        else:
-            reps = tuple(int(r) for r in reps)
+        reps = _whole_numbers(reps, "replicates")
         if len(reps) != len(n_values):
             raise ValueError("replicates must be a single int or one per sample size")
-        if reps[0] < 1000:
+        if not reps[0] >= 1000:
             raise ValueError(
                 f"need at least 1000 replicates at the smallest n, got {reps[0]}"
             )
-        if min(reps) < 1:
+        if not min(reps) >= 1:
             raise ValueError(f"need at least 1 replicate at every n, got {list(reps)}")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"deviation width must be positive, got {self.lam}")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "replicates", reps)
@@ -418,7 +420,7 @@ class ExperimentRecord:
 
 def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
+    if not trials >= 1:
         raise ValueError("wilson interval needs at least one trial")
     p = hits / trials
     denom = 1.0 + z * z / trials
@@ -440,10 +442,6 @@ def _check_weight_consistency(
             "rate model weight is inconsistent with the generative model at the "
             "evaluation curve; build it with induced_weight()"
         )
-
-
-def _projection_rates(model: LinearFactorModel, curves: Sequence[Curve]) -> np.ndarray:
-    return np.array([quadrature(x.values, x.grid) for x in curves])
 
 
 def _rung_estimates(
@@ -494,7 +492,7 @@ def _run_ladder(
     theoretical_rate: float,
     index: IndexFunction,
 ) -> list[ExperimentRecord]:
-    centers = _projection_rates(model, class_grid)
+    centers = np.array([x.integral() for x in class_grid])
     r_true = np.array([ratefn.tilted_mean(rm, 0.0) for rm in rate_models])
     records = []
     for n, reps in zip(cfg.n_values, cfg.replicates):

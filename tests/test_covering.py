@@ -18,7 +18,14 @@ from funcldp.covering import (
     shift_class,
 )
 from funcldp.cli import run
-from funcldp.funcdata import Curve, Grid, IntegralDifference, LpDistance, write_curve_csv
+from funcldp.funcdata import (
+    Curve,
+    Grid,
+    IntegralDifference,
+    LpDistance,
+    distance,
+    write_curve_csv,
+)
 from funcldp.simulate import bandwidth_schedule
 
 GRID = Grid(0.0, 1.0, 201)
@@ -126,7 +133,7 @@ class TestShiftClass:
         rng = np.random.default_rng(8)
         for _ in range(60):
             i, j = rng.integers(0, 32, size=2)
-            d = L1.distance(cls.members[i], cls.members[j])
+            d = distance(cls.members[i], cls.members[j], L1)
             assert d <= abs(shifts[i] - shifts[j]) * lip * support + 1e-9
 
     def test_cover_scales_inversely_with_radius(self):
@@ -142,7 +149,7 @@ class TestGreedyCover:
     def test_radius_beyond_diameter(self, bump_scale_class):
         rows = bump_scale_class.values_matrix()
         diameter = max(
-            L1.distance(bump_scale_class.members[i], bump_scale_class.members[j])
+            distance(bump_scale_class.members[i], bump_scale_class.members[j], L1)
             for i in range(0, 64, 7)
             for j in range(0, 64, 7)
         )
@@ -189,7 +196,7 @@ class TestGreedyCover:
 def _family(tag: str, count: int) -> FunctionClass:
     if count == 1:
         base = gaussian_bump() if tag == "scale" else triangle_bump()
-        return FunctionClass((base,), tag=tag)
+        return FunctionClass((base,))
     if tag == "scale":
         return scale_class(gaussian_bump(), 1.0, 2.0, count)
     return shift_class(triangle_bump(), 0.0, 0.4, count)

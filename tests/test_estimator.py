@@ -20,7 +20,9 @@ from funcldp.funcdata import (
     ExpDecayKernel,
     Grid,
     IntegralDifference,
+    LpDistance,
     UniformKernel,
+    distance,
 )
 
 GRID = Grid(0.0, 1.0, 101)
@@ -72,10 +74,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset.from_pairs([])
 
-    def test_curve_accessor(self):
-        data = _const_dataset([0.3], [1.0])
-        np.testing.assert_allclose(data.curve(0).values, 0.3)
-
 
 class TestDelta:
     def test_at_center(self):
@@ -83,9 +81,28 @@ class TestDelta:
         assert delta(x, x, _cfg()) == 1.0
 
     def test_at_bandwidth_edge(self):
+        # the window is closed: a curve at distance exactly h counts in delta and z_n
         x = Curve.constant(GRID, 0.0)
-        xi = Curve.constant(GRID, 0.5)  # distance exactly h
-        assert delta(x, xi, _cfg(h=0.5)) == 1.0
+        xi = Curve.constant(GRID, 0.5)
+        cfg = _cfg(h=distance(x, xi, IntegralDifference()))
+        assert delta(x, xi, cfg) == 1.0
+        assert z_n(x, Dataset.from_pairs([(xi, 1.0)]), IdentityIndex(), cfg).active_count == 1
+
+    @pytest.mark.parametrize("metric", [IntegralDifference(), LpDistance(1.0), LpDistance(2.0)],
+                             ids=repr)
+    @pytest.mark.parametrize("kernel", [UniformKernel(), ExpDecayKernel()], ids=repr)
+    def test_delta_and_z_n_share_the_window(self, metric, kernel):
+        # at h = d both count the pair with weight K(1); one float below d both drop it
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            x, xi = (Curve(GRID, rng.normal(size=GRID.points)) for _ in range(2))
+            data = Dataset.from_pairs([(xi, 1.0)])
+            d = distance(x, xi, metric)
+            for h, count in ((d, 1), (np.nextafter(d, 0.0), 0)):
+                cfg = EstimatorConfig(kernel, metric, h, 1.0)
+                z = z_n(x, data, IdentityIndex(), cfg)
+                assert (z.active_count, z.r_n1) == (count, delta(x, xi, cfg))
+                assert (delta(x, xi, cfg) > 0.0) == bool(count)
 
     def test_outside_support(self):
         x = Curve.constant(GRID, 0.0)

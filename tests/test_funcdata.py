@@ -102,6 +102,17 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quadrature(np.zeros(5), UNIT)
 
+    @pytest.mark.parametrize("points", [2, 101, 4001])
+    def test_one_row_of_the_batched_integral(self, points):
+        # quadrature, Curve.integral and the blocked row integrals share one summation order
+        grid = Grid(-1.0, 2.0, points)
+        rows = np.random.default_rng(points).normal(size=(40, points))
+        batched = funcdata._row_integrals(np.zeros(points), rows, grid, None)
+        np.testing.assert_array_equal([quadrature(row, grid) for row in rows], batched)
+        np.testing.assert_array_equal([Curve(grid, row).integral() for row in rows], batched)
+        np.testing.assert_array_equal([quadrature(row, grid) for row in rows.T.copy().T],
+                                      batched)
+
 
 class TestDistance:
     def test_identity_is_zero(self):
@@ -187,6 +198,15 @@ class TestDistanceToRows:
         np.testing.assert_array_equal(x_values, x_before)
         expected = trapezoid_distances(x_values, rows, grid, metric)
         assert got.shape == (rows.shape[0],)
+        # the scalar distance is the batched one, bitwise: every row within
+        # two of a block edge or of either end
+        step = max(1, funcdata._BLOCK_VALUES // grid.points)
+        count = rows.shape[0]
+        picked = [i for i in range(count)
+                  if min(i % step, step - i % step, i + 1, count - i) <= 2]
+        x = Curve(grid, x_values)
+        scalar = [distance(x, Curve(grid, rows[i]), metric) for i in picked]
+        np.testing.assert_array_equal(scalar, got[picked])
         if isinstance(metric, IntegralDifference):
             # |integral| cancels; bound the error by the integral of |row - x|
             scale = np.trapezoid(np.abs(rows - x_values), dx=grid.spacing, axis=1)

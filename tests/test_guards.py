@@ -1,0 +1,59 @@
+"""Positivity and lower-bound guards reject NaN like any other out-of-range value."""
+
+import math
+
+import pytest
+
+from funcldp import covering, estimator, funcdata, ratefn, simulate
+from funcldp.funcdata import Curve, Grid, IntegralDifference, LpDistance, UniformKernel
+
+NAN = math.nan
+GRID = Grid(0.0, 1.0, 11)
+
+
+def _cover_nan():
+    cls = covering.FunctionClass((Curve.constant(GRID, 0.0), Curve.constant(GRID, 1.0)))
+    covering.greedy_cover(cls, NAN, LpDistance(1.0))
+
+
+def _ladder_lam_nan():
+    simulate.LadderConfig((200,), 2.0, 1.5, NAN, Curve.constant(GRID, 0.0), 1000, 0)
+
+
+def _log_mgf_replicates_nan():
+    cfg = estimator.EstimatorConfig(UniformKernel(), IntegralDifference(), 0.1, 0.2)
+    estimator.finite_n_log_mgf(Curve.constant(GRID, 0.0), None, estimator.IdentityIndex(),
+                               cfg, 0.0, 0.0, NAN, 0)
+
+
+ENTRY_POINTS = {
+    "Grid.points": lambda: Grid(0.0, 1.0, NAN),
+    "LpDistance.p": lambda: LpDistance(NAN),
+    "kernel.scale": lambda: UniformKernel(scale=NAN),
+    "PowerScaling.alpha": lambda: funcdata.PowerScaling(NAN),
+    "EstimatorConfig.bandwidth": lambda: estimator.EstimatorConfig(
+        UniformKernel(), IntegralDifference(), NAN, 1.0),
+    "EstimatorConfig.phi_of_h": lambda: estimator.EstimatorConfig(
+        UniformKernel(), IntegralDifference(), 0.1, NAN),
+    "finite_n_log_mgf.replicates": _log_mgf_replicates_nan,
+    "WeightDensity.gaussian.sd": lambda: ratefn.WeightDensity.gaussian(0.0, NAN),
+    "two_sided_rate.lam": lambda: ratefn.two_sided_rate(
+        ratefn.gaussian_identity_model(nodes=401), 0.0, NAN),
+    "NormalLaw.sd": lambda: simulate.NormalLaw(0.0, NAN),
+    "sample_dataset.n": lambda: simulate.sample_dataset(simulate.default_model(11), NAN, 0),
+    "small_ball_probe.radius": lambda: simulate.small_ball_probe(
+        simulate.default_model(11), Curve.constant(GRID, 0.0), 0.0, NAN, 10, 0),
+    "bandwidth_schedule.n": lambda: simulate.bandwidth_schedule(NAN, 1.0, 1.5),
+    "bandwidth_schedule.a": lambda: simulate.bandwidth_schedule(200, NAN, 1.5),
+    "bandwidth_schedule.alpha": lambda: simulate.bandwidth_schedule(200, 1.0, NAN),
+    "LadderConfig.lam": _ladder_lam_nan,
+    "wilson_interval.trials": lambda: simulate.wilson_interval(0, NAN),
+    "scale_class.count": lambda: covering.scale_class(Curve.constant(GRID, 1.0), 1.0, 2.0, NAN),
+    "greedy_cover.nu": _cover_nan,
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_nan_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()

@@ -275,7 +275,7 @@ class TestTiltedMean:
 
     def test_constant_index_collapses(self):
         weight = WeightDensity.gaussian()
-        const = LipschitzIndex(lambda v: np.full_like(v, 2.5), sup_bound=2.5, tag="const")
+        const = LipschitzIndex(lambda v: np.full_like(v, 2.5), sup_bound=2.5)
         model = RateModel(weight, const, UniformKernel(), IdentityScaling())
         for t in (-3.0, 0.0, 4.0):
             assert tilted_mean(model, t) == pytest.approx(2.5, abs=1e-12)
