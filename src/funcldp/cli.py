@@ -183,12 +183,6 @@ def _weight(spec) -> ratefn.WeightDensity:
     )
 
 
-def _rate_model_at(model: simulate.LinearFactorModel, x: Curve, index) -> ratefn.RateModel:
-    return ratefn.RateModel(
-        simulate.induced_weight(model, x), index, UniformKernel(), IdentityScaling()
-    )
-
-
 def _run_rate(cfg: dict, out: str, seed: int) -> list[str]:
     weight = _field(cfg, "weight", _weight, {"gaussian": {}})
     index = _field(cfg, "index", _index, None)
@@ -262,12 +256,12 @@ def _replicates(value) -> int | tuple[int, ...]:
     return tuple(_integer(r, 1) for r in value) if isinstance(value, list) else _integer(value, 1)
 
 
-def _ladder_config(cfg: dict, x0: Curve, seed: int) -> simulate.LadderConfig:
+def _ladder_config(cfg: dict, seed: int) -> simulate.LadderConfig:
     replicates = _field(cfg, "replicates", _replicates)
     n_values, a, alpha = _schedule(cfg)
     return _checked(
         ("n_values", "lambda", "replicates"), simulate.LadderConfig,
-        tuple(n_values), a, alpha, _field(cfg, "lambda", _number), x0, replicates, seed,
+        tuple(n_values), a, alpha, _field(cfg, "lambda", _number), replicates, seed,
     )
 
 
@@ -280,9 +274,7 @@ def _run_simulate(cfg: dict, out: str, seed: int) -> list[str]:
     model = _field(cfg, "model", _model)
     x0 = _field(cfg, "x0", _curve_on(model.grid))
     index = _field(cfg, "index", _index, None)
-    ladder_cfg = _ladder_config(cfg, x0, seed)
-    rate_model = _rate_model_at(model, x0, index)
-    records = simulate.pointwise_ladder(model, rate_model, ladder_cfg)
+    records = simulate.pointwise_ladder(model, x0, index, _ladder_config(cfg, seed))
     return [_write_ladder(out, "ladder.csv", records)]
 
 
@@ -292,9 +284,7 @@ def _run_uniform(cfg: dict, out: str, seed: int) -> list[str]:
     if not centers:
         raise ConfigError("field 'centers' must be a nonempty list")
     index = _field(cfg, "index", _index, None)
-    ladder_cfg = _ladder_config(cfg, centers[0], seed)
-    rate_models = [_rate_model_at(model, x, index) for x in centers]
-    records = simulate.uniform_ladder(model, centers, rate_models, ladder_cfg)
+    records = simulate.uniform_ladder(model, centers, index, _ladder_config(cfg, seed))
     return [_write_ladder(out, "uniform_ladder.csv", records)]
 
 

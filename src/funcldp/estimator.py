@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -93,18 +93,6 @@ class Dataset:
         self.y = y
         self.x_values.flags.writeable = False
         self.y.flags.writeable = False
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[Curve, float]]) -> "Dataset":
-        if not pairs:
-            raise ValueError("dataset needs at least one pair")
-        grid = pairs[0][0].grid
-        for x, _ in pairs:
-            if x.grid != grid:
-                raise ValueError("all curves in a dataset must share one grid")
-        x_values = np.vstack([x.values for x, _ in pairs])
-        y = np.array([float(v) for _, v in pairs])
-        return cls(grid, x_values, y)
 
     @property
     def n(self) -> int:

@@ -15,7 +15,8 @@ use one fixed Gauss rule for the scaling measure dtau on [0, 1]
 (``_kernel_rule``).  Every minimiser and inverse is a damped Newton
 descent on a convex function (``_newton_minimize``): the inverse of the
 tilted mean is the minimiser of the dual log M(s) - y s, where M is the
-tilted mass.
+tilted mass.  A NaN level raises ``RateDomainError`` rather than reading
+as a rate of 0 or +inf.
 """
 
 from __future__ import annotations
@@ -222,10 +223,17 @@ def tilted_mean_range(model: RateModel) -> TiltRange:
     return model.tilt_range
 
 
+def _level(x: float) -> float:
+    """``x`` itself; ``RateDomainError`` when it is NaN, a level that no rate takes."""
+    if math.isnan(x):
+        raise RateDomainError(f"level {x} is not a number")
+    return x
+
+
 def _inside_range(model: RateModel, level: float) -> bool:
     """Whether ``level`` lies in the reachable range, DOMAIN_MARGIN clear of its ends."""
     rng = model.tilt_range
-    return rng.v0 + DOMAIN_MARGIN < level < rng.v1 - DOMAIN_MARGIN
+    return rng.v0 + DOMAIN_MARGIN < _level(level) < rng.v1 - DOMAIN_MARGIN
 
 
 def _tilt_dual(model: RateModel, y: float, polish: bool = False) -> tuple[float, float]:
@@ -400,7 +408,7 @@ def legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:
     finite exactly when lam1 > 0 and lam2/lam1 lies inside the reachable
     tilted-mean range; elsewhere the rate is +inf without an ascent.
     """
-    if not lam1 > 0 or not _inside_range(model, lam2 / lam1):
+    if not _level(lam1) > 0 or not _inside_range(model, lam2 / lam1):
         return math.inf
     ops = _TiltOps(model)
     lam = np.array([lam1, lam2], dtype=float)
@@ -430,42 +438,19 @@ def closed_rate_uniform(model: RateModel, lam1: float, lam2: float) -> float:
     reachable tilted-mean range; +inf elsewhere.
     """
     _require_plain_uniform(model, "the closed conjugate rate")
-    if not lam1 > 0 or not _inside_range(model, lam2 / lam1):
+    if not _level(lam1) > 0 or not _inside_range(model, lam2 / lam1):
         return math.inf
     dual = _tilt_dual(model, lam2 / lam1)[1]
     # the trapezoid mass and the moment-row dual round apart at the zero
     return max(0.0, lam1 * (math.log(lam1) - 1.0 - dual) + model.weight.mass)
 
 
-def conjugate_stationary_point(model: RateModel, lam1: float, lam2: float) -> tuple[float, float]:
-    """Maximizer of the conjugate objective under the uniform kernel."""
-    _require_plain_uniform(model, "the conjugate stationary point")
-    rng = model.tilt_range
-    if not lam1 > 0:
-        raise RateDomainError(f"lam1 must be positive, got {lam1}", rng)
-    ratio = lam2 / lam1
-    if not _inside_range(model, ratio):
-        raise RateDomainError(f"ratio {ratio} outside ({rng.v0}, {rng.v1})", rng)
-    s = tilted_mean_inverse(model, ratio)
-    return math.log(lam1) - _tilted_moments(model, s)[0], s
-
-
-def tilted_kernel_moment(model: RateModel, t: float) -> float:
-    """Kernel exponential moment integral_0^1 K(u) exp(t K(u)) dtau(u).
-
-    Strictly increasing in t; evaluated with the Gauss rule for dtau of
-    ``_kernel_rule``.
-    """
-    k, weights = _kernel_rule(model)
-    return float((weights * k).dot(np.exp(t * k)))
-
-
 def _kernel_dual(model: RateModel, y: float) -> tuple[float, float]:
     """Minimiser and minimum of the convex dual integral exp(t K) dtau - y t, y > 0.
 
     The minimiser inverts the kernel exponential moment: the gradient is
-    ``tilted_kernel_moment`` less y, the Hessian integral K^2 exp(t K) dtau,
-    all from the Gauss rule for dtau.  Newton starts at the root of the
+    the moment integral K exp(t K) dtau less y, the Hessian integral
+    K^2 exp(t K) dtau, all from the Gauss rule for dtau.  Newton starts at the root of the
     log-linear model of the moment at t = 0, which is exact for a flat kernel.
     """
     k, weights = _kernel_rule(model)
@@ -500,7 +485,7 @@ def indicator_rate(model: RateModel, lam1: float, lam2: float) -> float:
             f"indicator set must carry positive weight on both sides, got "
             f"({mass_on:.3e}, {mass_off:.3e})"
         )
-    if not 0.0 < lam2 < lam1:
+    if not 0.0 < _level(lam2) < _level(lam1):
         return math.inf
     return (model.weight.mass - mass_on * _kernel_dual(model, lam2 / mass_on)[1]
             - mass_off * _kernel_dual(model, (lam1 - lam2) / mass_off)[1])
@@ -595,7 +580,7 @@ def two_sided_rate(model: RateModel, r_true: float, lam: float) -> float:
     """
     if not lam > 0:
         raise ValueError(f"deviation width must be positive, got {lam}")
-    if not r_true - lam < tilted_mean(model, 0.0) < r_true + lam:
+    if not _level(r_true) - lam < tilted_mean(model, 0.0) < r_true + lam:
         return 0.0
     gamma = ratio_rate_closed if _is_plain_uniform(model) else ratio_rate
     return min(gamma(model, r_true - lam), gamma(model, r_true + lam))

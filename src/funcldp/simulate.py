@@ -37,7 +37,7 @@ from scipy.special import ndtr, ndtri
 
 from . import ratefn
 from .estimator import Dataset, IndexFunction
-from .funcdata import Curve, Grid
+from .funcdata import Curve, Grid, IdentityScaling, UniformKernel
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -375,7 +375,6 @@ class LadderConfig:
     a: float
     alpha: float
     lam: float
-    x0: Curve
     replicates: tuple[int, ...]
     seed: int
 
@@ -431,19 +430,6 @@ def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple[float
     return lo, hi
 
 
-def _check_weight_consistency(
-    model: LinearFactorModel, x: Curve, rate_model: ratefn.RateModel
-) -> None:
-    nodes = rate_model.weight.nodes
-    expected = conditional_density(model, x, nodes) * model.y_law.pdf(nodes)
-    scale = float(np.max(expected))
-    if scale <= 0 or np.max(np.abs(expected - rate_model.weight.w)) > 1e-6 * scale:
-        raise ValueError(
-            "rate model weight is inconsistent with the generative model at the "
-            "evaluation curve; build it with induced_weight()"
-        )
-
-
 def _rung_estimates(
     model: LinearFactorModel,
     index: IndexFunction,
@@ -487,13 +473,23 @@ def _rung_estimates(
 def _run_ladder(
     model: LinearFactorModel,
     class_grid: Sequence[Curve],
-    rate_models: Sequence[ratefn.RateModel],
-    cfg: LadderConfig,
-    theoretical_rate: float,
     index: IndexFunction,
+    cfg: LadderConfig,
 ) -> list[ExperimentRecord]:
+    """Ladder records for the worst deviation over the centers in ``class_grid``.
+
+    The theory column is the class rate of the estimator that the rungs
+    simulate: at each center the rate model pairs the induced weight with
+    ``index``, the uniform kernel and the identity small-ball scaling.
+    """
+    rate_models = [
+        ratefn.RateModel(induced_weight(model, x), index, UniformKernel(), IdentityScaling())
+        for x in class_grid
+    ]
+    entries = [(rm, ratefn.tilted_mean(rm, 0.0)) for rm in rate_models]
+    theoretical_rate = ratefn.class_rate(entries, cfg.lam)
     centers = np.array([x.integral() for x in class_grid])
-    r_true = np.array([ratefn.tilted_mean(rm, 0.0) for rm in rate_models])
+    r_true = np.array([r for _, r in entries])
     records = []
     for n, reps in zip(cfg.n_values, cfg.replicates):
         h, _ = bandwidth_schedule(n, cfg.a, cfg.alpha)
@@ -520,26 +516,25 @@ def _run_ladder(
 
 def pointwise_ladder(
     model: LinearFactorModel,
-    rate_model: ratefn.RateModel,
+    x0: Curve,
+    index: IndexFunction,
     cfg: LadderConfig,
 ) -> list[ExperimentRecord]:
-    """Rare-event ladder for the deviation of the estimate at one curve.
+    """Rare-event ladder for the deviation of the estimate at the curve ``x0``.
 
     At each sample size the bandwidth comes from the schedule, the
     estimate uses the uniform kernel, and the decay is normalized by the
     generative model's own small-ball scale at that bandwidth.  The
-    theoretical column is the two-sided deviation rate of the rate model.
+    theoretical column is the two-sided deviation rate of that estimator
+    at ``x0``.
     """
-    _check_weight_consistency(model, cfg.x0, rate_model)
-    r_true = ratefn.tilted_mean(rate_model, 0.0)
-    theory = ratefn.two_sided_rate(rate_model, r_true, cfg.lam)
-    return _run_ladder(model, [cfg.x0], [rate_model], cfg, theory, rate_model.index)
+    return _run_ladder(model, [x0], index, cfg)
 
 
 def uniform_ladder(
     model: LinearFactorModel,
     class_grid: Sequence[Curve],
-    rate_models: Sequence[ratefn.RateModel],
+    index: IndexFunction,
     cfg: LadderConfig,
 ) -> list[ExperimentRecord]:
     """Ladder for the worst deviation over a finite grid of centers.
@@ -549,15 +544,8 @@ def uniform_ladder(
     """
     if not class_grid:
         raise ValueError("uniform ladder needs a nonempty class grid")
-    if len(class_grid) != len(rate_models):
-        raise ValueError("need one rate model per center")
     grid = class_grid[0].grid
     for x in class_grid:
         if x.grid != grid:
             raise ValueError("all class centers must share one grid")
-    for x, rm in zip(class_grid, rate_models):
-        _check_weight_consistency(model, x, rm)
-    entries = [(rm, ratefn.tilted_mean(rm, 0.0)) for rm in rate_models]
-    theory = ratefn.class_rate(entries, cfg.lam)
-    return _run_ladder(model, class_grid, rate_models, cfg, theory, rate_models[0].index)
-
+    return _run_ladder(model, class_grid, index, cfg)

@@ -1,12 +1,18 @@
-"""Kernel derivatives and scaling-profile maps, written out for the test oracles.
+"""Kernel calculus written out for the test oracles.
 
 The library integrates against dtau with a Gauss rule in u and never
 needs K', tau or the inverse of tau; the K' and by-parts oracles of the
 limit log-MGF in ``test_ratefn`` do, and ``test_funcdata`` checks them.
+The kernel exponential moment and the conjugate's stationary point are
+quantities the rate layer only reaches through its duals; ``test_ratefn``
+checks them against quadrature and closed forms.
 """
+
+import math
 
 import numpy as np
 
+from funcldp import ratefn
 from funcldp.funcdata import AffineKernel, ExpDecayKernel
 
 
@@ -34,3 +40,19 @@ def tau(profile, u):
 
 def tau_inverse(profile, w):
     return np.asarray(w, dtype=float) ** (1.0 / getattr(profile, "alpha", 1.0))
+
+
+def tilted_kernel_moment(model, t: float) -> float:
+    """Kernel exponential moment integral_0^1 K(u) exp(t K(u)) dtau(u), by the Gauss rule."""
+    k, weights = ratefn._kernel_rule(model)
+    return float((weights * k).dot(np.exp(t * k)))
+
+
+def conjugate_stationary_point(model, lam1: float, lam2: float) -> tuple[float, float]:
+    """Maximiser (t1, t2) of the conjugate objective under the unit uniform kernel.
+
+    t2 is the tilt whose tilted mean is lam2 / lam1, and t1 is log lam1
+    less the log tilted mass at t2.
+    """
+    t2 = ratefn.tilted_mean_inverse(model, lam2 / lam1)
+    return math.log(lam1) - ratefn._tilted_moments(model, t2)[0], t2

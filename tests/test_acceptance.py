@@ -146,14 +146,14 @@ def test_criterion_06_finite_n_log_mgf_convergence():
           f"{[f'{e:.4f}' for e in errors]} vs limit {target:.5f}")
 
 
-def test_criterion_07_pointwise_ladder(factor_model, induced_rate_model, zero_curve):
+def test_criterion_07_pointwise_ladder(factor_model, zero_curve):
     """Empirical decay rates fall monotonically toward the two-sided rate."""
     started = time.time()
     cfg = simulate.LadderConfig(
-        (200, 500, 1000, 2000), 2.0, 1.5, 1.0, zero_curve,
+        (200, 500, 1000, 2000), 2.0, 1.5, 1.0,
         (50_000, 200_000, 400_000, 800_000), seed=20260809,
     )
-    records = simulate.pointwise_ladder(factor_model, induced_rate_model, cfg)
+    records = simulate.pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
     elapsed = time.time() - started
     rates = [r.empirical_rate for r in records]
     beta = records[0].theoretical_rate
@@ -168,27 +168,19 @@ def test_criterion_07_pointwise_ladder(factor_model, induced_rate_model, zero_cu
 def test_criterion_08_uniform_ladder(factor_model):
     """Worst-deviation rates track the class rate and sit below every center's."""
     centers = [Curve.constant(factor_model.grid, c) for c in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-    rate_models = [
-        ratefn.RateModel(
-            simulate.induced_weight(factor_model, x), IdentityIndex(), UniformKernel(),
-            IdentityScaling(),
-        )
-        for x in centers
-    ]
     cfg = simulate.LadderConfig(
-        (200, 500, 1000, 2000), 2.0, 1.5, 1.0, centers[0],
+        (200, 500, 1000, 2000), 2.0, 1.5, 1.0,
         (20_000, 20_000, 40_000, 60_000), seed=5150,
     )
-    records = simulate.uniform_ladder(factor_model, centers, rate_models, cfg)
+    records = simulate.uniform_ladder(factor_model, centers, IdentityIndex(), cfg)
     rho = records[0].theoretical_rate
     gaps = [abs(r.empirical_rate - rho) / rho for r in records]
     assert all(gap <= 0.30 for gap in gaps)
     final = records[-1]
-    for j, (x, rate_model) in enumerate(zip(centers, rate_models)):
-        comparator_cfg = simulate.LadderConfig(
-            (2000,), 2.0, 1.5, 1.0, x, 50_000, seed=6000 + j
-        )
-        pointwise = simulate.pointwise_ladder(factor_model, rate_model, comparator_cfg)[0]
+    for j, x in enumerate(centers):
+        comparator_cfg = simulate.LadderConfig((2000,), 2.0, 1.5, 1.0, 50_000, seed=6000 + j)
+        pointwise = simulate.pointwise_ladder(factor_model, x, IdentityIndex(),
+                                              comparator_cfg)[0]
         noise = (
             math.log(pointwise.wilson_high) - math.log(max(pointwise.wilson_low, 1e-300))
         ) / (2 * pointwise.n * pointwise.phi_h)

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from funcldp import covering
 from funcldp.covering import (
     CoverReport,
     FunctionClass,
@@ -219,19 +218,6 @@ class TestCenterByCenterGreedy:
             report = greedy_cover(cls, nu, metric)
             assert report.centers == matrix_greedy_centers(cls, nu, metric)
             assert report.n_cover == len(report.centers)
-
-    def test_post_check_fires(self, bump_scale_class, monkeypatch):
-        nu = 0.05
-        radii = covering.coverage_radii
-
-        def one_member_out(cls, report, metric):
-            out = radii(cls, report, metric)
-            out[7] = 2.0 * nu
-            return out
-
-        monkeypatch.setattr(covering, "coverage_radii", one_member_out)
-        with pytest.raises(AssertionError, match="post-check"):
-            greedy_cover(bump_scale_class, nu, L1)
 
     def test_large_class_memory_and_time(self):
         grid = Grid(0.0, 1.0, 101)

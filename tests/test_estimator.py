@@ -32,9 +32,14 @@ def _cfg(h=0.5, phi=1.0, kernel=None):
     return EstimatorConfig(kernel or UniformKernel(), IntegralDifference(), h, phi)
 
 
+def _from_pairs(pairs) -> Dataset:
+    """A dataset of (curve, response) pairs, on the grid of the first curve."""
+    return Dataset(pairs[0][0].grid, np.vstack([x.values for x, _ in pairs]),
+                   [y for _, y in pairs])
+
+
 def _const_dataset(values, y):
-    pairs = [(Curve.constant(GRID, v), yi) for v, yi in zip(values, y)]
-    return Dataset.from_pairs(pairs)
+    return _from_pairs([(Curve.constant(GRID, v), yi) for v, yi in zip(values, y)])
 
 
 class TestIndexFunctions:
@@ -62,17 +67,13 @@ class TestIndexFunctions:
 
 class TestDataset:
     def test_grid_consistency(self):
-        other = Grid(0.0, 2.0, 101)
-        pairs = [
-            (Curve.constant(GRID, 0.0), 1.0),
-            (Curve.constant(other, 0.0), 2.0),
-        ]
-        with pytest.raises(ValueError):
-            Dataset.from_pairs(pairs)
+        # curve rows must have one value per grid node
+        with pytest.raises(ValueError, match="x_values"):
+            Dataset(GRID, np.zeros((2, 51)), [1.0, 2.0])
 
     def test_nonempty(self):
-        with pytest.raises(ValueError):
-            Dataset.from_pairs([])
+        with pytest.raises(ValueError, match="at least one pair"):
+            Dataset(GRID, np.zeros((0, 101)), [])
 
 
 class TestDelta:
@@ -86,7 +87,7 @@ class TestDelta:
         xi = Curve.constant(GRID, 0.5)
         cfg = _cfg(h=distance(x, xi, IntegralDifference()))
         assert delta(x, xi, cfg) == 1.0
-        assert z_n(x, Dataset.from_pairs([(xi, 1.0)]), IdentityIndex(), cfg).active_count == 1
+        assert z_n(x, _from_pairs([(xi, 1.0)]), IdentityIndex(), cfg).active_count == 1
 
     @pytest.mark.parametrize("metric", [IntegralDifference(), LpDistance(1.0), LpDistance(2.0)],
                              ids=repr)
@@ -96,7 +97,7 @@ class TestDelta:
         rng = np.random.default_rng(17)
         for _ in range(20):
             x, xi = (Curve(GRID, rng.normal(size=GRID.points)) for _ in range(2))
-            data = Dataset.from_pairs([(xi, 1.0)])
+            data = _from_pairs([(xi, 1.0)])
             d = distance(x, xi, metric)
             for h, count in ((d, 1), (np.nextafter(d, 0.0), 0)):
                 cfg = EstimatorConfig(kernel, metric, h, 1.0)

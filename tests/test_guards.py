@@ -1,4 +1,5 @@
-"""Positivity and lower-bound guards reject NaN like any other out-of-range value."""
+"""Positivity and lower-bound guards reject NaN like any other out-of-range value,
+and a NaN level raises in the rate layer instead of reading as a rate."""
 
 import math
 
@@ -9,6 +10,7 @@ from funcldp.funcdata import Curve, Grid, IntegralDifference, LpDistance, Unifor
 
 NAN = math.nan
 GRID = Grid(0.0, 1.0, 11)
+MODEL = ratefn.gaussian_identity_model(nodes=401)
 
 
 def _cover_nan():
@@ -17,7 +19,7 @@ def _cover_nan():
 
 
 def _ladder_lam_nan():
-    simulate.LadderConfig((200,), 2.0, 1.5, NAN, Curve.constant(GRID, 0.0), 1000, 0)
+    simulate.LadderConfig((200,), 2.0, 1.5, NAN, 1000, 0)
 
 
 def _log_mgf_replicates_nan():
@@ -37,8 +39,7 @@ ENTRY_POINTS = {
         UniformKernel(), IntegralDifference(), 0.1, NAN),
     "finite_n_log_mgf.replicates": _log_mgf_replicates_nan,
     "WeightDensity.gaussian.sd": lambda: ratefn.WeightDensity.gaussian(0.0, NAN),
-    "two_sided_rate.lam": lambda: ratefn.two_sided_rate(
-        ratefn.gaussian_identity_model(nodes=401), 0.0, NAN),
+    "two_sided_rate.lam": lambda: ratefn.two_sided_rate(MODEL, 0.0, NAN),
     "NormalLaw.sd": lambda: simulate.NormalLaw(0.0, NAN),
     "sample_dataset.n": lambda: simulate.sample_dataset(simulate.default_model(11), NAN, 0),
     "small_ball_probe.radius": lambda: simulate.small_ball_probe(
@@ -50,6 +51,15 @@ ENTRY_POINTS = {
     "wilson_interval.trials": lambda: simulate.wilson_interval(0, NAN),
     "scale_class.count": lambda: covering.scale_class(Curve.constant(GRID, 1.0), 1.0, 2.0, NAN),
     "greedy_cover.nu": _cover_nan,
+    "two_sided_rate.r_true": lambda: ratefn.two_sided_rate(MODEL, NAN, 1.0),
+    "class_rate.r_true": lambda: ratefn.class_rate([(MODEL, NAN)], 1.0),
+    "ratio_rate.lam": lambda: ratefn.ratio_rate(MODEL, NAN),
+    "ratio_rate_closed.lam": lambda: ratefn.ratio_rate_closed(MODEL, NAN),
+    "legendre_rate.lam2": lambda: ratefn.legendre_rate(MODEL, 1.0, NAN),
+    "closed_rate_uniform.lam1": lambda: ratefn.closed_rate_uniform(MODEL, NAN, 0.0),
+    "indicator_rate.lam2": lambda: ratefn.indicator_rate(ratefn.RateModel(
+        MODEL.weight, estimator.IntervalIndicator(((0.0, math.inf),)), UniformKernel(),
+        funcdata.IdentityScaling()), 1.0, NAN),
 }
 
 

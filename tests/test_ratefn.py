@@ -25,7 +25,6 @@ from funcldp.ratefn import (
     WeightDensity,
     class_rate,
     closed_rate_uniform,
-    conjugate_stationary_point,
     gaussian_identity_model,
     indicator_rate,
     legendre_rate,
@@ -35,13 +34,13 @@ from funcldp.ratefn import (
     ratio_rate_closed,
     ratio_rate_derivatives,
     ratio_rate_quadratic,
-    tilted_kernel_moment,
     tilted_mean,
     tilted_mean_inverse,
     tilted_mean_range,
     two_sided_rate,
 )
-from kernel_calculus import kernel_prime, tau, tau_inverse
+from kernel_calculus import (conjugate_stationary_point, kernel_prime, tau, tau_inverse,
+                             tilted_kernel_moment)
 
 
 def gaussian_pair_rate(lam1: float, lam2: float) -> float:

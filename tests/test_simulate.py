@@ -28,10 +28,9 @@ from funcldp.simulate import (
 )
 
 
-def _identity_rate_model(model, x):
-    return ratefn.RateModel(
-        induced_weight(model, x), IdentityIndex(), UniformKernel(), IdentityScaling()
-    )
+def _rate_model(model, x, index=IdentityIndex()):
+    """The uniform-kernel rate model of ``index`` at the curve ``x``, built by hand."""
+    return ratefn.RateModel(induced_weight(model, x), index, UniformKernel(), IdentityScaling())
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +280,18 @@ class TestWilsonInterval:
 
 
 class TestLadderConfig:
-    def test_increasing_n_required(self, zero_curve):
+    def test_increasing_n_required(self):
         with pytest.raises(ValueError):
-            LadderConfig((200, 200), 2.0, 1.5, 1.0, zero_curve, 1000, 0)
+            LadderConfig((200, 200), 2.0, 1.5, 1.0, 1000, 0)
 
-    def test_minimum_replicates(self, zero_curve):
+    def test_minimum_replicates(self):
         with pytest.raises(ValueError, match="1000"):
-            LadderConfig((200,), 2.0, 1.5, 1.0, zero_curve, 10, 0)
+            LadderConfig((200,), 2.0, 1.5, 1.0, 10, 0)
 
     @pytest.mark.parametrize("later", [0, -5])
-    def test_every_rung_needs_a_replicate(self, zero_curve, later):
+    def test_every_rung_needs_a_replicate(self, later):
         with pytest.raises(ValueError, match="replicate"):
-            LadderConfig((200, 500), 2.0, 1.5, 1.0, zero_curve, (1000, later), 0)
+            LadderConfig((200, 500), 2.0, 1.5, 1.0, (1000, later), 0)
 
     @pytest.mark.parametrize("n_values,replicates,bad", [
         ((200.7, 500), 1000, "200.7"),
@@ -301,19 +300,19 @@ class TestLadderConfig:
         ((200, 500), 1000.5, "1000.5"),
         ((200, math.nan), 1000, "nan"),
     ])
-    def test_non_integral_sizes_rejected(self, zero_curve, n_values, replicates, bad):
+    def test_non_integral_sizes_rejected(self, n_values, replicates, bad):
         with pytest.raises(ValueError, match=re.escape(bad)):
-            LadderConfig(n_values, 2.0, 1.5, 1.0, zero_curve, replicates, 0)
+            LadderConfig(n_values, 2.0, 1.5, 1.0, replicates, 0)
 
-    def test_replicates_broadcast(self, zero_curve):
-        cfg = LadderConfig((200, 500), 2.0, 1.5, 1.0, zero_curve, 1000, 0)
+    def test_replicates_broadcast(self):
+        cfg = LadderConfig((200, 500), 2.0, 1.5, 1.0, 1000, 0)
         assert cfg.replicates == (1000, 1000)
 
 
 @pytest.fixture(scope="module")
-def ladder(factor_model, induced_rate_model, zero_curve):
-    cfg = LadderConfig((200, 500), 2.0, 1.5, 1.0, zero_curve, (4000, 4000), seed=314)
-    return pointwise_ladder(factor_model, induced_rate_model, cfg)
+def ladder(factor_model, zero_curve):
+    cfg = LadderConfig((200, 500), 2.0, 1.5, 1.0, (4000, 4000), seed=314)
+    return pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
 
 
 class TestPointwiseLadder:
@@ -338,35 +337,24 @@ class TestPointwiseLadder:
             paths.append(tmp_path / name / "ladder.csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_impossible_width_flags_zero_hits(self, factor_model, induced_rate_model,
-                                              zero_curve):
-        cfg = LadderConfig((200,), 2.0, 1.5, 50.0, zero_curve, 1000, seed=161)
-        records = pointwise_ladder(factor_model, induced_rate_model, cfg)
+    def test_impossible_width_flags_zero_hits(self, factor_model, zero_curve):
+        cfg = LadderConfig((200,), 2.0, 1.5, 50.0, 1000, seed=161)
+        records = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
         assert records[0].flag == "zero_hits"
         assert records[0].hits == 0
         # the reported rate is the Wilson lower bound on the decay
         assert records[0].empirical_rate > 0.0
 
-    def test_hit_probability_monotone_in_width(self, factor_model, induced_rate_model,
-                                               zero_curve):
+    def test_hit_probability_monotone_in_width(self, factor_model, zero_curve):
         p_hats, intervals = [], []
         for lam in (0.5, 1.0, 1.5):
-            cfg = LadderConfig((200,), 2.0, 1.5, lam, zero_curve, 4000, seed=777)
-            record = pointwise_ladder(factor_model, induced_rate_model, cfg)[0]
+            cfg = LadderConfig((200,), 2.0, 1.5, lam, 4000, seed=777)
+            record = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)[0]
             p_hats.append(record.p_hat)
             intervals.append((record.wilson_low, record.wilson_high))
         for (lo_wide, _), (_, hi_narrow) in zip(intervals, intervals[1:]):
             assert hi_narrow >= lo_wide * 0.0  # intervals exist
         assert p_hats[0] >= p_hats[1] >= p_hats[2]
-
-    def test_weight_consistency_enforced(self, factor_model, zero_curve):
-        wrong = ratefn.RateModel(
-            ratefn.WeightDensity.gaussian(1.0, 2.0), IdentityIndex(), UniformKernel(),
-            IdentityScaling(),
-        )
-        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, zero_curve, 1000, seed=0)
-        with pytest.raises(ValueError, match="inconsistent"):
-            pointwise_ladder(factor_model, wrong, cfg)
 
     def test_matches_full_estimator_path(self, factor_model, induced_rate_model, zero_curve):
         # replay the reference sampler's replicate streams through the generic
@@ -394,36 +382,43 @@ class TestPointwiseLadder:
 
 
 class TestUniformLadder:
-    def test_singleton_matches_pointwise(self, factor_model, induced_rate_model, zero_curve):
-        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, zero_curve, 2000, seed=909)
-        single = uniform_ladder(factor_model, [zero_curve], [induced_rate_model], cfg)
-        point = pointwise_ladder(factor_model, induced_rate_model, cfg)
+    def test_singleton_matches_pointwise(self, factor_model, zero_curve):
+        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, 2000, seed=909)
+        single = uniform_ladder(factor_model, [zero_curve], IdentityIndex(), cfg)
+        point = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
         assert single == point
 
     def test_union_event_dominates_centers(self, factor_model):
         centers = [Curve.constant(factor_model.grid, c) for c in (-0.5, 0.0, 0.5)]
-        models = [_identity_rate_model(factor_model, x) for x in centers]
-        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, centers[0], 4000, seed=31415)
-        union = uniform_ladder(factor_model, centers, models, cfg)[0]
-        for x, rm in zip(centers, models):
-            cfg_x = LadderConfig((200,), 2.0, 1.5, 1.0, x, 4000, seed=31415)
-            single = pointwise_ladder(factor_model, rm, cfg_x)[0]
+        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, 4000, seed=31415)
+        union = uniform_ladder(factor_model, centers, IdentityIndex(), cfg)[0]
+        for x in centers:
+            single = pointwise_ladder(factor_model, x, IdentityIndex(), cfg)[0]
             assert union.p_hat >= single.p_hat - (single.wilson_high - single.wilson_low)
 
     def test_theoretical_rate_is_class_minimum(self, factor_model):
         centers = [Curve.constant(factor_model.grid, c) for c in (-1.0, 0.0, 1.0)]
-        models = [_identity_rate_model(factor_model, x) for x in centers]
-        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, centers[0], 1000, seed=1)
-        records = uniform_ladder(factor_model, centers, models, cfg)
+        models = [_rate_model(factor_model, x) for x in centers]
+        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, 1000, seed=1)
+        records = uniform_ladder(factor_model, centers, IdentityIndex(), cfg)
         betas = [
             ratefn.two_sided_rate(m, ratefn.tilted_mean(m, 0.0), 1.0) for m in models
         ]
         assert records[0].theoretical_rate == pytest.approx(min(betas), abs=1e-12)
 
-    def test_center_count_mismatch(self, factor_model, induced_rate_model, zero_curve):
-        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, zero_curve, 1000, seed=1)
-        with pytest.raises(ValueError):
-            uniform_ladder(factor_model, [zero_curve, zero_curve], [induced_rate_model], cfg)
+    def test_indicator_index_pairs_theory_and_sampler(self, factor_model):
+        # both halves of the ladder see the half-line indicator at every center
+        index = IntervalIndicator(((0.0, math.inf),))
+        centers = [Curve.constant(factor_model.grid, c) for c in (-0.5, 0.5)]
+        n, reps, lam, seed = 500, 3000, 0.3, 8112
+        cfg = LadderConfig((n,), 2.0, 1.5, lam, reps, seed=seed)
+        record = uniform_ladder(factor_model, centers, index, cfg)[0]
+        entries = [(m, ratefn.tilted_mean(m, 0.0))
+                   for m in (_rate_model(factor_model, x, index) for x in centers)]
+        assert record.theoretical_rate == ratefn.class_rate(entries, lam)
+        worst, _ = sampler_rung(factor_model, index, [x.integral() for x in centers],
+                                [r for _, r in entries], n, record.h, seed, reps)
+        assert record.hits == int(np.count_nonzero(worst > lam)) > 0
 
 
 def _uniform_response_model(factor_model, signal_scale):
@@ -517,11 +512,11 @@ class TestSufficientStatisticSampler:
             assert ks_2samp(p, p_all[inside]).pvalue > _TAIL
             assert ks_2samp(y, y_all[inside]).pvalue > _TAIL
 
-    def test_million_observation_rung(self, factor_model, induced_rate_model, zero_curve):
+    def test_million_observation_rung(self, factor_model, zero_curve):
         n, reps = 10**6, 2000
         started = time.perf_counter()
-        cfg = LadderConfig((n,), 2.0, 1.5, 1.0, zero_curve, reps, seed=8109)
-        record = pointwise_ladder(factor_model, induced_rate_model, cfg)[0]
+        cfg = LadderConfig((n,), 2.0, 1.5, 1.0, reps, seed=8109)
+        record = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)[0]
         assert time.perf_counter() - started < 20.0
         assert record.replicates == reps and record.n == n
         h, _ = bandwidth_schedule(n, 2.0, 1.5)
@@ -532,8 +527,8 @@ class TestSufficientStatisticSampler:
     def test_ladder_hits_come_from_the_rung_stream(self, factor_model, induced_rate_model,
                                                    zero_curve):
         n, reps, lam, seed = 500, 3000, 0.8, 8111
-        cfg = LadderConfig((n,), 2.0, 1.5, lam, zero_curve, reps, seed=seed)
-        record = pointwise_ladder(factor_model, induced_rate_model, cfg)[0]
+        cfg = LadderConfig((n,), 2.0, 1.5, lam, reps, seed=seed)
+        record = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)[0]
         r_true = ratefn.tilted_mean(induced_rate_model, 0.0)
         worst, _ = sampler_rung(factor_model, IdentityIndex(), [0.0], [r_true], n, record.h,
                                 seed, reps)
