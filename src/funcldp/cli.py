@@ -233,11 +233,8 @@ def _run_estimate(cfg: dict, out: str, seed: int) -> list[str]:
 
     configs = _field(cfg, "h_values", _list_of(estimator_config))
     data = simulate.sample_dataset(model, n, seed)
-    rows = []
-    for est_cfg in configs:
-        z = z_n(x0, data, index, est_cfg)
-        rows.append((est_cfg.bandwidth, est_cfg.phi_of_h, z.r_n1, z.r_n2, z.r_hat,
-                     z.active_count))
+    rows = [(c.bandwidth, c.phi_of_h, z.r_n1, z.r_n2, z.r_hat, z.active_count)
+            for c, z in zip(configs, z_n(x0, data, index, configs))]
     return [_write_csv(out, "estimate.csv",
                        ["h", "phi_h", "r_n1", "r_n2", "r_hat", "active_count"], rows)]
 

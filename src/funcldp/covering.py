@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcdata import Curve, Grid, SemiMetric
+from .funcdata import Curve, Grid, SemiMetric, quadrature
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,27 +78,54 @@ def scale_class(base: Curve, a_lo: float, a_hi: float, count: int) -> FunctionCl
     return FunctionClass(tuple(members), undersampled=undersampled)
 
 
+# Largest fraction of the base curve's L1 mass that a shift class may push
+# past the ends of the grid.
+_CLIP_TOLERANCE = 1e-6
+
+
+def _clipped_mass(magnitude: np.ndarray, grid: Grid, shift: float) -> float:
+    """Trapezoid mass of the piecewise-linear ``magnitude`` that a shift pushes off the grid.
+
+    A shift t > 0 pushes [t_max - t, t_max] past the right end; t < 0 is
+    the mirror case at the left end.
+    """
+    if shift < 0:
+        magnitude, shift = magnitude[::-1], -shift
+    cut = max(grid.points - 1 - shift / grid.spacing, 0.0)  # node position of t_max - shift
+    k = min(int(cut), grid.points - 2)  # the cut lies in the cell [k, k + 1]
+    theta = cut - k
+    at_cut = magnitude[k] + theta * (magnitude[k + 1] - magnitude[k])
+    mass = 0.5 * (1.0 - theta) * grid.spacing * (at_cut + magnitude[k + 1])
+    tail = magnitude[k + 1:]
+    if tail.size >= 2:
+        mass += quadrature(tail, Grid(0.0, (tail.size - 1) * grid.spacing, tail.size))
+    return float(mass)
+
+
 def shift_class(base: Curve, t_lo: float, t_hi: float, count: int) -> FunctionClass:
     """Members base(. - t) for shifts t on a uniform grid of [t_lo, t_hi].
 
-    The base curve must have its support strictly inside the grid window
-    after every shift; otherwise mass would be clipped away and the
-    Lipschitz-in-shift structure lost.
+    A shift may push at most ``_CLIP_TOLERANCE`` of the base curve's L1
+    mass (trapezoid mass of |base|, linearly interpolated) past the grid
+    window; more would clip the support and lose the Lipschitz-in-shift
+    structure.  The clipped mass grows with |t|, so the two end shifts
+    bound it.
     """
     if not count >= 2:
         raise ValueError(f"shift class needs at least 2 members, got {count}")
     grid = base.grid
-    support = np.nonzero(np.abs(base.values) > 0.0)[0]
-    if support.size == 0:
+    magnitude = np.abs(base.values)
+    total = quadrature(magnitude, grid)
+    if not total > 0:
         raise ValueError("shift class needs a base curve with nonempty support")
-    nodes = grid.nodes()
-    lo_support, hi_support = nodes[support[0]], nodes[support[-1]]
     for t in (t_lo, t_hi):
-        if lo_support + t < grid.t_min - 1e-12 or hi_support + t > grid.t_max + 1e-12:
+        clipped = _clipped_mass(magnitude, grid, t) / total
+        if not clipped <= _CLIP_TOLERANCE:
             raise ValueError(
-                f"shift {t} pushes the base support [{lo_support}, {hi_support}] "
-                f"outside the grid window [{grid.t_min}, {grid.t_max}]"
+                f"shift {t} pushes {clipped:.3g} of the base support's L1 mass outside "
+                f"the grid window [{grid.t_min}, {grid.t_max}], more than {_CLIP_TOLERANCE:g}"
             )
+    nodes = grid.nodes()
     members = []
     for t in np.linspace(t_lo, t_hi, count):
         members.append(Curve(grid, np.interp(nodes - t, nodes, base.values, left=0.0, right=0.0)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -130,18 +130,29 @@ class RegressionEstimate:
     active_count: int
 
 
-def _weights(x: Curve, rows: np.ndarray, grid: Grid,
-             cfg: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel weights K(d(x, row)/h) of the rows and the window u = d/h <= 1.
+def _distances(x: Curve, rows: np.ndarray, grid: Grid, metric: SemiMetric) -> np.ndarray:
+    """Distance d(x, row) of every row: one pass over the rows."""
+    if x.grid != grid:
+        raise GridMismatchError("evaluation curve and dataset live on different grids")
+    return metric.distance_to_rows(x.values, rows, grid)
+
+
+def _kernel_weights(distances: np.ndarray,
+                    cfg: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel weights K(d/h) of the distances and the window u = d/h <= 1.
 
     The window is closed at u = 1; a row outside it gets weight 0.
     """
-    if x.grid != grid:
-        raise GridMismatchError("evaluation curve and dataset live on different grids")
-    u = cfg.metric.distance_to_rows(x.values, rows, grid) / cfg.bandwidth
+    u = distances / cfg.bandwidth
     active = u <= 1.0
     w = np.where(active, cfg.kernel.k(np.clip(u, 0.0, 1.0)), 0.0)
     return w, active
+
+
+def _weights(x: Curve, rows: np.ndarray, grid: Grid,
+             cfg: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``_kernel_weights`` of the rows' ``_distances``: K(d(x, row)/h) and the window."""
+    return _kernel_weights(_distances(x, rows, grid, cfg.metric), cfg)
 
 
 def delta(x: Curve, xi: Curve, cfg: EstimatorConfig) -> float:
@@ -149,14 +160,26 @@ def delta(x: Curve, xi: Curve, cfg: EstimatorConfig) -> float:
     return float(_weights(x, xi.values[np.newaxis], xi.grid, cfg)[0][0])
 
 
-def z_n(x: Curve, data: Dataset, index: IndexFunction, cfg: EstimatorConfig) -> RegressionEstimate:
-    """Evaluate the estimator components at ``x`` over the whole dataset."""
-    w, active = _weights(x, data.x_values, data.grid, cfg)
-    norm = data.n * cfg.phi_of_h
-    r_n1 = float(np.sum(w)) / norm
-    r_n2 = float(np.sum(index(data.y) * w)) / norm
-    r_hat = r_n2 / r_n1 if r_n1 != 0.0 else 0.0
-    return RegressionEstimate(r_n1, r_n2, r_hat, int(np.count_nonzero(active)))
+def z_n(x: Curve, data: Dataset, index: IndexFunction,
+        configs: Sequence[EstimatorConfig]) -> list[RegressionEstimate]:
+    """Evaluate the estimator components at ``x`` over the whole dataset, once per config.
+
+    Configs that share a metric share one distance pass over the curves,
+    so a bandwidth sequence reads the curve matrix once per metric.
+    """
+    distances = {}
+    indexed = index(data.y)
+    estimates = []
+    for cfg in configs:
+        if cfg.metric not in distances:
+            distances[cfg.metric] = _distances(x, data.x_values, data.grid, cfg.metric)
+        w, active = _kernel_weights(distances[cfg.metric], cfg)
+        norm = data.n * cfg.phi_of_h
+        r_n1 = float(np.sum(w)) / norm
+        r_n2 = float(np.sum(indexed * w)) / norm
+        r_hat = r_n2 / r_n1 if r_n1 != 0.0 else 0.0
+        estimates.append(RegressionEstimate(r_n1, r_n2, r_hat, int(np.count_nonzero(active))))
+    return estimates
 
 
 @dataclass(frozen=True)

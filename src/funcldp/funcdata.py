@@ -15,6 +15,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.special import roots_sh_jacobi
@@ -108,31 +109,40 @@ def quadrature(values, grid: Grid) -> float:
     return float(_integrate_rows(arr[np.newaxis], grid.trapezoid_weights())[0])
 
 
-# Values per block of rows in ``_row_integrals``: 256 KB of float64, small
+# Values per block of rows in ``row_blocks``: 256 KB of float64, small
 # enough to stay in cache, large enough to amortise the per-block overhead.
 _BLOCK_VALUES = 32768
+
+
+def row_blocks(rows: int, points: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Walk ``rows`` rows of ``points`` values in cache-sized blocks.
+
+    Yields each block's row slice with a view of one scratch buffer of the
+    block's shape; the buffer is reused from block to block, so no
+    temporary grows with the number of rows.
+    """
+    step = max(1, _BLOCK_VALUES // points)
+    scratch = np.empty((min(step, rows), points))
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        yield slice(start, stop), scratch[: stop - start]
 
 
 def _row_integrals(x_values: np.ndarray, rows: np.ndarray, grid: Grid,
                    p: float | None) -> np.ndarray:
     """Trapezoid integral of each ``row - x``, or of ``|row - x|**p`` when p is given.
 
-    Walks ``rows`` in cache-sized blocks through one scratch buffer, so no
-    temporary grows with the number of rows; ``rows`` is left unchanged.
+    Walks ``rows`` through ``row_blocks``; ``rows`` is left unchanged.
     """
     weights = grid.trapezoid_weights()
     out = np.empty(rows.shape[0])
-    step = max(1, _BLOCK_VALUES // grid.points)
-    buffer = np.empty((min(step, rows.shape[0]), grid.points))
-    for start in range(0, rows.shape[0], step):
-        stop = min(start + step, rows.shape[0])
-        block = buffer[: stop - start]
-        np.subtract(rows[start:stop], x_values, out=block)
+    for block_rows, block in row_blocks(rows.shape[0], grid.points):
+        np.subtract(rows[block_rows], x_values, out=block)
         if p is not None:
             np.abs(block, out=block)
             if p != 1:
                 block **= p
-        _integrate_rows(block, weights, out=out[start:stop])
+        _integrate_rows(block, weights, out=out[block_rows])
     return out
 
 

@@ -37,7 +37,7 @@ from scipy.special import ndtr, ndtri
 
 from . import ratefn
 from .estimator import Dataset, IndexFunction
-from .funcdata import Curve, Grid, IdentityScaling, UniformKernel
+from .funcdata import Curve, Grid, IdentityScaling, UniformKernel, row_blocks
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -251,16 +251,24 @@ def default_model(points: int = 101) -> LinearFactorModel:
 
 
 def sample_dataset(model: LinearFactorModel, n: int, seed: int) -> Dataset:
-    """Draw n covariate curves and responses; deterministic given the seed."""
-    if not n >= 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    """Draw n covariate curves and responses; deterministic given the seed.
+
+    Row i of the curve matrix is ``y_i * signal + eps_i * noise``, built
+    in the row blocks of ``row_blocks``: the product ``y_i * signal``
+    goes straight into the matrix and ``eps_i * noise`` into one reused
+    scratch block, so no full-size temporary is made.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     y = model.y_law.sample(rng, n)
     eps = rng.standard_normal(n)
-    x_values = (
-        y[:, np.newaxis] * model.signal_curve.values[np.newaxis, :]
-        + eps[:, np.newaxis] * model.noise_curve.values[np.newaxis, :]
-    )
+    x_values = np.empty((n, model.grid.points))
+    for block_rows, scratch in row_blocks(n, model.grid.points):
+        block = x_values[block_rows]
+        np.multiply.outer(y[block_rows], model.signal_curve.values, out=block)
+        np.multiply.outer(eps[block_rows], model.noise_curve.values, out=scratch)
+        block += scratch
     return Dataset(model.grid, x_values, y)
 
 

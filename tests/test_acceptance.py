@@ -13,17 +13,9 @@ import numpy as np
 import pytest
 
 from funcldp import covering, ratefn, simulate
-from funcldp.estimator import (
-    Dataset,
-    EstimatorConfig,
-    IdentityIndex,
-    IntervalIndicator,
-    finite_n_log_mgf,
-    z_n,
-)
+from funcldp.estimator import EstimatorConfig, IdentityIndex, finite_n_log_mgf, z_n
 from funcldp.funcdata import (
     Curve,
-    ExpDecayKernel,
     Grid,
     IdentityScaling,
     IntegralDifference,
@@ -252,7 +244,7 @@ def test_criterion_10_invariant_suites(gaussian_model, factor_model, zero_curve)
         cfg = EstimatorConfig(
             UniformKernel(scale=scale), IntegralDifference(), 0.05, 0.1
         )
-        z = z_n(zero_curve, data, IdentityIndex(), cfg)
+        z = z_n(zero_curve, data, IdentityIndex(), [cfg])[0]
         if scale == 1.0:
             base = z
         else:

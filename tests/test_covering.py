@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from funcldp import covering
 from funcldp.covering import (
     CoverReport,
     FunctionClass,
@@ -119,6 +120,36 @@ class TestShiftClass:
     def test_support_escape_rejected(self):
         with pytest.raises(ValueError, match="support"):
             shift_class(triangle_bump(center=0.3, half_width=0.15), 0.0, 0.7, 4)
+
+    def test_gaussian_tails_do_not_block_a_shift(self):
+        # the bump is 3.3e-9 at the grid ends, yet a shift of 0.01 clips only
+        # about 5e-11 of its L1 mass
+        base = gaussian_bump()
+        cls = shift_class(base, -0.01, 0.01, 5)
+        np.testing.assert_array_equal(cls.members[2].values, base.values)
+        assert np.max(cls.members[4].values) == pytest.approx(1.0, abs=1e-3)
+
+    def test_gaussian_shift_clipping_real_mass_rejected(self):
+        # a shift of 0.2 pushes the bump's tail beyond 3.75 widths off the grid
+        with pytest.raises(ValueError, match="support"):
+            shift_class(gaussian_bump(), -0.2, 0.0, 3)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(0.0, 0.46), (-0.46, 0.0)])
+    def test_compact_bump_past_its_margin_rejected(self, t_lo, t_hi):
+        # support [0.3, 0.7]: a shift of 0.3 fits, 0.46 clips 0.16 of the support
+        base = triangle_bump(center=0.5, half_width=0.2)
+        shift_class(base, -0.3, 0.3, 3)
+        with pytest.raises(ValueError, match="support"):
+            shift_class(base, t_lo, t_hi, 3)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.003, 0.0125, 0.37, -0.37, -0.9999, 1.5, -1.5])
+    def test_clipped_mass_exact_on_affine_curve(self, shift):
+        # |base| = 1 + 2t is piecewise linear, so the clipped mass is exact:
+        # the integral of 1 + 2t over the part of [0, 1] the shift pushes out
+        magnitude = 1.0 + 2.0 * GRID.nodes()
+        lo, hi = (max(1.0 - shift, 0.0), 1.0) if shift >= 0 else (0.0, min(-shift, 1.0))
+        expected = (hi + hi * hi) - (lo + lo * lo)
+        assert covering._clipped_mass(magnitude, GRID, shift) == pytest.approx(expected, abs=1e-14)
 
     def test_lipschitz_in_shift(self):
         # L1 distance between shifted copies is at most

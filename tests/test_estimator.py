@@ -87,7 +87,7 @@ class TestDelta:
         xi = Curve.constant(GRID, 0.5)
         cfg = _cfg(h=distance(x, xi, IntegralDifference()))
         assert delta(x, xi, cfg) == 1.0
-        assert z_n(x, _from_pairs([(xi, 1.0)]), IdentityIndex(), cfg).active_count == 1
+        assert z_n(x, _from_pairs([(xi, 1.0)]), IdentityIndex(), [cfg])[0].active_count == 1
 
     @pytest.mark.parametrize("metric", [IntegralDifference(), LpDistance(1.0), LpDistance(2.0)],
                              ids=repr)
@@ -101,7 +101,7 @@ class TestDelta:
             d = distance(x, xi, metric)
             for h, count in ((d, 1), (np.nextafter(d, 0.0), 0)):
                 cfg = EstimatorConfig(kernel, metric, h, 1.0)
-                z = z_n(x, data, IdentityIndex(), cfg)
+                z = z_n(x, data, IdentityIndex(), [cfg])[0]
                 assert (z.active_count, z.r_n1) == (count, delta(x, xi, cfg))
                 assert (delta(x, xi, cfg) > 0.0) == bool(count)
 
@@ -121,29 +121,29 @@ class TestZn:
     def test_hand_case(self):
         # two in-range points, responses 1 and 3, phi = 1
         data = _const_dataset([0.1, -0.2], [1.0, 3.0])
-        z = z_n(Curve.constant(GRID, 0.0), data, IdentityIndex(), _cfg(h=0.5, phi=1.0))
+        z = z_n(Curve.constant(GRID, 0.0), data, IdentityIndex(), [_cfg(h=0.5, phi=1.0)])[0]
         assert z == RegressionEstimate(1.0, 2.0, 2.0, 2)
 
     def test_empty_neighborhood_convention(self):
         data = _const_dataset([2.0, -3.0], [1.0, 3.0])
-        z = z_n(Curve.constant(GRID, 0.0), data, IdentityIndex(), _cfg(h=0.5))
+        z = z_n(Curve.constant(GRID, 0.0), data, IdentityIndex(), [_cfg(h=0.5)])[0]
         assert z == RegressionEstimate(0.0, 0.0, 0.0, 0)
 
     def test_indicator_estimate_in_unit_interval(self):
         rng = np.random.default_rng(5)
         data = _const_dataset(rng.uniform(-0.4, 0.4, 30), rng.normal(size=30))
         idx = IntervalIndicator(((0.0, math.inf),))
-        z = z_n(Curve.constant(GRID, 0.0), data, idx, _cfg(h=0.5))
+        z = z_n(Curve.constant(GRID, 0.0), data, idx, [_cfg(h=0.5)])[0]
         assert 0.0 <= z.r_hat <= 1.0
 
     def test_kernel_scale_invariance(self):
         rng = np.random.default_rng(9)
         data = _const_dataset(rng.uniform(-0.6, 0.6, 40), rng.normal(size=40))
         x = Curve.constant(GRID, 0.0)
-        base = z_n(x, data, IdentityIndex(), _cfg(h=0.5, kernel=ExpDecayKernel()))
+        base = z_n(x, data, IdentityIndex(), [_cfg(h=0.5, kernel=ExpDecayKernel())])[0]
         scaled = z_n(
-            x, data, IdentityIndex(), _cfg(h=0.5, kernel=ExpDecayKernel(scale=3.0))
-        )
+            x, data, IdentityIndex(), [_cfg(h=0.5, kernel=ExpDecayKernel(scale=3.0))]
+        )[0]
         assert scaled.r_hat == pytest.approx(base.r_hat, abs=1e-14)
         assert scaled.r_n1 == pytest.approx(3.0 * base.r_n1, rel=1e-14)
         assert scaled.r_n2 == pytest.approx(3.0 * base.r_n2, rel=1e-14)
@@ -153,7 +153,7 @@ class TestZn:
         for _ in range(20):
             n = int(rng.integers(3, 40))
             data = _const_dataset(rng.uniform(-1, 1, n), rng.normal(size=n))
-            z = z_n(Curve.constant(GRID, 0.0), data, IdentityIndex(), _cfg(h=0.5))
+            z = z_n(Curve.constant(GRID, 0.0), data, IdentityIndex(), [_cfg(h=0.5)])[0]
             if z.active_count:
                 active = np.abs(data.x_values[:, 0]) <= 0.5
                 lo, hi = data.y[active].min(), data.y[active].max()
@@ -166,8 +166,8 @@ class TestZn:
         perm = rng.permutation(25)
         shuffled = _const_dataset(values[perm], y[perm])
         x = Curve.constant(GRID, 0.0)
-        a = z_n(x, data, IdentityIndex(), _cfg(h=0.4))
-        b = z_n(x, shuffled, IdentityIndex(), _cfg(h=0.4))
+        a = z_n(x, data, IdentityIndex(), [_cfg(h=0.4)])[0]
+        b = z_n(x, shuffled, IdentityIndex(), [_cfg(h=0.4)])[0]
         assert a.r_n1 == pytest.approx(b.r_n1, abs=1e-15)
         assert a.r_n2 == pytest.approx(b.r_n2, abs=1e-15)
 
@@ -184,10 +184,49 @@ class TestZn:
             errors = []
             for seed in range(50):
                 data = simulate.sample_dataset(model, n, seed)
-                z = z_n(x0, data, IdentityIndex(), cfg)
+                z = z_n(x0, data, IdentityIndex(), [cfg])[0]
                 errors.append(abs(z.r_hat - 0.0))
             medians.append(float(np.median(errors)))
         assert medians[1] < medians[0]
+
+
+class TestZnOverConfigs:
+    """One ``z_n`` call over many configs against one call per config."""
+
+    CONFIGS = [
+        EstimatorConfig(kernel, metric, h, 2.0 * h)
+        for h in (0.3, 0.05, 0.3, 0.8, 0.12)
+        for metric in (IntegralDifference(), LpDistance(2.0))
+        for kernel in (UniformKernel(), ExpDecayKernel())
+    ]
+
+    def _data(self):
+        rng = np.random.default_rng(44)
+        return Dataset(GRID, rng.normal(scale=0.3, size=(300, GRID.points)),
+                       rng.normal(size=300))
+
+    def test_same_values_as_one_config_calls(self):
+        data, x = self._data(), Curve.constant(GRID, 0.0)
+        together = z_n(x, data, IdentityIndex(), self.CONFIGS)
+        alone = [z_n(x, data, IdentityIndex(), [cfg])[0] for cfg in self.CONFIGS]
+        assert together == alone
+        assert len({z.active_count for z in together}) > 2
+
+    def test_one_distance_pass_per_metric(self, monkeypatch):
+        calls = []
+        for metric in (IntegralDifference, LpDistance):
+            original = metric.distance_to_rows
+
+            def counted(self, *args, original=original):
+                calls.append(self)
+                return original(self, *args)
+
+            monkeypatch.setattr(metric, "distance_to_rows", counted)
+        z_n(Curve.constant(GRID, 0.0), self._data(), IdentityIndex(), self.CONFIGS)
+        assert sorted(map(repr, calls)) == ["IntegralDifference()", "LpDistance(p=2.0)"]
+
+    def test_empty_sequence(self):
+        assert z_n(Curve.constant(GRID, 0.0), self._data(), IdentityIndex(), []) == []
 
 
 class TestFiniteNLogMgf:

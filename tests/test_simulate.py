@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import binomtest, ks_2samp, kstest, norm
 
-from funcldp import ratefn, simulate
+from funcldp import funcdata, ratefn, simulate
 from funcldp.cli import run
 from funcldp.estimator import Dataset, EstimatorConfig, IdentityIndex, IntervalIndicator, z_n
 from funcldp.funcdata import Curve, Grid, IdentityScaling, IntegralDifference, UniformKernel
@@ -158,6 +158,32 @@ class TestSampleDataset:
         b = sample_dataset(factor_model, 50, seed=123)
         np.testing.assert_array_equal(a.x_values, b.x_values)
         np.testing.assert_array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("points", [51, 101])
+    def test_blocks_match_broadcast_formula(self, points):
+        # the blocked build is the same multiply-then-add as the broadcast
+        # formula, kept here as the oracle: bitwise equal at every block edge
+        model = default_model(points)
+        step = funcdata._BLOCK_VALUES // points
+        for n in (1, step - 1, step, 3 * step + 7):
+            data = sample_dataset(model, n, seed=n)
+            rng = np.random.default_rng(n)
+            y = model.y_law.sample(rng, n)
+            eps = rng.standard_normal(n)
+            expected = (y[:, np.newaxis] * model.signal_curve.values[np.newaxis, :]
+                        + eps[:, np.newaxis] * model.noise_curve.values[np.newaxis, :])
+            assert data.x_values.shape == (n, points)
+            assert np.array_equal(data.x_values, expected)
+            assert np.array_equal(data.y, y)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, True, "4", None], ids=repr)
+    def test_n_must_be_a_positive_integer(self, factor_model, n):
+        with pytest.raises(ValueError, match="n must be"):
+            sample_dataset(factor_model, n, seed=0)
+
+    def test_numpy_integer_n(self, factor_model):
+        a = sample_dataset(factor_model, np.int64(5), seed=4)
+        np.testing.assert_array_equal(a.x_values, sample_dataset(factor_model, 5, seed=4).x_values)
 
     def test_projection_mean_clt_bound(self, factor_model):
         # E integral(X) = E Y = 0; sd of the mean is sqrt(Ih^2 + Il^2)/sqrt(n)
@@ -375,7 +401,7 @@ class TestPointwiseLadder:
                 + eps[:, None] * factor_model.noise_curve.values[None, :]
             )
             data = Dataset(factor_model.grid, x_values, y)
-            z = z_n(zero_curve, data, IdentityIndex(), est_cfg)
+            z = z_n(zero_curve, data, IdentityIndex(), [est_cfg])[0]
             if abs(z.r_hat - r_true) > lam:
                 hits += 1
         assert hits == int(np.count_nonzero(worst > lam)) > 0
