@@ -3,8 +3,8 @@
 One JSON config file describes a run; the command dispatches to the
 library, which returns records, and writes them as plot-ready CSV
 artifacts through ``_write_csv``, plus a ``manifest.json`` that echoes
-the config, seed and versions so the run can be reproduced exactly.
-All outputs stay inside the declared output directory.
+the config, seed, versions and CPU count so the run can be reproduced
+exactly.  All outputs stay inside the declared output directory.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__, covering, ratefn, simulate
 from .estimator import EstimatorConfig, IdentityIndex, IntervalIndicator, z_n
@@ -362,6 +364,9 @@ def run(cfg: dict, out: str) -> list[str]:
         "seed": seed,
         "package_version": __version__,
         "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "python_version": platform.python_version(),
+        "cpu_count": os.cpu_count(),
         "wall_time_s": round(time.time() - started, 3),
         "outputs": [os.path.basename(p) for p in outputs],
     }

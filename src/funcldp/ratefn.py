@@ -500,10 +500,15 @@ def ratio_rate(model: RateModel, lam: float) -> float:
 
     Contracting the pair rate over the cone a > 0 and swapping inf and sup
     gives Gamma(lam) = inf_a Lambda*(a, lam a) = -min_s Phi(-lam s, s).
-    The line function f(s) = Phi(-lam s, s) is convex with f(0) = 0, so
-    damped Newton from s = 0 finds its minimum; the derivatives are the
-    directional ones of the limit log-MGF along (-lam, 1).  +inf outside
-    the reachable range.
+    The line function f(s) = Phi(-lam s, s) is convex with f(0) = 0, and
+    damped Newton finds its minimum; the derivatives are the directional
+    ones of the limit log-MGF along (-lam, 1).  The descent starts at
+    s0 = s_u / k_max, with s_u the minimiser of the uniform-kernel dual and
+    k_max the largest kernel value at the rule's nodes: f(s) is the dtau
+    integral of f_u(s K(u)), f_u(r) = integral (exp(r (l - lam)) - 1) w
+    is convex with f_u(0) = 0 and its minimum at s_u, so f_u <= 0 at every
+    s0 K(u) between 0 and s_u and f(s0) <= f(0).  On a flat kernel s0 is
+    the minimiser.  +inf outside the reachable range.
     """
     if not _inside_range(model, lam):
         return math.inf
@@ -514,8 +519,9 @@ def ratio_rate(model: RateModel, lam: float) -> float:
         value, grad, hess = ops.local(s[0] * d)
         return value, np.array([grad @ d]), np.array([[d @ hess @ d]])
 
+    s0 = np.array([_tilt_dual(model, lam)[0] / ops.k.max()])
     # 0.0 - f, not -f: the rate at the zero is +0.0, not -0.0
-    return 0.0 - _newton_minimize(local, np.zeros(1), f"the ratio rate at {lam}")[1]
+    return 0.0 - _newton_minimize(local, s0, f"the ratio rate at {lam}")[1]
 
 
 def ratio_rate_closed(model: RateModel, lam: float) -> float:

@@ -4,12 +4,14 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,6 +258,9 @@ class TestSimulateCommand:
         assert manifest["seed"] == 11
         assert manifest["config"]["lambda"] == 1.0
         assert "package_version" in manifest and "numpy_version" in manifest
+        assert manifest["scipy_version"] == scipy.__version__
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["cpu_count"] == os.cpu_count()
         assert manifest["outputs"] == ["ladder.csv"]
 
     def test_outputs_stay_inside_out_dir(self, tmp_path, monkeypatch):

@@ -103,6 +103,22 @@ def closed_inner_ratio_rate(model: RateModel, lam: float, g=None) -> float:
     return -float(optimize.minimize_scalar(line, bracket=(0.0, start), tol=1e-12).fun)
 
 
+def cold_start_ratio_rate(model: RateModel, lam: float) -> float:
+    """-min_s Phi(-lam s, s) by damped Newton from s = 0 on ``ratio_rate``'s line function.
+
+    The same descent as ``ratio_rate`` without the uniform-kernel start, so
+    the two differ only by where the descent begins.
+    """
+    ops = ratefn._TiltOps(model)
+    d = np.array([-lam, 1.0])
+
+    def local(s):
+        value, grad, hess = ops.local(s[0] * d)
+        return value, np.array([grad @ d]), np.array([[d @ hess @ d]])
+
+    return 0.0 - ratefn._newton_minimize(local, np.zeros(1), f"the cold ratio rate at {lam}")[1]
+
+
 def _trapezoid_log_mgf(model: RateModel, t1: float, t2: float, inner_values, u_nodes: int):
     """Weight integral of G(theta(v)), G by a trapezoid rule on [0, 1] in blocks of rows.
 
@@ -238,6 +254,29 @@ PROPERTY_MODELS = {
         ("affine_shifted", 0.5, AffineKernel()),
     )
 }
+# The start-point sweep: the property models other than the unit uniform
+# kernel, a power scaling, a scaled flat and a scaled decaying kernel, and
+# the half-line indicator (800 nodes: its boundary falls midway between two nodes).
+START_MODELS = {
+    **{name: PROPERTY_MODELS[name] for name in ("exp_decay", "affine", "affine_shifted")},
+    **{name: RateModel(WeightDensity.gaussian(nodes=801), IdentityIndex(), kernel, scaling)
+       for name, kernel, scaling in (
+           ("exp_decay_power2", ExpDecayKernel(), PowerScaling(2.0)),
+           ("uniform_scale3", UniformKernel(3.0), IdentityScaling()),
+           ("exp_decay_scale5", ExpDecayKernel(5.0), IdentityScaling()),
+       )},
+    "halfline_exp_decay": RateModel(WeightDensity.gaussian(0.0, 1.0, 8.0, 800),
+                                    IntervalIndicator(((0.0, math.inf),)), ExpDecayKernel(),
+                                    IdentityScaling()),
+}
+
+
+def start_sweep(model: RateModel) -> list[float]:
+    """161 levels across the reachable range, 2e-6 clear of its ends."""
+    rng = model.tilt_range
+    return [float(y) for y in np.linspace(rng.v0 + 2e-6, rng.v1 - 2e-6, 161)]
+
+
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 # The session fixtures' models; hypothesis tests take no function-scoped fixtures.
 GAUSSIAN_MODEL = gaussian_identity_model()
@@ -414,6 +453,43 @@ class TestSolverCost:
     def test_ratio_rate_closed(self, gaussian_model, calls, lam, bound):
         ratio_rate_closed(gaussian_model, lam)
         assert calls[0] <= bound
+
+
+class TestRatioRateCost:
+    """``_TiltOps.local`` calls per ratio rate, counted, so the guard cannot be flaky.
+
+    From s = 0 the descent makes 34 calls at +-7.9 on the exp-decay and
+    affine kernels, where the line function grows like an exponential.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        inner = ratefn._TiltOps.local
+
+        def counting(ops, t):
+            count[0] += 1
+            return inner(ops, t)
+
+        monkeypatch.setattr(ratefn._TiltOps, "local", counting)
+        return count
+
+    @pytest.mark.parametrize("kernel", [ExpDecayKernel(), AffineKernel()])
+    @pytest.mark.parametrize("lam", [-7.9, 7.9])
+    def test_range_edge(self, calls, kernel, lam):
+        model = RateModel(WeightDensity.gaussian(), IdentityIndex(), kernel, IdentityScaling())
+        ratio_rate(model, lam)
+        assert calls[0] <= 3
+
+    @pytest.mark.parametrize("name", sorted(START_MODELS))
+    def test_over_reachable_range(self, calls, name):
+        # on a flat kernel the start is the minimiser: one call to confirm it
+        model = START_MODELS[name]
+        bound = 1 if isinstance(model.kernel, UniformKernel) else 12
+        for lam in start_sweep(model):
+            calls[0] = 0
+            ratio_rate(model, lam)
+            assert calls[0] <= bound, lam
 
 
 class TestZeroWeightNodes:
@@ -829,6 +905,15 @@ class TestRatioRate:
         assert ratio_rate(model, lam) == pytest.approx(
             contraction_ratio_rate(model, lam), abs=1e-8
         )
+
+    @pytest.mark.parametrize("name", sorted(START_MODELS))
+    def test_uniform_start_matches_cold_start(self, name):
+        # pyproject turns a RuntimeWarning from ratefn into an error here
+        model = START_MODELS[name]
+        for lam in start_sweep(model):
+            value = ratio_rate(model, lam)
+            assert abs(value - cold_start_ratio_rate(model, lam)) <= 1e-12, lam
+            assert 0.0 <= value <= model.weight.mass + 1e-12, lam
 
     def test_one_sided_monotone_structure(self, gaussian_model):
         left = [ratio_rate_closed(gaussian_model, x) for x in np.linspace(-3.0, -0.05, 15)]
