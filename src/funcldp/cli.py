@@ -4,7 +4,8 @@ One JSON config file describes a run; the command dispatches to the
 library, which returns records, and writes them as plot-ready CSV
 artifacts through ``_write_csv``, plus a ``manifest.json`` that echoes
 the config, seed, versions and CPU count so the run can be reproduced
-exactly.  All outputs stay inside the declared output directory.
+exactly, and for a cover run the member distances each radius evaluated.
+All outputs stay inside the declared output directory.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def _weight(spec) -> ratefn.WeightDensity:
     )
 
 
-def _run_rate(cfg: dict, out: str, seed: int) -> list[str]:
+def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     weight = _field(cfg, "weight", _weight, {"gaussian": {}})
     index = _field(cfg, "index", _index, None)
     model = ratefn.RateModel(weight, index, UniformKernel(), IdentityScaling())
@@ -219,10 +220,10 @@ def _run_rate(cfg: dict, out: str, seed: int) -> list[str]:
         _write_csv(out, "rate_conjugate.csv",
                    ["lambda1", "lambda2", "gamma_legendre", "gamma_closed", "abs_diff"],
                    conjugate),
-    ]
+    ], {}
 
 
-def _run_estimate(cfg: dict, out: str, seed: int) -> list[str]:
+def _run_estimate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     model = _field(cfg, "model", _model)
     x0 = _field(cfg, "x0", _curve_on(model.grid))
     index = _field(cfg, "index", _index, None)
@@ -238,7 +239,7 @@ def _run_estimate(cfg: dict, out: str, seed: int) -> list[str]:
     rows = [(c.bandwidth, c.phi_of_h, z.r_n1, z.r_n2, z.r_hat, z.active_count)
             for c, z in zip(configs, z_n(x0, data, index, configs))]
     return [_write_csv(out, "estimate.csv",
-                       ["h", "phi_h", "r_n1", "r_n2", "r_hat", "active_count"], rows)]
+                       ["h", "phi_h", "r_n1", "r_n2", "r_hat", "active_count"], rows)], {}
 
 
 def _schedule(params: dict) -> tuple[list[int], float, float]:
@@ -269,22 +270,22 @@ def _write_ladder(out: str, name: str, records) -> str:
                       [dataclasses.astuple(r) for r in records])
 
 
-def _run_simulate(cfg: dict, out: str, seed: int) -> list[str]:
+def _run_simulate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     model = _field(cfg, "model", _model)
     x0 = _field(cfg, "x0", _curve_on(model.grid))
     index = _field(cfg, "index", _index, None)
     records = simulate.pointwise_ladder(model, x0, index, _ladder_config(cfg, seed))
-    return [_write_ladder(out, "ladder.csv", records)]
+    return [_write_ladder(out, "ladder.csv", records)], {}
 
 
-def _run_uniform(cfg: dict, out: str, seed: int) -> list[str]:
+def _run_uniform(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     model = _field(cfg, "model", _model)
     centers = _field(cfg, "centers", _list_of(_curve_on(model.grid)))
     if not centers:
         raise ConfigError("field 'centers' must be a nonempty list")
     index = _field(cfg, "index", _index, None)
     records = simulate.uniform_ladder(model, centers, index, _ladder_config(cfg, seed))
-    return [_write_ladder(out, "uniform_ladder.csv", records)]
+    return [_write_ladder(out, "uniform_ladder.csv", records)], {}
 
 
 def _class(spec) -> covering.FunctionClass:
@@ -315,7 +316,7 @@ def _radii(values) -> list[float]:
     return sorted(nu_values, reverse=True)
 
 
-def _run_cover(cfg: dict, out: str, seed: int) -> list[str]:
+def _run_cover(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     ladder = _field(cfg, "ladder", _cover_ladder) if "ladder" in cfg else []
     if "nu_values" in cfg or not ladder:
         nu_values = _field(cfg, "nu_values", _radii)
@@ -336,9 +337,13 @@ def _run_cover(cfg: dict, out: str, seed: int) -> list[str]:
     if ladder:
         paths.append(_write_csv(out, "entropy_diagnostics.csv", _ENTROPY_FIELDS,
                                 [[row[f] for f in _ENTROPY_FIELDS] for row in entropy]))
-    return paths
+    covers = [{"nu": r.nu, "n_cover": r.n_cover, "distance_rows": r.distance_rows}
+              for r in reports]
+    return paths, {"covers": covers}
 
 
+# Each runner returns the artifact paths it wrote and the fields it adds
+# to the manifest (the cover command's per-radius counters).
 _RUNNERS = {"rate": _run_rate, "estimate": _run_estimate, "simulate": _run_simulate,
             "uniform": _run_uniform, "cover": _run_cover}
 COMMANDS = tuple(_RUNNERS)
@@ -355,7 +360,7 @@ def run(cfg: dict, out: str) -> list[str]:
     started = time.time()
     try:
         seed = _field(cfg, "seed", _integer, _REQUIRED if command in _STOCHASTIC else 0)
-        outputs = _RUNNERS[command](cfg, out, seed)
+        outputs, record = _RUNNERS[command](cfg, out, seed)
     except ConfigError as exc:
         raise ConfigError(f"{exc} (command '{command}')") from None
     manifest = {
@@ -369,6 +374,7 @@ def run(cfg: dict, out: str) -> list[str]:
         "cpu_count": os.cpu_count(),
         "wall_time_s": round(time.time() - started, 3),
         "outputs": [os.path.basename(p) for p in outputs],
+        **record,
     }
     manifest_path = os.path.join(out, "manifest.json")
     with open(manifest_path, "w") as fh:

@@ -3,12 +3,13 @@
 A class of curves is represented by a finite sample of members on one
 shared grid.  Covering numbers of the sample are upper-bounded by a
 deterministic farthest-point greedy construction (Gonzalez 1985), built
-center by center: each new center adds one row of distances to a running
-minimum, so a cover of k members never holds a k x k distance matrix.
-``coverage_radii`` recomputes each member's distance to a cover's
-centers, for callers that check a cover.  The entropy diagnostics track
-whether nu * log N(nu) trends to zero and whether the coupling of nu to
-the sample-size schedule stays admissible.
+center by center into a running minimum, so a cover of k members never
+holds a k x k distance matrix, and triangle-inequality bounds from two
+pivot centers (LAESA; Mico, Oncina & Vidal 1994) skip most member
+distances.  ``coverage_radii`` recomputes every member's distance to every
+center without the bounds, a check of a cover that does not rest on them.
+The entropy diagnostics track whether nu * log N(nu) trends to zero and
+whether the coupling of nu to the sample-size schedule stays admissible.
 """
 
 from __future__ import annotations
@@ -134,12 +135,35 @@ def shift_class(base: Curve, t_lo: float, t_hi: float, count: int) -> FunctionCl
 
 @dataclass(frozen=True)
 class CoverReport:
-    """A greedy cover of a class sample at radius nu."""
+    """A greedy cover of a class sample at radius nu.
+
+    ``distance_rows`` counts the member distances the greedy evaluated.
+    """
 
     nu: float
     n_cover: int
     centers: tuple[int, ...]
     nu_log_n: float
+    distance_rows: int
+
+
+def _pivot_allowance(rows: np.ndarray, grid: Grid) -> float:
+    """Absolute slack that a pivot bound gives up for rounding.
+
+    With u = eps / 2 and D = 2 max|rows| max(1, t_max - t_min), a computed
+    distance is within (points + 3) u D of the exact one.  L_p terms are
+    nonnegative, each off by (p + 2) u relative, their sum adds
+    (points - 1) u and the p-th root divides the error by p; D bounds every
+    L_p distance.  Integral-difference terms are off by 2 u each and their
+    sum by (points - 1) u of their magnitudes' sum, which D bounds and which
+    cancellation can leave far above the distance itself, so the slack is
+    absolute.  A pivot bound set against a computed distance meets three
+    such errors and two roundings of its own, u D each; four errors cover
+    them.  The terms |x - y|**p are taken not to underflow.
+    """
+    largest = max(float(np.max(rows)), -float(np.min(rows)))  # max|rows| without a copy
+    error = (grid.points + 3) * np.finfo(float).eps * largest * max(1.0, grid.t_max - grid.t_min)
+    return 4.0 * error
 
 
 def greedy_cover(cls: FunctionClass, nu: float, metric: SemiMetric) -> CoverReport:
@@ -147,25 +171,50 @@ def greedy_cover(cls: FunctionClass, nu: float, metric: SemiMetric) -> CoverRepo
 
     Starts from the first member; repeatedly adds the member farthest
     from the current centers (ties to the lowest index) until every
-    member sits within nu of some center.  Each new center costs one row
-    of distances, folded into a running minimum, so memory stays linear
-    in the sample size.  Deterministic, and an upper bound on the
-    covering number of the sample.
+    member sits within nu of some center.  Each new center's distances
+    are folded into a running minimum, so memory stays linear in the
+    sample size.  Deterministic, and an upper bound on the covering
+    number of the sample.
+
+    The first two centers' distance rows are pivots.  For a later center
+    c, member j's distance is at least max over the pivots p of
+    |d(p, c) - d(p, j)| (L_p and the integral difference are seminorms
+    under the trapezoid weights); the greedy evaluates d(c, j) only where
+    that bound, less ``_pivot_allowance``, does not exceed j's running
+    minimum, and a bound that is not finite never skips a member.  A
+    row's distance does not depend on the rows passed with it, so the
+    running minimum, and with it the centers, are bitwise those of the
+    full traversal; a running minimum is always a distance that was
+    evaluated, so the stopping test certifies the cover either way.
     """
     if not nu > 0:
         raise ValueError(f"cover radius must be positive, got {nu}")
     rows = cls.values_matrix()
+    allowance = _pivot_allowance(rows, cls.grid)
     centers = [0]
     min_dist = metric.distance_to_rows(rows[0], rows, cls.grid)
+    pivots = [min_dist.copy()]
+    evaluated = min_dist.size
     while float(np.max(min_dist)) > nu:
         nxt = int(np.argmax(min_dist))
         centers.append(nxt)
-        np.minimum(min_dist, metric.distance_to_rows(rows[nxt], rows, cls.grid), out=min_dist)
+        if len(pivots) < 2:
+            members = slice(None)
+        else:
+            with np.errstate(invalid="ignore"):
+                bound = np.maximum(*(np.abs(row - row[nxt]) for row in pivots))
+                members = np.flatnonzero(~(bound - allowance > min_dist))
+        dist = metric.distance_to_rows(rows[nxt], rows[members], cls.grid)
+        if len(pivots) < 2:
+            pivots.append(dist)
+        min_dist[members] = np.minimum(min_dist[members], dist)
+        evaluated += dist.size
     return CoverReport(
         nu=float(nu),
         n_cover=len(centers),
         centers=tuple(centers),
         nu_log_n=float(nu * math.log(len(centers))),
+        distance_rows=evaluated,
     )
 
 

@@ -237,17 +237,27 @@ def _inside_range(model: RateModel, level: float) -> bool:
 
 
 def _tilt_dual(model: RateModel, y: float, polish: bool = False) -> tuple[float, float]:
-    """Minimiser and minimum of the convex dual log M(s) - y s, by Newton from s = 0.
+    """Minimiser and minimum of the convex dual log M(s) - y s, by Newton descent.
 
     Its gradient is the tilted mean less y and its Hessian the tilted
     variance; all three come from one ``_tilted_moments`` call.
     ``polish`` refines the minimiser past the rounding level of the value.
+    The descent starts at s = 0, except on an indicator index: there l
+    takes only the values 0 and 1, M(s) = m0 + m1 exp(s) with m0 and m1
+    the moment-row masses where l = 0 and l = 1, and the descent starts at
+    the closed-form minimiser log(y m0 / ((1 - y) m1)).  Every caller
+    keeps y inside the reachable range (0 < y < 1, m0 > 0 and m1 > 0).
     """
     def local(s):
         log_mass, mean, var = _tilted_moments(model, s[0])
         return log_mass - y * s[0], np.array([mean - y]), np.array([[var]])
 
-    s, value = _newton_minimize(local, np.zeros(1), f"the tilted-mean inverse at {y}", polish)
+    start = 0.0
+    if isinstance(model.index, IntervalIndicator):
+        q, ql = model._rows[0], model._rows[1]
+        start = math.log(y * float(np.sum(q - ql)) / ((1.0 - y) * float(np.sum(ql))))
+    s, value = _newton_minimize(local, np.array([start]), f"the tilted-mean inverse at {y}",
+                                polish)
     return float(s[0]), value
 
 
@@ -255,7 +265,7 @@ def tilted_mean_inverse(model: RateModel, y: float) -> float:
     """Tilt whose tilted mean is y.
 
     The minimiser of the convex dual log M(s) - y s by damped Newton
-    descent from s = 0, polished until the tilted mean meets y to its
+    descent (``_tilt_dual``), polished until the tilted mean meets y to its
     rounding level.  ``RateDomainError`` outside the reachable range.
     """
     rng = model.tilt_range
@@ -520,8 +530,9 @@ def ratio_rate(model: RateModel, lam: float) -> float:
         return value, np.array([grad @ d]), np.array([[d @ hess @ d]])
 
     s0 = np.array([_tilt_dual(model, lam)[0] / ops.k.max()])
-    # 0.0 - f, not -f: the rate at the zero is +0.0, not -0.0
-    return 0.0 - _newton_minimize(local, s0, f"the ratio rate at {lam}")[1]
+    # f(0) = 0 caps the minimum, so a minimum that rounds above 0 (a start
+    # at the zero off by rounding) reads as the rate +0.0, never below it
+    return max(0.0, -_newton_minimize(local, s0, f"the ratio rate at {lam}")[1])
 
 
 def ratio_rate_closed(model: RateModel, lam: float) -> float:

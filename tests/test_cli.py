@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcldp.cli import ConfigError, main, run
-from funcldp.funcdata import Curve, Grid, write_curve_csv
+from funcldp.funcdata import Curve, Grid, LpDistance, write_curve_csv
 
 
 _BUMP_CLASS = {"scale": {"base_csv": "bump.csv", "a_lo": 1.0, "a_hi": 2.0, "count": 8}}
@@ -262,6 +262,7 @@ class TestSimulateCommand:
         assert manifest["python_version"] == platform.python_version()
         assert manifest["cpu_count"] == os.cpu_count()
         assert manifest["outputs"] == ["ladder.csv"]
+        assert "covers" not in manifest
 
     def test_outputs_stay_inside_out_dir(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"
@@ -343,6 +344,36 @@ class TestCoverCommand:
         bare_lines = (tmp_path / "bare" / "cover_report.csv").read_text().splitlines()
         assert len(bare_lines) == 3
         assert all(line.endswith(",") for line in bare_lines[1:])
+
+    def test_manifest_lists_cover_counters(self, tmp_path, monkeypatch):
+        grid = Grid(0.0, 1.0, 201)
+        t = grid.nodes()
+        bump_path = tmp_path / "bump.csv"
+        write_curve_csv(Curve(grid, np.exp(-0.5 * ((t - 0.5) / 0.08) ** 2)), bump_path)
+        cfg = {"command": "cover",
+               "class": {"scale": {"base_csv": str(bump_path), "a_lo": 1.0, "a_hi": 2.0,
+                                   "count": 64}},
+               "nu_values": [0.01, 0.1], "metric": {"lp": 1}}
+        rows = []
+        distance_to_rows = LpDistance.distance_to_rows
+
+        def counting(self, x_values, members, grid):
+            rows.append(members.shape[0])
+            return distance_to_rows(self, x_values, members, grid)
+
+        monkeypatch.setattr(LpDistance, "distance_to_rows", counting)
+        run(cfg, str(tmp_path / "out"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        csv_rows = [line.split(",") for line in
+                    (tmp_path / "out" / "cover_report.csv").read_text().splitlines()]
+        assert csv_rows[0] == ["nu", "n_cover", "nu_log_n", "admissible_flag"]
+        covers = manifest["covers"]
+        assert [(c["nu"], c["n_cover"]) for c in covers] == [
+            (float(nu), int(count)) for nu, count, *_ in csv_rows[1:]]
+        # one greedy call per radius, each a distance call per center
+        assert len(rows) == sum(c["n_cover"] for c in covers)
+        assert sum(c["distance_rows"] for c in covers) == sum(rows)
+        assert all(64 <= c["distance_rows"] <= 64 * c["n_cover"] for c in covers)
 
     def test_default_radius_from_ladder(self, tmp_path):
         grid = Grid(0.0, 1.0, 201)

@@ -223,7 +223,22 @@ class TestGreedyCover:
         assert greedy <= 2 * optimal
 
 
+_RNG = np.random.default_rng(14)
+# Independent Gaussian curves: pairwise distances bunch together, so the
+# pivot bound rarely exceeds a running minimum.
+_RANDOM_ROWS = _RNG.standard_normal((300, GRID.points))
+# Alternating +-1e6 curves (trapezoid integral 0) plus constants of order
+# 1e-8: under the integral difference every distance is a sum of terms near
+# 1e6 that cancels to within its rounding error, a few 1e-9, so a pivot
+# bound without an absolute rounding allowance would skip members wrongly.
+_CANCEL_ROWS = (1e6 * (1.0 + _RNG.random((300, 1))) * (-1.0) ** np.arange(GRID.points)
+                + 1e-8 * _RNG.standard_normal((300, 1)))
+
+
 def _family(tag: str, count: int) -> FunctionClass:
+    if tag in ("random", "cancel"):
+        rows = _RANDOM_ROWS if tag == "random" else _CANCEL_ROWS
+        return FunctionClass(tuple(Curve(GRID, row) for row in rows[:count]))
     if count == 1:
         base = gaussian_bump() if tag == "scale" else triangle_bump()
         return FunctionClass((base,))
@@ -232,12 +247,38 @@ def _family(tag: str, count: int) -> FunctionClass:
     return shift_class(triangle_bump(), 0.0, 0.4, count)
 
 
+class CountingMetric:
+    """A metric that counts the calls of ``distance_to_rows`` and the rows passed.
+
+    A greedy never makes more calls than the class has members, since it
+    never repeats a center; one more raises, so a greedy that loops on a
+    center fails instead of hanging.
+    """
+
+    def __init__(self, metric, members: int):
+        self.metric = metric
+        self.members = members
+        self.calls = self.rows = 0
+
+    def distance_to_rows(self, x_values, rows, grid):
+        self.calls += 1
+        assert self.calls <= self.members, "the greedy repeats a center"
+        self.rows += rows.shape[0]
+        return self.metric.distance_to_rows(x_values, rows, grid)
+
+
+@pytest.fixture(scope="module")
+def large_scale_class():
+    grid = Grid(0.0, 1.0, 101)
+    return scale_class(gaussian_bump(grid=grid), 1.0, 2.0, 2048)
+
+
 class TestCenterByCenterGreedy:
-    """The running-minimum greedy against the k x k matrix construction."""
+    """The pivot-bounded greedy against the k x k matrix construction."""
 
     @pytest.mark.parametrize("metric", [L1, LpDistance(2.0), IntegralDifference()], ids=repr)
     @pytest.mark.parametrize("count", [1, 2, 300])
-    @pytest.mark.parametrize("tag", ["scale", "shift"])
+    @pytest.mark.parametrize("tag", ["scale", "shift", "random", "cancel"])
     def test_same_centers_as_matrix_oracle(self, tag, count, metric):
         cls = _family(tag, count)
         rows = cls.values_matrix()
@@ -249,14 +290,37 @@ class TestCenterByCenterGreedy:
             report = greedy_cover(cls, nu, metric)
             assert report.centers == matrix_greedy_centers(cls, nu, metric)
             assert report.n_cover == len(report.centers)
+            assert float(np.max(coverage_radii(cls, report, metric))) <= nu
 
-    def test_large_class_memory_and_time(self):
-        grid = Grid(0.0, 1.0, 101)
-        cls = scale_class(gaussian_bump(grid=grid), 1.0, 2.0, 2048)
+    def test_overflowing_distances_never_skip_a_member(self):
+        # |x - y|**2 overflows to inf between curves near 1e200, so a pivot
+        # bound can read inf - inf = nan; such a member is evaluated, and
+        # no RuntimeWarning leaves covering
+        rows = np.vstack([_RANDOM_ROWS[:20], 1e200 * _RANDOM_ROWS[20:30]])
+        cls = FunctionClass(tuple(Curve(GRID, row) for row in rows))
+        metric = LpDistance(2.0)
+        with np.errstate(over="ignore"):
+            report = greedy_cover(cls, 1.0, CountingMetric(metric, len(rows)))
+            assert report.centers == matrix_greedy_centers(cls, 1.0, metric)
+
+    def test_bound_skips_most_distances(self, large_scale_class):
+        k = len(large_scale_class.members)
+        metric = CountingMetric(L1, k)
+        report = greedy_cover(large_scale_class, 0.001, metric)
+        assert metric.rows == report.distance_rows
+        assert report.distance_rows <= 0.03 * k * report.n_cover
+
+    def test_bound_never_adds_distances(self):
+        cls = _family("random", 300)
+        metric = CountingMetric(L1, 300)
+        report = greedy_cover(cls, 0.01, metric)
+        assert metric.rows == report.distance_rows <= 300 * report.n_cover
+
+    def test_large_class_memory_and_time(self, large_scale_class):
         tracemalloc.start()
         try:
             started = time.perf_counter()
-            report = greedy_cover(cls, 0.001, L1)
+            report = greedy_cover(large_scale_class, 0.001, L1)
             seconds = time.perf_counter() - started
             peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
         finally:

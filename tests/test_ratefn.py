@@ -449,6 +449,18 @@ class TestSolverCost:
             tilted_mean_inverse(gaussian_model, float(y))
             assert calls[0] <= 24, y
 
+    def test_indicator_inverse_starts_at_closed_form(self, halfline_indicator_model, calls):
+        # from s = 0 the descent took 32 / 18 / 9 / 5 calls at y = 1e-12 /
+        # 1e-6 / 0.01 / 0.3 and as many at the mirrored levels
+        rng = halfline_indicator_model.tilt_range
+        tails = np.geomspace(1e-12, 0.5, 25)
+        levels = [*tails, *(1.0 - tails), *np.linspace(rng.v0 + 1e-9, rng.v1 - 1e-9, 81)]
+        for y in levels:
+            calls[0] = 0
+            s = tilted_mean_inverse(halfline_indicator_model, float(y))
+            assert calls[0] <= 2, y
+            assert tilted_mean(halfline_indicator_model, s) == pytest.approx(y, rel=1e-14)
+
     @pytest.mark.parametrize("lam, bound", [(-7.9, 24), (1.0, 6), (7.9, 24)])
     def test_ratio_rate_closed(self, gaussian_model, calls, lam, bound):
         ratio_rate_closed(gaussian_model, lam)
