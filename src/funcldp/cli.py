@@ -298,7 +298,10 @@ def _class(spec) -> covering.FunctionClass:
                          _field(params, hi, _number),
                          _field(params, "count", lambda count: _integer(count, 2)))
     if "explicit" in spec:
-        return covering.FunctionClass(tuple(_field(spec, "explicit", _list_of(_curve_csv))))
+        curves = _field(spec, "explicit", _list_of(_curve_csv))
+        if len({curve.grid for curve in curves}) != 1:
+            raise ValueError("an explicit class needs one or more curves, all on one grid")
+        return covering.FunctionClass(curves[0].grid, [curve.values for curve in curves])
     raise ValueError(f"unrecognized spec {spec!r}")
 
 

@@ -21,30 +21,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcdata import Curve, Grid, SemiMetric, quadrature
+from .funcdata import Curve, Grid, SemiMetric, frozen_array, quadrature
 
 
 @dataclass(frozen=True, eq=False)
 class FunctionClass:
-    """A finite sample of curves standing in for a class of curves."""
+    """A finite sample of curves standing in for a class of curves.
 
-    members: tuple[Curve, ...]
+    ``rows`` holds one member per row on ``grid``: a read-only copy of the
+    (members x points) matrix given, validated once.
+    """
+
+    grid: Grid
+    rows: np.ndarray
     undersampled: bool = False
 
     def __post_init__(self):
-        if not self.members:
-            raise ValueError("a function class needs at least one member")
-        grid = self.members[0].grid
-        for m in self.members:
-            if m.grid != grid:
-                raise ValueError("all class members must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.members[0].grid
-
-    def values_matrix(self) -> np.ndarray:
-        return np.vstack([m.values for m in self.members])
+        object.__setattr__(self, "rows", frozen_array(self.rows, 2, self.grid.points))
 
 
 def scale_class(base: Curve, a_lo: float, a_hi: float, count: int) -> FunctionClass:
@@ -60,13 +53,9 @@ def scale_class(base: Curve, a_lo: float, a_hi: float, count: int) -> FunctionCl
     a_values = np.linspace(a_lo, a_hi, count)
     if np.any(a_values == 0.0):
         raise ValueError("the scale parameter grid must exclude zero")
-    grid = base.grid
-    t = grid.nodes()
-    base_nodes = t
-    members = []
-    for a in a_values:
-        resampled = np.interp(a * t, base_nodes, base.values, left=0.0, right=0.0)
-        members.append(Curve(grid, a * resampled))
+    t = base.grid.nodes()
+    rows = a_values[:, None] * np.interp(np.outer(a_values, t), t, base.values,
+                                         left=0.0, right=0.0)
     # Resampling at a*t reads the base every |a| nodes; skipping more than
     # 4 base nodes per member node risks aliasing narrow features.
     undersampled = float(np.max(np.abs(a_values))) > 4.0
@@ -76,7 +65,7 @@ def scale_class(base: Curve, a_lo: float, a_hi: float, count: int) -> FunctionCl
             "outruns the base curve resolution",
             RuntimeWarning,
         )
-    return FunctionClass(tuple(members), undersampled=undersampled)
+    return FunctionClass(base.grid, rows, undersampled=undersampled)
 
 
 # Largest fraction of the base curve's L1 mass that a shift class may push
@@ -127,10 +116,9 @@ def shift_class(base: Curve, t_lo: float, t_hi: float, count: int) -> FunctionCl
                 f"the grid window [{grid.t_min}, {grid.t_max}], more than {_CLIP_TOLERANCE:g}"
             )
     nodes = grid.nodes()
-    members = []
-    for t in np.linspace(t_lo, t_hi, count):
-        members.append(Curve(grid, np.interp(nodes - t, nodes, base.values, left=0.0, right=0.0)))
-    return FunctionClass(tuple(members))
+    shifts = np.linspace(t_lo, t_hi, count)
+    return FunctionClass(grid, np.interp(nodes - shifts[:, None], nodes, base.values,
+                                         left=0.0, right=0.0))
 
 
 @dataclass(frozen=True)
@@ -185,18 +173,22 @@ def greedy_cover(cls: FunctionClass, nu: float, metric: SemiMetric) -> CoverRepo
     row's distance does not depend on the rows passed with it, so the
     running minimum, and with it the centers, are bitwise those of the
     full traversal; a running minimum is always a distance that was
-    evaluated, so the stopping test certifies the cover either way.
+    evaluated, so the stopping test certifies the cover either way.  A NaN
+    distance, which ``np.minimum`` keeps and no radius covers, raises
+    ValueError naming its member.
     """
     if not nu > 0:
         raise ValueError(f"cover radius must be positive, got {nu}")
-    rows = cls.values_matrix()
+    rows = cls.rows
     allowance = _pivot_allowance(rows, cls.grid)
     centers = [0]
     min_dist = metric.distance_to_rows(rows[0], rows, cls.grid)
     pivots = [min_dist.copy()]
     evaluated = min_dist.size
-    while float(np.max(min_dist)) > nu:
-        nxt = int(np.argmax(min_dist))
+    while not float(np.max(min_dist)) <= nu:
+        nxt = int(np.argmax(min_dist))  # the first NaN, if there is one
+        if math.isnan(min_dist[nxt]):
+            raise ValueError(f"member {nxt} lies at a NaN distance from a center under {metric!r}")
         centers.append(nxt)
         if len(pivots) < 2:
             members = slice(None)
@@ -220,7 +212,7 @@ def greedy_cover(cls: FunctionClass, nu: float, metric: SemiMetric) -> CoverRepo
 
 def coverage_radii(cls: FunctionClass, report: CoverReport, metric: SemiMetric) -> np.ndarray:
     """Distance of each member to its nearest center; all must be <= nu."""
-    rows = cls.values_matrix()
+    rows = cls.rows
     nearest = np.full(rows.shape[0], np.inf)
     for c in report.centers:
         np.minimum(nearest, metric.distance_to_rows(rows[c], rows, cls.grid), out=nearest)

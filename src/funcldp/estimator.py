@@ -25,8 +25,6 @@ _INTERVAL = tuple[float, float]
 class IdentityIndex:
     """Index l(v) = v; the plain regression case."""
 
-    sup_bound: float = math.inf
-
     def __call__(self, v):
         return np.asarray(v, dtype=float)
 
@@ -39,7 +37,6 @@ class IntervalIndicator:
     """
 
     intervals: tuple[_INTERVAL, ...]
-    sup_bound: float = 1.0
 
     def __post_init__(self):
         if not self.intervals:
@@ -58,14 +55,13 @@ class IntervalIndicator:
 
 @dataclass(frozen=True)
 class LipschitzIndex:
-    """Bounded Lipschitz index supplied as a callable with a declared sup bound."""
+    """Index supplied as a callable.
+
+    The theorems assume it bounded and Lipschitz; nothing here reads or
+    checks a bound.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    sup_bound: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.sup_bound):
-            raise ValueError("a bounded Lipschitz index must declare a finite sup bound")
 
     def __call__(self, v):
         return np.asarray(self.fn(np.asarray(v, dtype=float)), dtype=float)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -53,15 +52,17 @@ class Grid:
         return weights
 
 
-def _frozen_array(values, length: int | None = None) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
-        raise ValueError(f"expected {length} values, got {arr.shape[0]}")
+def frozen_array(values, ndim: int, points: int) -> np.ndarray:
+    """Read-only copy of ``values``, a nonempty ``ndim``-D array of finite floats.
+
+    Each row (the whole array when ``ndim`` is 1) holds ``points`` values.
+    """
+    arr = np.array(values, dtype=float)
+    if arr.ndim != ndim or arr.size == 0 or arr.shape[-1] != points:
+        raise ValueError(f"expected a nonempty {ndim}-D array of {points} values per row, "
+                         f"got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("values must all be finite")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -74,7 +75,7 @@ class Curve:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, self.grid.points))
+        object.__setattr__(self, "values", frozen_array(self.values, 1, self.grid.points))
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "Curve":
@@ -189,9 +190,11 @@ def distance(x: Curve, y: Curve, metric: SemiMetric) -> float:
 class _KernelBase:
     """Common kernel interface on the support [0, 1].
 
-    Every variant is nonnegative, bounded, differentiable on [0, 1],
-    bounded below by ``k0 > 0`` and has ``k_at_one > 0``.  ``scale``
-    multiplies the whole kernel (useful for scale-invariance checks).
+    Every variant meets the paper's kernel hypotheses: it is
+    differentiable and Lipschitz on [0, 1], bounded below there by some
+    k0 > 0, and K(1) > 0.  These are assumptions of the theorems; no
+    computation reads them as values.  ``scale`` multiplies the whole
+    kernel (useful for scale-invariance checks).
     """
 
     scale: float = 1.0
@@ -208,18 +211,6 @@ class UniformKernel(_KernelBase):
     def k(self, u):
         return self.scale * np.ones_like(np.asarray(u, dtype=float))
 
-    @property
-    def k_at_one(self) -> float:
-        return self.scale
-
-    @property
-    def k0(self) -> float:
-        return self.scale
-
-    @property
-    def lipschitz(self) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class ExpDecayKernel(_KernelBase):
@@ -228,18 +219,6 @@ class ExpDecayKernel(_KernelBase):
     def k(self, u):
         return self.scale * np.exp(-np.asarray(u, dtype=float))
 
-    @property
-    def k_at_one(self) -> float:
-        return self.scale * math.exp(-1.0)
-
-    @property
-    def k0(self) -> float:
-        return self.scale * math.exp(-1.0)
-
-    @property
-    def lipschitz(self) -> float:
-        return self.scale
-
 
 @dataclass(frozen=True)
 class AffineKernel(_KernelBase):
@@ -247,18 +226,6 @@ class AffineKernel(_KernelBase):
 
     def k(self, u):
         return self.scale * (2.0 - np.asarray(u, dtype=float))
-
-    @property
-    def k_at_one(self) -> float:
-        return self.scale
-
-    @property
-    def k0(self) -> float:
-        return self.scale
-
-    @property
-    def lipschitz(self) -> float:
-        return self.scale
 
 
 Kernel = UniformKernel | ExpDecayKernel | AffineKernel

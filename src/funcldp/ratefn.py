@@ -33,6 +33,7 @@ from .funcdata import Grid, IdentityScaling, Kernel, ScalingProfile, UniformKern
 PROBE_T = 50.0
 DOMAIN_MARGIN = 1e-6
 _TAIL_FACTOR = 1e-12
+_NEWTON_ITERATIONS = 200
 # Relative change below which a Newton descent counts as settled: a little
 # above the rounding level of the values and points that the callers compute.
 _SETTLE_TOL = 1e-13
@@ -364,7 +365,6 @@ def _newton_minimize(
     x: np.ndarray,
     what: str,
     polish: bool = False,
-    max_iter: int = 200,
 ) -> tuple[np.ndarray, float]:
     """Minimiser and minimum of a smooth convex function by damped Newton descent from ``x``.
 
@@ -381,7 +381,7 @@ def _newton_minimize(
     """
     f_x, grad, hess = local(x)
     settled = math.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERATIONS):
         try:
             step = -np.linalg.solve(hess, grad)
             decrement = float(-grad @ step)
@@ -408,7 +408,8 @@ def _newton_minimize(
                 f"no descent step at {x} for {what}; Newton decrement {decrement:.3e}"
             )
         x, f_x, grad, hess = cand, f_cand, g_cand, h_cand
-    raise NumericError(f"Newton descent did not converge in {max_iter} iterations for {what}")
+    raise NumericError(
+        f"Newton descent did not converge in {_NEWTON_ITERATIONS} iterations for {what}")
 
 
 def legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:

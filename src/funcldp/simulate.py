@@ -47,6 +47,10 @@ _BLOCK_DRAWS = 1 << 16
 # noise scale is treated as independent of P; the closed-form cell masses
 # would lose more to cancellation than that approximation costs.
 _FLAT_SPREAD = 1.5e-8
+# Nodes of an induced weight's window, and the window's half-width in
+# standard deviations of a Gaussian weight: its truncated tails are negligible.
+_WEIGHT_NODES = 4001
+_WEIGHT_TAIL_SIGMAS = 8.0
 
 
 def _reflect_low(lo, hi):
@@ -285,12 +289,7 @@ def conditional_density(model: LinearFactorModel, x: Curve, v):
     return float(out) if out.ndim == 0 else out
 
 
-def induced_weight(
-    model: LinearFactorModel,
-    x: Curve,
-    nodes: int = 4001,
-    tail_sigmas: float = 8.0,
-) -> ratefn.WeightDensity:
+def induced_weight(model: LinearFactorModel, x: Curve) -> ratefn.WeightDensity:
     """Weight density w(v) = local density times response density at ``x``.
 
     For a normal response the product is Gaussian-shaped and the window is
@@ -304,12 +303,12 @@ def induced_weight(
         precision = (ih / il) ** 2 + 1.0 / model.y_law.sd**2
         var = 1.0 / precision
         center = var * (c * ih / il**2 + model.y_law.mean / model.y_law.sd**2)
-        half = tail_sigmas * math.sqrt(var)
+        half = _WEIGHT_TAIL_SIGMAS * math.sqrt(var)
         v_lo, v_hi = center - half, center + half
     else:
-        pad = 2.0 * (model.y_law.hi - model.y_law.lo) / (nodes - 1)
+        pad = 2.0 * (model.y_law.hi - model.y_law.lo) / (_WEIGHT_NODES - 1)
         v_lo, v_hi = model.y_law.lo - pad, model.y_law.hi + pad
-    v = Grid(v_lo, v_hi, nodes).nodes()
+    v = Grid(v_lo, v_hi, _WEIGHT_NODES).nodes()
     w = conditional_density(model, x, v) * model.y_law.pdf(v)
     return ratefn.WeightDensity(v_lo, v_hi, w)
 
@@ -425,10 +424,11 @@ class ExperimentRecord:
     flag: str
 
 
-def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if not trials >= 1:
         raise ValueError("wilson interval needs at least one trial")
+    z = _WILSON_Z
     p = hits / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -163,6 +163,7 @@ class TestExitCodes:
             (_estimate_config(metric="foo"), "metric"),
             (_estimate_config(model={**_CSV_MODEL, "y_law": [1]}), "y_law"),
             (_sim_config(command="uniform", centers=[5]), "centers"),
+            (_cover_config(**{"class": {"explicit": ["bump.csv", "fine.csv"]}}), "class"),
         ],
         ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
              "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
@@ -178,12 +179,14 @@ class TestExitCodes:
              "replicates-fraction", "replicates-zero-rung", "explicit-not-list",
              "csv-path-not-string", "explicit-empty", "scale-range-through-zero",
              "base-csv-missing", "base-csv-nan-node", "index-unrecognized", "metric-unrecognized",
-             "y-law-unrecognized", "centers-unrecognized"],
+             "y-law-unrecognized", "centers-unrecognized", "explicit-two-grids"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bump.csv").write_text("t,value\n0.0,0.0\n0.5,1.0\n1.0,0.0\n")
         (tmp_path / "nan.csv").write_text("t,value\n0.0,0.0\nnan,1.0\n1.0,0.0\n")
+        (tmp_path / "fine.csv").write_text(
+            "t,value\n0.0,0.0\n0.25,0.5\n0.5,1.0\n0.75,0.5\n1.0,0.0\n")
         code = main(["--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err

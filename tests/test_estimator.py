@@ -9,7 +9,6 @@ from funcldp.estimator import (
     EstimatorConfig,
     IdentityIndex,
     IntervalIndicator,
-    LipschitzIndex,
     RegressionEstimate,
     delta,
     finite_n_log_mgf,
@@ -46,7 +45,6 @@ class TestIndexFunctions:
     def test_identity(self):
         idx = IdentityIndex()
         np.testing.assert_array_equal(idx(np.array([-1.0, 0.5])), [-1.0, 0.5])
-        assert idx.sup_bound == math.inf
 
     def test_indicator_membership(self):
         idx = IntervalIndicator(((0.0, 1.0), (2.0, math.inf)))
@@ -59,10 +57,6 @@ class TestIndexFunctions:
             IntervalIndicator(())
         with pytest.raises(ValueError):
             IntervalIndicator(((1.0, 1.0),))
-
-    def test_lipschitz_needs_finite_bound(self):
-        with pytest.raises(ValueError):
-            LipschitzIndex(np.tanh, math.inf)
 
 
 class TestDataset:

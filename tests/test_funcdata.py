@@ -280,25 +280,26 @@ class TestKernels:
             kernel_eval(UniformKernel(), -0.1)
 
     @pytest.mark.parametrize(
-        "kernel", [UniformKernel(), ExpDecayKernel(), AffineKernel()]
+        "kernel, k0",
+        [(UniformKernel(), 1.0), (ExpDecayKernel(), math.exp(-1.0)), (AffineKernel(), 1.0)],
     )
-    def test_bounds(self, kernel):
+    def test_bounds(self, kernel, k0):
+        # the kernel hypotheses: K >= k0 > 0 on [0, 1], so K(1) > 0 too
         u = np.linspace(0.0, 1.0, 101)
         values = kernel.k(u)
-        assert np.all(values >= 0.0)
-        assert kernel.k_at_one > 0.0
-        assert kernel.k0 > 0.0
-        assert np.all(values >= kernel.k0 - 1e-12)
+        assert np.all(values >= k0 - 1e-12)
+        assert kernel.k(1.0) > 0.0
 
     @pytest.mark.parametrize(
-        "kernel", [UniformKernel(), ExpDecayKernel(), AffineKernel()]
+        "kernel, lipschitz",
+        [(UniformKernel(), 0.0), (ExpDecayKernel(), 1.0), (AffineKernel(), 1.0)],
     )
-    def test_lipschitz_bound(self, kernel):
+    def test_lipschitz_bound(self, kernel, lipschitz):
         rng = np.random.default_rng(42)
         u = rng.uniform(0.0, 1.0, size=10_000)
         v = rng.uniform(0.0, 1.0, size=10_000)
         gap = np.abs(kernel.k(u) - kernel.k(v))
-        assert np.all(gap <= kernel.lipschitz * np.abs(u - v) + 1e-12)
+        assert np.all(gap <= lipschitz * np.abs(u - v) + 1e-12)
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):

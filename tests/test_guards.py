@@ -3,6 +3,7 @@ and a NaN level raises in the rate layer instead of reading as a rate."""
 
 import math
 
+import numpy as np
 import pytest
 
 from funcldp import covering, estimator, funcdata, ratefn, simulate
@@ -14,7 +15,7 @@ MODEL = ratefn.gaussian_identity_model(nodes=401)
 
 
 def _cover_nan():
-    cls = covering.FunctionClass((Curve.constant(GRID, 0.0), Curve.constant(GRID, 1.0)))
+    cls = covering.FunctionClass(GRID, np.outer([0.0, 1.0], np.ones(GRID.points)))
     covering.greedy_cover(cls, NAN, LpDistance(1.0))
 
 
@@ -51,6 +52,9 @@ ENTRY_POINTS = {
     "wilson_interval.trials": lambda: simulate.wilson_interval(0, NAN),
     "scale_class.count": lambda: covering.scale_class(Curve.constant(GRID, 1.0), 1.0, 2.0, NAN),
     "greedy_cover.nu": _cover_nan,
+    "FunctionClass.rows": lambda: covering.FunctionClass(
+        GRID, np.append(np.zeros(GRID.points - 1), NAN)[np.newaxis]),
+    "FunctionClass.width": lambda: covering.FunctionClass(GRID, np.zeros((2, GRID.points + 1))),
     "two_sided_rate.r_true": lambda: ratefn.two_sided_rate(MODEL, NAN, 1.0),
     "class_rate.r_true": lambda: ratefn.class_rate([(MODEL, NAN)], 1.0),
     "ratio_rate.lam": lambda: ratefn.ratio_rate(MODEL, NAN),

@@ -147,7 +147,7 @@ def kprime_log_mgf(model: RateModel, t1: float, t2: float, u_nodes: int = 2001) 
 
     Nodes where K' = 0 contribute 0, so a flat kernel never forms 0 * inf.
     """
-    kernel, k1 = model.kernel, model.kernel.k_at_one
+    kernel, k1 = model.kernel, float(model.kernel.k(1.0))
 
     def values(theta, u):
         kp_u = kernel_prime(kernel, u)
@@ -313,7 +313,7 @@ class TestTiltedMean:
 
     def test_constant_index_collapses(self):
         weight = WeightDensity.gaussian()
-        const = LipschitzIndex(lambda v: np.full_like(v, 2.5), sup_bound=2.5)
+        const = LipschitzIndex(lambda v: np.full_like(v, 2.5))
         model = RateModel(weight, const, UniformKernel(), IdentityScaling())
         for t in (-3.0, 0.0, 4.0):
             assert tilted_mean(model, t) == pytest.approx(2.5, abs=1e-12)
