@@ -78,10 +78,6 @@ class Curve:
         object.__setattr__(self, "values", frozen_array(self.values, 1, self.grid.points))
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Curve":
-        return cls(grid, fn(grid.nodes()))
-
-    @classmethod
     def constant(cls, grid: Grid, value: float) -> "Curve":
         return cls(grid, np.full(grid.points, float(value)))
 

@@ -215,8 +215,7 @@ def tilted_mean(model: RateModel, t: float) -> float:
     Nondecreasing in the tilt; its range over all tilts is the
     finiteness interval of the ratio-rate formulas.
     """
-    _, mean, _ = _tilted_moments(model, t)
-    return mean
+    return _tilted_moments(model, t)[1]
 
 
 def tilted_mean_range(model: RateModel) -> TiltRange:
@@ -296,41 +295,48 @@ def _kernel_rule(model: RateModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _TiltOps:
-    """The limit log-MGF and its derivatives from one exponential table per point.
+    """The limit log-MGF and its derivatives from one kernel-major table per instance.
 
     Phi(t) = integral G(theta(v)) w(v) dv with theta = t1 + t2 l(v) and
-    G(theta) = integral_0^1 (exp(theta K(u)) - 1) dtau(u).  The table
-    exp(theta(v_i) K(u_j)) has a row for each node where w > 0, so an
-    overflow on a zero-weight node never meets 0 * inf.  G, G' and G'' are
-    its dot products with the weights of ``_kernel_rule``; on the response
-    side Phi is one dot with the first moment row, the gradient one with
-    the first two and the Hessian one with all three.  The rule's nodes
-    lie in u, where the kernels are smooth;
-    a 32-node Gauss-Legendre rule in omega = tau(u) is off by up to 4e-4
-    relative for alpha > 1, since k(omega**(1/alpha)) is not smooth at 0.
-    On the exp-decay and affine kernels, for alpha in {0.5, 1, 1.7, 2, 3},
-    Phi agrees with adaptive quadrature of the kernel side to 1e-13
-    relative; the response side carries the weight density's trapezoid
-    error.
+    G(theta) = integral_0^1 (exp(theta K(u)) - 1) dtau(u).  Each instance
+    owns one theta vector and one table exp(K(u_j) theta(v_i)), a row per
+    node of ``_kernel_rule`` and a column per node where w > 0 (so an
+    overflow on a zero-weight node never meets 0 * inf), and refills both
+    in place at every ``local`` call.  G, G' and G'' are the table's dot
+    products with the rule's weights; on the response side Phi is one dot
+    with the first moment row, the gradient one with the first two and the
+    Hessian one with all three.  An instance is one rate solve's scratch
+    and is never shared between threads.  The rule's nodes lie in u, where
+    the kernels are smooth; a 32-node Gauss-Legendre rule in omega = tau(u)
+    is off by up to 4e-4 relative for alpha > 1, since k(omega**(1/alpha))
+    is not smooth at 0.  On the exp-decay and affine kernels, for alpha in
+    {0.5, 1, 1.7, 2, 3}, Phi agrees with adaptive quadrature of the kernel
+    side to 1e-13 relative; the response side carries the weight density's
+    trapezoid error.
     """
 
     def __init__(self, model: RateModel):
         self.rows = model._rows
         self.lvals = model._l_support
         self.k, self.weights = _kernel_rule(model)
-        self.wk = np.column_stack([self.weights * self.k, self.weights * self.k**2])
+        self.wk = np.vstack([self.weights * self.k, self.weights * self.k**2])
+        self.theta, self.table = np.empty(self.lvals.size), np.empty((self.k.size, self.lvals.size))
 
     def local(self, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Phi, its gradient and its Hessian at ``t``, all from one table.
 
         Overflow gives the +inf sentinel; a NaN raises ``NumericError``.
         """
+        theta = np.multiply(self.lvals, t[1], out=self.theta)
+        theta += t[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            exps = np.exp((t[0] + t[1] * self.lvals)[:, np.newaxis] * self.k)
-            value = float(self.rows[0].dot((exps - 1.0).dot(self.weights)))
-            g = exps.dot(self.wk)
-            grad = self.rows[:2].dot(g[:, 0])
-            h00, h01, h11 = self.rows.dot(g[:, 1])
+            table = np.multiply(self.k[:, np.newaxis], theta, out=self.table)
+            np.exp(table, out=table)
+            g = self.wk.dot(table)
+            grad = self.rows[:2].dot(g[0])
+            h00, h01, h11 = self.rows.dot(g[1])
+            table -= 1.0
+            value = float(self.rows[0].dot(self.weights.dot(table)))
         if math.isnan(value):
             raise NumericError(f"NaN in log-MGF quadrature at t=({t[0]}, {t[1]})")
         return value, grad, np.array([[h00, h01], [h01, h11]])
@@ -562,9 +568,7 @@ def ratio_rate_derivatives(model: RateModel, lam: float) -> tuple[float, float]:
     s = tilted_mean_inverse(model, lam)
     log_mass, _, var = _tilted_moments(model, s)
     amplitude = math.exp(-lam * s + log_mass)
-    g1 = s * amplitude
-    g2 = (1.0 / var - s * s) * amplitude
-    return g1, g2
+    return s * amplitude, (1.0 / var - s * s) * amplitude
 
 
 def ratio_rate_quadratic(model: RateModel, lam: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -659,6 +660,40 @@ class TestLogMgfLimit:
         g1, g2 = log_mgf_gradient(gaussian_model, 0.0, 0.0)
         assert g1 == pytest.approx(gaussian_model.weight.mass, abs=1e-12)
         assert g2 == pytest.approx(0.0, abs=1e-12)
+
+
+class TestTiltOpsBuffers:
+    """One ``_TiltOps`` reuses its theta vector and table across ``local`` calls."""
+
+    @pytest.mark.parametrize("kernel", [ExpDecayKernel(), AffineKernel()])
+    def test_reused_instance_matches_fresh_one_bitwise(self, kernel):
+        model = RateModel(WeightDensity.gaussian(), IdentityIndex(), kernel, IdentityScaling())
+        ops = ratefn._TiltOps(model)
+        assert ops.local(np.array([0.0, 800.0]))[0] == math.inf
+        for t in ((0.3, -0.2), (-1.0, 2.0)):
+            reused = ops.local(np.array(t))
+            fresh = ratefn._TiltOps(model).local(np.array(t))
+            assert math.isfinite(reused[0])
+            assert ([np.asarray(x).tobytes() for x in reused]
+                    == [np.asarray(x).tobytes() for x in fresh]), t
+
+    def test_second_call_makes_no_table_sized_allocation(self):
+        model = RateModel(WeightDensity.gaussian(), IdentityIndex(), ExpDecayKernel(),
+                          IdentityScaling())
+        ops = ratefn._TiltOps(model)
+        t = np.array([0.3, -0.2])
+        ops.local(t)
+        table_bytes = ops.k.size * ops.lvals.size * np.dtype(float).itemsize
+        # numpy reports its data buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ops.local(t)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 4, (peak, table_bytes)
 
 
 class TestLegendreRate:
