@@ -106,10 +106,10 @@ def _object(value) -> dict:
 
 
 def _list_of(convert):
-    """Converter of a list whose entries each pass ``convert``."""
+    """Converter of a nonempty list whose entries each pass ``convert``."""
     def convert_list(values) -> list:
-        if not isinstance(values, list):
-            raise TypeError(f"expected a list, got {values!r}")
+        if not (isinstance(values, list) and values):
+            raise TypeError(f"expected a nonempty list, got {values!r}")
         return [convert(v) for v in values]
     return convert_list
 
@@ -281,8 +281,6 @@ def _run_simulate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
 def _run_uniform(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     model = _field(cfg, "model", _model)
     centers = _field(cfg, "centers", _list_of(_curve_on(model.grid)))
-    if not centers:
-        raise ConfigError("field 'centers' must be a nonempty list")
     index = _field(cfg, "index", _index, None)
     records = simulate.uniform_ladder(model, centers, index, _ladder_config(cfg, seed))
     return [_write_ladder(out, "uniform_ladder.csv", records)], {}
@@ -299,8 +297,8 @@ def _class(spec) -> covering.FunctionClass:
                          _field(params, "count", lambda count: _integer(count, 2)))
     if "explicit" in spec:
         curves = _field(spec, "explicit", _list_of(_curve_csv))
-        if len({curve.grid for curve in curves}) != 1:
-            raise ValueError("an explicit class needs one or more curves, all on one grid")
+        if len({curve.grid for curve in curves}) > 1:
+            raise ValueError("an explicit class needs all its curves on one grid")
         return covering.FunctionClass(curves[0].grid, [curve.values for curve in curves])
     raise ValueError(f"unrecognized spec {spec!r}")
 

@@ -9,6 +9,7 @@ rare-event experiments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -16,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .funcdata import Curve, Grid, GridMismatchError, Kernel, SemiMetric
+from .funcdata import (Curve, FactorRows, Grid, GridMismatchError, Kernel, Rows, SemiMetric,
+                       row_blocks)
 
 _INTERVAL = tuple[float, float]
 
@@ -71,28 +73,43 @@ IndexFunction = IdentityIndex | IntervalIndicator | LipschitzIndex
 
 
 class Dataset:
-    """Pairs (X_i, Y_i) of curves and real responses on one shared grid."""
+    """Pairs (X_i, Y_i) of curves and real responses on one shared grid.
 
-    def __init__(self, grid: Grid, x_values: np.ndarray, y: np.ndarray):
-        x_values = np.asarray(x_values, dtype=float)
+    ``rows``, which the distances read, is a finite (n, points) matrix or
+    ``FactorRows`` with a finite ``bound``; ``x_values`` is the read-only
+    matrix, built from factor rows block by block on first read and kept.
+    """
+
+    def __init__(self, grid: Grid, x_values: Rows, y: np.ndarray):
+        factored = isinstance(x_values, FactorRows)
+        rows = x_values if factored else np.asarray(x_values, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x_values.ndim != 2 or x_values.shape[1] != grid.points:
-            raise ValueError(f"x_values must be (n, {grid.points}), got {x_values.shape}")
-        if y.shape != (x_values.shape[0],):
-            raise ValueError(f"y must have length {x_values.shape[0]}, got {y.shape}")
-        if x_values.shape[0] < 1:
+        if len(rows.shape) != 2 or rows.shape[1] != grid.points:
+            raise ValueError(f"x_values must be (n, {grid.points}), got {rows.shape}")
+        if y.shape != (rows.shape[0],):
+            raise ValueError(f"y must have length {rows.shape[0]}, got {y.shape}")
+        if rows.shape[0] < 1:
             raise ValueError("dataset needs at least one pair")
-        if not (np.all(np.isfinite(x_values)) and np.all(np.isfinite(y))):
+        finite = math.isfinite(rows.bound()) if factored else np.all(np.isfinite(rows))
+        if not (finite and np.all(np.isfinite(y))):
             raise ValueError("dataset values must all be finite")
-        self.grid = grid
-        self.x_values = x_values
-        self.y = y
-        self.x_values.flags.writeable = False
+        self.grid, self.rows, self.y = grid, rows, y
+        if not factored:
+            self.rows.flags.writeable = False
+            self.x_values = rows  # a matrix is its own x_values
         self.y.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.x_values.shape[0]
+        return self.rows.shape[0]
+
+    @functools.cached_property
+    def x_values(self) -> np.ndarray:
+        x_values = np.empty(self.rows.shape)
+        for block_rows, _ in row_blocks(*x_values.shape):
+            x_values[block_rows] = self.rows[block_rows]
+        x_values.flags.writeable = False
+        return x_values
 
 
 @dataclass(frozen=True)
@@ -126,7 +143,7 @@ class RegressionEstimate:
     active_count: int
 
 
-def _distances(x: Curve, rows: np.ndarray, grid: Grid, metric: SemiMetric) -> np.ndarray:
+def _distances(x: Curve, rows: Rows, grid: Grid, metric: SemiMetric) -> np.ndarray:
     """Distance d(x, row) of every row: one pass over the rows."""
     if x.grid != grid:
         raise GridMismatchError("evaluation curve and dataset live on different grids")
@@ -145,15 +162,10 @@ def _kernel_weights(distances: np.ndarray,
     return w, active
 
 
-def _weights(x: Curve, rows: np.ndarray, grid: Grid,
-             cfg: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``_kernel_weights`` of the rows' ``_distances``: K(d(x, row)/h) and the window."""
-    return _kernel_weights(_distances(x, rows, grid, cfg.metric), cfg)
-
-
 def delta(x: Curve, xi: Curve, cfg: EstimatorConfig) -> float:
-    """Kernel weight K(d(x, X_i)/h), hard-zeroed outside d/h <= 1: ``_weights`` of one row."""
-    return float(_weights(x, xi.values[np.newaxis], xi.grid, cfg)[0][0])
+    """Kernel weight K(d(x, X_i)/h), hard-zeroed outside d/h <= 1: the one-row case."""
+    distances = _distances(x, xi.values[np.newaxis], xi.grid, cfg.metric)
+    return float(_kernel_weights(distances, cfg)[0][0])
 
 
 def z_n(x: Curve, data: Dataset, index: IndexFunction,
@@ -161,14 +173,14 @@ def z_n(x: Curve, data: Dataset, index: IndexFunction,
     """Evaluate the estimator components at ``x`` over the whole dataset, once per config.
 
     Configs that share a metric share one distance pass over the curves,
-    so a bandwidth sequence reads the curve matrix once per metric.
+    so a bandwidth sequence reads the dataset's ``rows`` once per metric.
     """
     distances = {}
     indexed = index(data.y)
     estimates = []
     for cfg in configs:
         if cfg.metric not in distances:
-            distances[cfg.metric] = _distances(x, data.x_values, data.grid, cfg.metric)
+            distances[cfg.metric] = _distances(x, data.rows, data.grid, cfg.metric)
         w, active = _kernel_weights(distances[cfg.metric], cfg)
         norm = data.n * cfg.phi_of_h
         r_n1 = float(np.sum(w)) / norm
@@ -199,10 +211,11 @@ def finite_n_log_mgf(
     """Estimate (1/(n phi(h))) log E exp{sum_i (t1 + t2 l(Y_i)) Delta_i(x)}.
 
     Each replicate draws an independent dataset from ``data_law`` with its
-    own RNG stream; the replicate exponents are combined by log-sum-exp,
-    so the reduction is deterministic and overflow-safe.  A replicate
-    whose exponent is itself non-finite flags the estimate and yields an
-    infinite value.
+    own RNG stream, and its distances read the dataset's ``rows``: for a
+    ``sample_dataset`` draw the factors, with no curve matrix.  The
+    replicate exponents are combined by log-sum-exp, so the reduction is
+    deterministic and overflow-safe.  A replicate whose exponent is itself
+    non-finite flags the estimate and yields an infinite value.
     """
     if not replicates >= 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -215,7 +228,7 @@ def finite_n_log_mgf(
             n = data.n
         elif data.n != n:
             raise ValueError("data_law must produce datasets of a fixed size")
-        w, _ = _weights(x, data.x_values, data.grid, cfg)
+        w, _ = _kernel_weights(_distances(x, data.rows, data.grid, cfg.metric), cfg)
         exponents[rep] = np.sum((t1 + t2 * index(data.y)) * w)
     if not np.all(np.isfinite(exponents)):
         return LogMgfEstimate(math.inf, True)

@@ -3,10 +3,10 @@
 Everything here is immutable after construction and safe to share.  All
 integrals over a uniform grid use the composite trapezoid rule, which is
 exact for affine integrands: one ``einsum`` of the rows with the grid's
-trapezoid weights (``_integrate_rows``).  A scalar integral or distance is
-the one-row case of the batched one, so the two agree bitwise.  Each
-scaling profile carries one fixed Gauss rule for its measure dtau on the
-kernel support [0, 1].
+trapezoid weights (``_integrate_rows``); ``FactorRows`` integrate their
+basis.  A scalar integral or distance is the one-row case of the batched
+one on a matrix, so the two agree bitwise.  Each scaling profile carries
+one fixed Gauss rule for its measure dtau on the kernel support [0, 1].
 """
 
 from __future__ import annotations
@@ -125,13 +125,48 @@ def row_blocks(rows: int, points: int) -> Iterator[tuple[slice, np.ndarray]]:
         yield slice(start, stop), scratch[: stop - start]
 
 
-def _row_integrals(x_values: np.ndarray, rows: np.ndarray, grid: Grid,
-                   p: float | None) -> np.ndarray:
+@dataclass(frozen=True)
+class FactorRows:
+    """Read-only rows sum_k coeffs[i, k] * basis[k], held as the (n, k) and (k, points) factors."""
+
+    coeffs: np.ndarray
+    basis: np.ndarray
+
+    def __post_init__(self):
+        if (self.coeffs.ndim, self.basis.ndim) != (2, 2) or self.coeffs.shape[1] != len(self.basis):
+            raise ValueError(f"factors of shapes {self.coeffs.shape}, {self.basis.shape} differ")
+        self.coeffs.flags.writeable = self.basis.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.coeffs.shape[0], self.basis.shape[1]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """The rows ``rows`` as a matrix: one product per term, added in order of k."""
+        out = np.multiply.outer(self.coeffs[rows, 0], self.basis[0])
+        for k in range(1, len(self.basis)):
+            out += np.multiply.outer(self.coeffs[rows, k], self.basis[k])
+        return out
+
+    def bound(self) -> float:
+        """sum_k max|coeffs[:, k]| * max|basis[k]|; when finite, every row is finite."""
+        return sum(float(c) * float(b) for c, b in zip(np.max(np.abs(self.coeffs), axis=0),
+                                                       np.max(np.abs(self.basis), axis=1)))
+
+
+Rows = np.ndarray | FactorRows  # an (n, points) matrix, or its factors
+
+
+def _row_integrals(x_values: np.ndarray, rows: Rows, grid: Grid, p: float | None) -> np.ndarray:
     """Trapezoid integral of each ``row - x``, or of ``|row - x|**p`` when p is given.
 
-    Walks ``rows`` through ``row_blocks``; ``rows`` is left unchanged.
+    Walks the rows through ``row_blocks``, leaving a matrix unchanged and building
+    factor rows block by block; their plain integrals need no block.
     """
     weights = grid.trapezoid_weights()
+    if p is None and isinstance(rows, FactorRows):
+        integrals = sum(c * i for c, i in zip(rows.coeffs.T, _integrate_rows(rows.basis, weights)))
+        return integrals - quadrature(x_values, grid)
     out = np.empty(rows.shape[0])
     for block_rows, block in row_blocks(rows.shape[0], grid.points):
         np.subtract(rows[block_rows], x_values, out=block)
@@ -151,7 +186,7 @@ class IntegralDifference:
     distance zero.
     """
 
-    def distance_to_rows(self, x_values: np.ndarray, rows: np.ndarray, grid: Grid) -> np.ndarray:
+    def distance_to_rows(self, x_values: np.ndarray, rows: Rows, grid: Grid) -> np.ndarray:
         return np.abs(_row_integrals(x_values, rows, grid, None))
 
 
@@ -165,7 +200,7 @@ class LpDistance:
         if not self.p >= 1:
             raise ValueError(f"L_p distance needs p >= 1, got {self.p}")
 
-    def distance_to_rows(self, x_values: np.ndarray, rows: np.ndarray, grid: Grid) -> np.ndarray:
+    def distance_to_rows(self, x_values: np.ndarray, rows: Rows, grid: Grid) -> np.ndarray:
         return _row_integrals(x_values, rows, grid, self.p) ** (1.0 / self.p)
 
 

@@ -1,11 +1,13 @@
 """Generative curve model, small-ball probes, and rare-event ladders.
 
 The generative model builds each covariate curve as a response-scaled
-signal curve plus a standard-normal-scaled noise curve.  Under the
-integral-difference semi-metric the distance from any fixed curve is a
-scalar projection, so the conditional small-ball probability has the
-explicit Gaussian local density used by all rate-function comparisons,
-with small-ball scale phi(u) = 2u.
+signal curve plus a standard-normal-scaled noise curve; a sampled dataset
+holds its curves as those factors and builds their matrix only when its
+``x_values`` is first read.  Under the integral-difference semi-metric
+the distance from any fixed curve is a scalar projection, so the
+conditional small-ball probability has the explicit Gaussian local
+density used by all rate-function comparisons, with small-ball scale
+phi(u) = 2u.
 
 Ladder experiments estimate rare deviation probabilities of the kernel
 regression estimate across a growing sample-size schedule and report
@@ -37,7 +39,7 @@ from scipy.special import ndtr, ndtri
 
 from . import ratefn
 from .estimator import Dataset, IndexFunction
-from .funcdata import Curve, Grid, IdentityScaling, UniformKernel, row_blocks
+from .funcdata import Curve, FactorRows, Grid, IdentityScaling, UniformKernel
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -257,23 +259,18 @@ def default_model(points: int = 101) -> LinearFactorModel:
 def sample_dataset(model: LinearFactorModel, n: int, seed: int) -> Dataset:
     """Draw n covariate curves and responses; deterministic given the seed.
 
-    Row i of the curve matrix is ``y_i * signal + eps_i * noise``, built
-    in the row blocks of ``row_blocks``: the product ``y_i * signal``
-    goes straight into the matrix and ``eps_i * noise`` into one reused
-    scratch block, so no full-size temporary is made.
+    Row i of the curve matrix is ``y_i * signal + eps_i * noise``.  The
+    rows are held as ``FactorRows``: the coefficients (y_i, eps_i), column
+    by column in memory, and the two curves.  No n x points matrix is made;
+    the distances read the factors, and ``x_values`` builds it on first read.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     y = model.y_law.sample(rng, n)
     eps = rng.standard_normal(n)
-    x_values = np.empty((n, model.grid.points))
-    for block_rows, scratch in row_blocks(n, model.grid.points):
-        block = x_values[block_rows]
-        np.multiply.outer(y[block_rows], model.signal_curve.values, out=block)
-        np.multiply.outer(eps[block_rows], model.noise_curve.values, out=scratch)
-        block += scratch
-    return Dataset(model.grid, x_values, y)
+    basis = np.stack([model.signal_curve.values, model.noise_curve.values])
+    return Dataset(model.grid, FactorRows(np.array([y, eps]).T, basis), y)
 
 
 def conditional_density(model: LinearFactorModel, x: Curve, v):

@@ -152,7 +152,7 @@ class TestExitCodes:
             (_sim_config(replicates=[1500, 0]), "replicates"),
             (_cover_config(**{"class": {"explicit": 5}}), "explicit"),
             (_estimate_config(model={"signal_csv": 5, "noise_csv": 5}), "signal_csv"),
-            (_cover_config(**{"class": {"explicit": []}}), "class"),
+            (_cover_config(**{"class": {"explicit": []}}), "explicit"),
             (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"], "a_lo": -1.0,
                                                   "a_hi": 1.0, "count": 3}}}), "class"),
             (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"],
@@ -164,6 +164,12 @@ class TestExitCodes:
             (_estimate_config(model={**_CSV_MODEL, "y_law": [1]}), "y_law"),
             (_sim_config(command="uniform", centers=[5]), "centers"),
             (_cover_config(**{"class": {"explicit": ["bump.csv", "fine.csv"]}}), "class"),
+            (_estimate_config(h_values=[]), "h_values"),
+            (_cover_config(nu_values=[]), "nu_values"),
+            ({"command": "rate", "lambda_values": []}, "lambda_values"),
+            ({"command": "rate", "lambda1_values": []}, "lambda1_values"),
+            ({"command": "rate", "ratio_values": []}, "ratio_values"),
+            (_cover_config(ladder={**_COVER_LADDER, "n_values": []}), "n_values"),
         ],
         ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
              "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
@@ -179,7 +185,9 @@ class TestExitCodes:
              "replicates-fraction", "replicates-zero-rung", "explicit-not-list",
              "csv-path-not-string", "explicit-empty", "scale-range-through-zero",
              "base-csv-missing", "base-csv-nan-node", "index-unrecognized", "metric-unrecognized",
-             "y-law-unrecognized", "centers-unrecognized", "explicit-two-grids"],
+             "y-law-unrecognized", "centers-unrecognized", "explicit-two-grids",
+             "empty-h-values", "empty-radii", "empty-lambda-values", "empty-lambda1-values",
+             "empty-ratio-values", "empty-cover-ladder"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)

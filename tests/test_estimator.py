@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,63 @@ class TestDataset:
     def test_nonempty(self):
         with pytest.raises(ValueError, match="at least one pair"):
             Dataset(GRID, np.zeros((0, 101)), [])
+
+
+class TestSampledDataset:
+    """A sampled dataset holds its rows as factors; ``x_values`` is built on demand."""
+
+    def test_x_values_read_only_and_kept(self):
+        data = simulate.sample_dataset(simulate.default_model(51), 700, 5)
+        first = data.x_values
+        assert data.x_values is first
+        assert first.shape == (700, 51) and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
+    def test_z_n_matches_matrix_dataset(self):
+        # the estimate command's sweep, both metrics: the factor rows and the
+        # explicit matrix they stand for give the same estimates
+        model = simulate.default_model()
+        data = simulate.sample_dataset(model, 40000, 7)
+        matrix = Dataset(model.grid, data.x_values, data.y)
+        configs = [EstimatorConfig(UniformKernel(), metric, h, model.small_ball_scale(h))
+                   for metric in (IntegralDifference(), LpDistance(2.0))
+                   for h in (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)]
+        for c in (0.0, 0.3):
+            x = Curve.constant(model.grid, c)
+            got = z_n(x, data, IdentityIndex(), configs)
+            assert got == z_n(x, matrix, IdentityIndex(), configs)
+            assert len({z.active_count for z in got}) > 8
+
+    @staticmethod
+    def _peak_bytes(call) -> int:
+        call()  # warm up caches, so the traced call allocates only its own arrays
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_no_curve_matrix(self):
+        # a log-MGF replicate and a sampled z_n run peak far below the
+        # n x points float64 matrix that the rows stand for
+        model, n = simulate.default_model(51), 8000
+        h, _ = simulate.bandwidth_schedule(n, 2.0, 1.5)
+        cfg = EstimatorConfig(UniformKernel(), IntegralDifference(), h,
+                              model.small_ball_scale(h))
+        x0 = Curve.constant(model.grid, 0.0)
+        peak = self._peak_bytes(lambda: finite_n_log_mgf(
+            x0, lambda rng: simulate.sample_dataset(model, n, int(rng.integers(2**62))),
+            IdentityIndex(), cfg, 0.2, 0.1, 1, seed=3))
+        assert peak < n * model.grid.points * 8 / 4
+        model, n = simulate.default_model(), 40000
+        configs = [EstimatorConfig(UniformKernel(), IntegralDifference(), h, 2.0 * h)
+                   for h in (0.005, 0.01, 0.02, 0.05, 0.1, 0.2)]
+        peak = self._peak_bytes(lambda: z_n(Curve.constant(model.grid, 0.0),
+                                            simulate.sample_dataset(model, n, 7),
+                                            IdentityIndex(), configs))
+        assert peak < n * model.grid.points * 8 / 4
 
 
 class TestDelta:

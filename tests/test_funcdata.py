@@ -261,6 +261,30 @@ class TestDistanceToRows:
         self._check(rows[0].copy(), rows, Grid(0.0, 1.0, 101), metric)
 
 
+class TestFactorRows:
+    def test_rows_and_shape(self):
+        coeffs, basis = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]]), np.eye(2, 4)
+        rows = funcdata.FactorRows(coeffs, basis)
+        assert rows.shape == (3, 4)
+        np.testing.assert_array_equal(rows[0:3], coeffs @ basis)
+        assert not (coeffs.flags.writeable or basis.flags.writeable)
+
+    @pytest.mark.parametrize("coeffs, basis", [
+        (np.ones((3, 2)), np.ones((3, 4))),
+        (np.ones(3), np.ones((1, 4))),
+        (np.ones((3, 1)), np.ones(4)),
+    ], ids=["terms-differ", "coeffs-1d", "basis-1d"])
+    def test_factors_must_multiply(self, coeffs, basis):
+        with pytest.raises(ValueError, match="factors"):
+            funcdata.FactorRows(coeffs, basis)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
+    def test_bound_not_finite(self, bad):
+        # a NaN or infinite factor, or an overflowing product, leaves no finite bound
+        coeffs = np.array([[2.0, 1.0], [bad, 0.5]])
+        assert not math.isfinite(funcdata.FactorRows(coeffs, np.full((2, 3), 10.0)).bound())
+
+
 class TestKernels:
     def test_uniform_eval(self):
         assert kernel_eval(UniformKernel(), 0.3) == (1.0, 0.0)

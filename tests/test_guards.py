@@ -54,6 +54,8 @@ ENTRY_POINTS = {
     "greedy_cover.nu": _cover_nan,
     "FunctionClass.rows": lambda: covering.FunctionClass(
         GRID, np.append(np.zeros(GRID.points - 1), NAN)[np.newaxis]),
+    "Dataset.factors": lambda: estimator.Dataset(
+        GRID, funcdata.FactorRows(np.array([[NAN, 1.0]]), np.ones((2, GRID.points))), [0.0]),
     "FunctionClass.width": lambda: covering.FunctionClass(GRID, np.zeros((2, GRID.points + 1))),
     "two_sided_rate.r_true": lambda: ratefn.two_sided_rate(MODEL, NAN, 1.0),
     "class_rate.r_true": lambda: ratefn.class_rate([(MODEL, NAN)], 1.0),

@@ -185,6 +185,43 @@ class TestSampleDataset:
         a = sample_dataset(factor_model, np.int64(5), seed=4)
         np.testing.assert_array_equal(a.x_values, sample_dataset(factor_model, 5, seed=4).x_values)
 
+    @pytest.mark.parametrize("points", [51, 101])
+    def test_factor_distances_match_matrix_route(self, points):
+        # distances from the factor rows against the same rows as an explicit
+        # matrix: L_p bitwise at every block edge, the integral difference
+        # (sum of coefficient times basis integral) to rounding
+        model = default_model(points)
+        step = funcdata._BLOCK_VALUES // points
+        t = model.grid.nodes()
+        for n in (1, step - 1, step, step + 1, 3 * step + 7):
+            data = sample_dataset(model, n, seed=n)
+            assert isinstance(data.rows, funcdata.FactorRows)
+            matrix = np.array(data.x_values)
+            for x in (np.sin(7.0 * t), 40.0 + np.cos(3.0 * t)):
+                for p in (1.0, 2.0, 3.0):
+                    metric = funcdata.LpDistance(p)
+                    assert np.array_equal(metric.distance_to_rows(x, data.rows, model.grid),
+                                          metric.distance_to_rows(x, matrix, model.grid))
+                metric = IntegralDifference()
+                got = metric.distance_to_rows(x, data.rows, model.grid)
+                expected = metric.distance_to_rows(x, matrix, model.grid)
+                scale = 1.0 + abs(funcdata.quadrature(x, model.grid))
+                assert np.max(np.abs(got - expected)) <= 1e-14 * scale
+
+    def test_signal_overflow_names_finiteness(self, factor_model):
+        # 1e300 * y stays finite for a standard normal y, so that dataset is
+        # accepted; at 1e308 some row overflows, which the factor bound sees
+        # without building the matrix or raising a floating-point warning
+        grid = factor_model.grid
+        for value, finite in ((1e300, True), (1e308, False)):
+            model = LinearFactorModel(Curve(grid, np.full(grid.points, value)),
+                                      factor_model.noise_curve, factor_model.y_law)
+            if finite:
+                assert np.all(np.isfinite(sample_dataset(model, 200, seed=0).x_values))
+            else:
+                with pytest.raises(ValueError, match="finite"):
+                    sample_dataset(model, 200, seed=0)
+
     def test_projection_mean_clt_bound(self, factor_model):
         # E integral(X) = E Y = 0; sd of the mean is sqrt(Ih^2 + Il^2)/sqrt(n)
         n = 100_000
