@@ -4,7 +4,8 @@ One JSON config file describes a run; the command dispatches to the
 library, which returns records, and writes them as plot-ready CSV
 artifacts through ``_write_csv``, plus a ``manifest.json`` that echoes
 the config, seed, versions and CPU count so the run can be reproduced
-exactly, and for a cover run the member distances each radius evaluated.
+exactly, for a ladder run each rung's draws and time, and for a cover run
+the member distances each radius evaluated.
 All outputs stay inside the declared output directory.
 """
 
@@ -265,25 +266,30 @@ def _ladder_config(cfg: dict, seed: int) -> simulate.LadderConfig:
     )
 
 
-def _write_ladder(out: str, name: str, records) -> str:
-    return _write_csv(out, name, [f.name for f in dataclasses.fields(simulate.ExperimentRecord)],
+def _ladder_outputs(out: str, name: str, records, rungs) -> tuple[list[str], dict]:
+    """The ladder CSV, and the manifest's ``rungs``: each rung's stats and replicates per second."""
+    path = _write_csv(out, name, [f.name for f in dataclasses.fields(simulate.ExperimentRecord)],
                       [dataclasses.astuple(r) for r in records])
+    stats = [{**dataclasses.asdict(r), "replicates_per_s": r.replicates / r.seconds} for r in rungs]
+    return [path], {"rungs": stats}
 
 
 def _run_simulate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     model = _field(cfg, "model", _model)
     x0 = _field(cfg, "x0", _curve_on(model.grid))
     index = _field(cfg, "index", _index, None)
-    records = simulate.pointwise_ladder(model, x0, index, _ladder_config(cfg, seed))
-    return [_write_ladder(out, "ladder.csv", records)], {}
+    rungs = []
+    records = simulate.pointwise_ladder(model, x0, index, _ladder_config(cfg, seed), rungs)
+    return _ladder_outputs(out, "ladder.csv", records, rungs)
 
 
 def _run_uniform(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     model = _field(cfg, "model", _model)
     centers = _field(cfg, "centers", _list_of(_curve_on(model.grid)))
     index = _field(cfg, "index", _index, None)
-    records = simulate.uniform_ladder(model, centers, index, _ladder_config(cfg, seed))
-    return [_write_ladder(out, "uniform_ladder.csv", records)], {}
+    rungs = []
+    records = simulate.uniform_ladder(model, centers, index, _ladder_config(cfg, seed), rungs)
+    return _ladder_outputs(out, "uniform_ladder.csv", records, rungs)
 
 
 def _class(spec) -> covering.FunctionClass:
@@ -344,7 +350,8 @@ def _run_cover(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
 
 
 # Each runner returns the artifact paths it wrote and the fields it adds
-# to the manifest (the cover command's per-radius counters).
+# to the manifest (the ladders' per-rung stats, the cover command's
+# per-radius counters).
 _RUNNERS = {"rate": _run_rate, "estimate": _run_estimate, "simulate": _run_simulate,
             "uniform": _run_uniform, "cover": _run_cover}
 COMMANDS = tuple(_RUNNERS)

@@ -20,8 +20,9 @@ h of c's projection, and 0 when none does.  So a ladder rung samples
 only those observations, exactly: the window endpoints c +- h cut the
 P-line into cells; one multinomial draw over (cell masses, rest) gives
 each replicate's cell counts; each in-cell P is drawn from its law
-truncated to the cell and then Y from its law given P.  Per-center sums
-and counts follow from a cell-by-center incidence matrix.  A rung draws
+truncated to the cell, by constants computed once per cell, and then Y
+from its law given P.  Per-center sums and counts follow from a
+cell-by-center incidence matrix.  A rung draws
 from one stream, ``SeedSequence((seed, n))``, in blocks of replicates
 sized by a fixed budget of in-window draws, so its outcome depends only
 on the seed and its memory follows the budget, not n or the replicate
@@ -31,6 +32,7 @@ count.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -61,22 +63,21 @@ def _reflect_low(lo, hi):
     return flip, np.where(flip, -hi, lo), np.where(flip, -lo, hi)
 
 
-def _normal_mass(lo, hi) -> np.ndarray:
-    """Standard normal mass of [lo, hi], taken where Phi keeps relative precision."""
-    _, lo, hi = _reflect_low(lo, hi)
-    return ndtr(hi) - ndtr(lo)
+def _truncation(lo, hi) -> tuple[np.ndarray, ...]:
+    """Sign, bounds, Phi(lo) and mass of the standard normal truncated to each [lo, hi].
 
-
-def _truncated_normal(u: np.ndarray, lo, hi) -> np.ndarray:
-    """Standard normal truncated to [lo, hi] by inverting its CDF at the uniforms u.
-
-    Intervals in the upper half are reflected into the lower tail first,
-    so draws stay accurate far out.
+    Intervals in the upper half are reflected into the lower tail, where Phi
+    keeps relative precision, so masses and draws stay accurate far out.
     """
     flip, lo, hi = _reflect_low(lo, hi)
     f_lo = ndtr(lo)
-    z = np.clip(ndtri(f_lo + u * (ndtr(hi) - f_lo)), lo, hi)
-    return np.where(flip, -z, z)
+    return np.where(flip, -1.0, 1.0), lo, hi, f_lo, ndtr(hi) - f_lo
+
+
+def _truncated_normal(u: np.ndarray, constants, cell=slice(None)) -> np.ndarray:
+    """Inverse-CDF draws at the uniforms u; draw i lies in ``_truncation`` interval cell[i]."""
+    sign, lo, hi, f_lo, mass = (c[cell] for c in constants)
+    return sign * np.minimum(np.maximum(ndtri(f_lo + u * mass), lo), hi)
 
 
 def _phi_integral(x1, x2) -> np.ndarray:
@@ -113,17 +114,19 @@ class NormalLaw:
     def cell_masses(self, a: float, b: float, lo, hi) -> np.ndarray:
         """P(lo <= a Y + b eps <= hi) for each cell, eps standard normal."""
         mu, sd = a * self.mean, math.hypot(a * self.sd, b)
-        return _normal_mass((lo - mu) / sd, (hi - mu) / sd)
+        return _truncation((lo - mu) / sd, (hi - mu) / sd)[-1]
 
-    def sample_in_cells(self, rng: np.random.Generator, a: float, b: float,
-                        lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One (P, Y) per cell [lo_i, hi_i]: P = a Y + b eps given the cell, Y given P.
+    def sample_in_cells(self, rng: np.random.Generator, a: float, b: float, lo: np.ndarray,
+                        hi: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P, Y) per draw: P = a Y + b eps given the cell [lo[cell_i], hi[cell_i]], Y given P.
 
         P is normal, and Y given P is the bivariate-normal conditional
         N(m + a s^2 (P - a m) / sd^2, s^2 b^2 / sd^2) with sd^2 = a^2 s^2 + b^2.
+        P's truncation constants are computed per cell, and draws index them.
         """
         mu, sd = a * self.mean, math.hypot(a * self.sd, b)
-        z = _truncated_normal(rng.random(lo.shape), (lo - mu) / sd, (hi - mu) / sd)
+        z = _truncated_normal(rng.random(cell.shape), _truncation((lo - mu) / sd, (hi - mu) / sd),
+                              cell)
         noise = rng.standard_normal(z.shape)
         y = self.mean + (a * self.sd**2 / sd) * z + (self.sd * b / sd) * noise
         return mu + sd * z, y
@@ -162,26 +165,28 @@ class UniformLaw:
         """
         m, half = self._projection(a)
         if half < _FLAT_SPREAD * b:
-            return _normal_mass((lo - m) / b, (hi - m) / b)
+            return _truncation((lo - m) / b, (hi - m) / b)[-1]
         _, x1, x2 = _reflect_low(lo - m, hi - m)
         inner = _phi_integral((x1 + half) / b, (x2 + half) / b)
         outer = _phi_integral((x1 - half) / b, (x2 - half) / b)
         # inner >= outer exactly; rounding can leave a far, thin cell a hair below 0
         return np.maximum((b / (2.0 * half)) * (inner - outer), 0.0)
 
-    def sample_in_cells(self, rng: np.random.Generator, a: float, b: float,
-                        lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One (P, Y) per cell [lo_i, hi_i]: P = a Y + b eps given the cell, Y given P.
+    def sample_in_cells(self, rng: np.random.Generator, a: float, b: float, lo: np.ndarray,
+                        hi: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P, Y) per draw: P = a Y + b eps given the cell [lo[cell_i], hi[cell_i]], Y given P.
 
         P is drawn by rejection from a uniform proposal on the cell; its
         density is symmetric and unimodal about m, so the envelope is the
         density at the cell point nearest m.  Y given P is
         N(P / a, (b / a)^2) truncated to [lo, hi]; when a Y does not spread,
-        Y is independent of P.
+        Y is independent of P.  P's envelopes, offsets and truncation
+        constants are computed per cell, and draws index them; Y's move with P.
         """
         m, half = self._projection(a)
         if half < _FLAT_SPREAD * b:
-            p = m + b * _truncated_normal(rng.random(lo.shape), (lo - m) / b, (hi - m) / b)
+            p = m + b * _truncated_normal(rng.random(cell.shape),
+                                          _truncation((lo - m) / b, (hi - m) / b), cell)
             return p, self.sample(rng, p.shape[0])
 
         def shape(x):  # the density of P at offset x, up to a constant
@@ -189,18 +194,19 @@ class UniformLaw:
             return ndtr((x + half) / b) - ndtr((x - half) / b)
 
         x_lo, x_hi = lo - m, hi - m
-        envelope = shape(np.clip(0.0, x_lo, x_hi))
-        x = np.empty(lo.shape)
-        todo = np.arange(lo.shape[0])
+        envelope = shape(np.clip(0.0, x_lo, x_hi))[cell]
+        x_lo, width = x_lo[cell], (x_hi - x_lo)[cell]
+        x = np.empty(cell.shape)
+        todo = np.arange(cell.shape[0])
         while todo.size:
-            cand = x_lo[todo] + (x_hi[todo] - x_lo[todo]) * rng.random(todo.size)
+            cand = x_lo[todo] + width[todo] * rng.random(todo.size)
             accept = rng.random(todo.size) * envelope[todo] <= shape(cand)
             x[todo[accept]] = cand[accept]
             todo = todo[~accept]
         p = m + x
         sign = math.copysign(1.0, a)
-        z = _truncated_normal(rng.random(p.shape), sign * (a * self.lo - p) / b,
-                              sign * (a * self.hi - p) / b)
+        z = _truncated_normal(rng.random(p.shape), _truncation(sign * (a * self.lo - p) / b,
+                                                               sign * (a * self.hi - p) / b))
         return p, np.clip((p + sign * b * z) / a, self.lo, self.hi)
 
 
@@ -421,6 +427,16 @@ class ExperimentRecord:
     flag: str
 
 
+@dataclass(frozen=True)
+class RungStats:
+    """What one ladder rung did: its replicates, its in-window draws and its wall time."""
+
+    n: int
+    replicates: int
+    in_window_draws: int
+    seconds: float
+
+
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if not trials >= 1:
@@ -443,12 +459,12 @@ def _rung_estimates(
     h: float,
     reps: int,
     rng: np.random.Generator,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """In-window counts and estimates at each center, one block of replicates at a time.
 
-    Yields two (block, centers) arrays.  Only the observations whose
-    projection lands within h of some center are drawn; an empty window
-    gives the estimate 0.
+    Yields two (block, centers) arrays and the block's number of draws.
+    Only the observations whose projection lands within h of some center
+    are drawn; an empty window gives the estimate 0.
     """
     a, b = model.signal_integral, model.noise_integral
     edges = np.unique(np.concatenate([centers - h, centers + h]))
@@ -465,14 +481,14 @@ def _rung_estimates(
         size = min(block, reps - start)
         counts = rng.multinomial(n, pvals, size=size)[:, :cells]
         slot = np.repeat(np.arange(size * cells), counts.ravel())  # replicate * cells + cell
-        cell = slot % cells
-        _, y = model.y_law.sample_in_cells(rng, a, b, lo[cell], hi[cell])
+        cell = np.repeat(np.tile(np.arange(cells), size), counts.ravel())
+        _, y = model.y_law.sample_in_cells(rng, a, b, lo, hi, cell)
         sums = np.bincount(slot, weights=index(y), minlength=size * cells)
         window_counts = counts @ incidence
         window_sums = sums.reshape(size, cells) @ incidence
         r_hat = np.divide(window_sums, window_counts, out=np.zeros_like(window_sums),
                           where=window_counts > 0)
-        yield window_counts, r_hat
+        yield window_counts, r_hat, cell.size
 
 
 def _run_ladder(
@@ -480,12 +496,14 @@ def _run_ladder(
     class_grid: Sequence[Curve],
     index: IndexFunction,
     cfg: LadderConfig,
+    rungs: list[RungStats] | None,
 ) -> list[ExperimentRecord]:
     """Ladder records for the worst deviation over the centers in ``class_grid``.
 
     The theory column is the class rate of the estimator that the rungs
     simulate: at each center the rate model pairs the induced weight with
     ``index``, the uniform kernel and the identity small-ball scaling.
+    Each rung's ``RungStats`` is appended to ``rungs`` when it is a list.
     """
     rate_models = [
         ratefn.RateModel(induced_weight(model, x), index, UniformKernel(), IdentityScaling())
@@ -497,13 +515,17 @@ def _run_ladder(
     r_true = np.array([r for _, r in entries])
     records = []
     for n, reps in zip(cfg.n_values, cfg.replicates):
+        started = time.perf_counter()
         h, _ = bandwidth_schedule(n, cfg.a, cfg.alpha)
         phi_h = model.small_ball_scale(h)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, n)))
-        hits = 0
-        for _, r_hat in _rung_estimates(model, index, centers, n, h, reps, rng):
+        hits = draws = 0
+        for _, r_hat, block_draws in _rung_estimates(model, index, centers, n, h, reps, rng):
             worst = np.max(np.abs(r_hat - r_true), axis=1)
             hits += int(np.count_nonzero(worst > cfg.lam))
+            draws += block_draws
+        if rungs is not None:
+            rungs.append(RungStats(n, reps, draws, time.perf_counter() - started))
         p_hat = hits / reps
         lo, hi = wilson_interval(hits, reps)
         if hits >= 1:
@@ -524,6 +546,7 @@ def pointwise_ladder(
     x0: Curve,
     index: IndexFunction,
     cfg: LadderConfig,
+    rungs: list[RungStats] | None = None,
 ) -> list[ExperimentRecord]:
     """Rare-event ladder for the deviation of the estimate at the curve ``x0``.
 
@@ -531,9 +554,10 @@ def pointwise_ladder(
     estimate uses the uniform kernel, and the decay is normalized by the
     generative model's own small-ball scale at that bandwidth.  The
     theoretical column is the two-sided deviation rate of that estimator
-    at ``x0``.
+    at ``x0``.  When ``rungs`` is a list, each rung appends its
+    ``RungStats`` to it.
     """
-    return _run_ladder(model, [x0], index, cfg)
+    return _run_ladder(model, [x0], index, cfg, rungs)
 
 
 def uniform_ladder(
@@ -541,11 +565,13 @@ def uniform_ladder(
     class_grid: Sequence[Curve],
     index: IndexFunction,
     cfg: LadderConfig,
+    rungs: list[RungStats] | None = None,
 ) -> list[ExperimentRecord]:
     """Ladder for the worst deviation over a finite grid of centers.
 
     The hit event takes the maximum deviation across the class grid; the
     theoretical column is the smallest two-sided rate over the centers.
+    ``rungs`` collects each rung's ``RungStats`` as in ``pointwise_ladder``.
     """
     if not class_grid:
         raise ValueError("uniform ladder needs a nonempty class grid")
@@ -553,4 +579,4 @@ def uniform_ladder(
     for x in class_grid:
         if x.grid != grid:
             raise ValueError("all class centers must share one grid")
-    return _run_ladder(model, class_grid, index, cfg)
+    return _run_ladder(model, class_grid, index, cfg, rungs)

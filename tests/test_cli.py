@@ -15,7 +15,9 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funcldp import simulate
 from funcldp.cli import ConfigError, main, run
+from funcldp.estimator import IdentityIndex
 from funcldp.funcdata import Curve, Grid, LpDistance, write_curve_csv
 
 
@@ -274,6 +276,31 @@ class TestSimulateCommand:
         assert manifest["cpu_count"] == os.cpu_count()
         assert manifest["outputs"] == ["ladder.csv"]
         assert "covers" not in manifest
+
+    @pytest.mark.parametrize("command", ["simulate", "uniform"])
+    def test_manifest_lists_rungs(self, tmp_path, command):
+        cfg = _sim_config(command=command, n_values=[200, 500], replicates=[1000, 500],
+                          centers=[{"constant": -0.5}, {"constant": 0.5}])
+        run(cfg, str(tmp_path / "out"))
+        rungs = json.loads((tmp_path / "out" / "manifest.json").read_text())["rungs"]
+        assert [(r["n"], r["replicates"]) for r in rungs] == [(200, 1000), (500, 500)]
+        for r in rungs:
+            assert set(r) == {"n", "replicates", "in_window_draws", "seconds",
+                              "replicates_per_s"}
+            assert isinstance(r["in_window_draws"], int) and r["in_window_draws"] > 0
+            assert r["seconds"] > 0.0
+            assert r["replicates_per_s"] == pytest.approx(r["replicates"] / r["seconds"])
+        # the draws are the ones the library counts on the same stream
+        model = simulate.default_model()
+        ladder_cfg = simulate.LadderConfig((200, 500), 2.0, 1.5, 1.0, (1000, 500), seed=11)
+        library = []
+        if command == "simulate":
+            simulate.pointwise_ladder(model, Curve.constant(model.grid, 0.0), IdentityIndex(),
+                                      ladder_cfg, library)
+        else:
+            centers = [Curve.constant(model.grid, c) for c in (-0.5, 0.5)]
+            simulate.uniform_ladder(model, centers, IdentityIndex(), ladder_cfg, library)
+        assert [r["in_window_draws"] for r in rungs] == [r.in_window_draws for r in library]
 
     def test_outputs_stay_inside_out_dir(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"

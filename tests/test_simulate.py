@@ -73,8 +73,8 @@ def sampler_rung(model, index, centers, r_true, n, h, seed, reps):
     blocks = list(simulate._rung_estimates(
         model, index, np.asarray(centers, dtype=float), n, h, reps, rng
     ))
-    counts = np.vstack([c for c, _ in blocks])
-    r_hat = np.vstack([r for _, r in blocks])
+    counts = np.vstack([c for c, _, _ in blocks])
+    r_hat = np.vstack([r for _, r, _ in blocks])
     return np.max(np.abs(r_hat - np.asarray(r_true)), axis=1), counts
 
 
@@ -543,7 +543,8 @@ class TestSufficientStatisticSampler:
             expected = norm.sf(z_lo) - norm.sf(z_hi) if z_lo > 0 else norm.cdf(z_hi) - norm.cdf(z_lo)
             assert mass == pytest.approx(expected, rel=1e-10)
             rng = np.random.default_rng(8108)
-            p, y = law.sample_in_cells(rng, a, b, np.full(20_000, lo), np.full(20_000, hi))
+            p, y = law.sample_in_cells(rng, a, b, np.array([lo]), np.array([hi]),
+                                       np.zeros(20_000, dtype=int))
             assert np.all((p >= lo) & (p <= hi)) and np.all(np.isfinite(y))
             # the tail side of each cell keeps its precision: sf above 0, cdf below
             f = (lambda z: -norm.sf(z)) if z_lo > 0 else norm.cdf
@@ -570,10 +571,69 @@ class TestSufficientStatisticSampler:
         p_all = a * y_all + b * rng.standard_normal(400_000)
         for lo, hi in ((-0.6, 0.2), (1.0, 3.5)):
             inside = (p_all >= lo) & (p_all <= hi)
-            p, y = model.y_law.sample_in_cells(rng, a, b, np.full(20_000, lo),
-                                               np.full(20_000, hi))
+            p, y = model.y_law.sample_in_cells(rng, a, b, np.array([lo]), np.array([hi]),
+                                               np.zeros(20_000, dtype=int))
             assert ks_2samp(p, p_all[inside]).pvalue > _TAIL
             assert ks_2samp(y, y_all[inside]).pvalue > _TAIL
+
+    @pytest.mark.parametrize("law, signal_scale", [
+        (NormalLaw(0.0, 1.0), 1.0),
+        (NormalLaw(0.4, 1.7), -0.6),
+        (UniformLaw(-1.0, 2.0), 1.0),
+        (UniformLaw(-1.0, 2.0), -0.7),
+        (UniformLaw(-1.0, 2.0), 0.0),
+    ])
+    def test_compact_cells_draw_as_expanded(self, factor_model, law, signal_scale):
+        # per-cell bounds read through a cell index draw, bit for bit, what the
+        # same bounds expanded to one cell per draw do: 25 sd tail cells on both
+        # sides, a cell across the law's centre and two cells in between
+        a, b = signal_scale * factor_model.signal_integral, factor_model.noise_integral
+        if isinstance(law, NormalLaw):
+            center, sd_p = a * law.mean, math.hypot(a * law.sd, b)
+        else:
+            center = 0.5 * a * (law.lo + law.hi)
+            sd_p = math.hypot(a * (law.hi - law.lo) / math.sqrt(12.0), b)
+        z = np.array([[-25.05, -25.0], [-2.0, -1.0], [-0.3, 0.2], [3.0, 4.0], [25.0, 25.05]])
+        lo, hi = center + sd_p * z[:, 0], center + sd_p * z[:, 1]
+        cell = np.random.default_rng(8112).integers(0, lo.size, 3000)
+        compact = law.sample_in_cells(np.random.default_rng(8113), a, b, lo, hi, cell)
+        expanded = law.sample_in_cells(np.random.default_rng(8113), a, b, lo[cell], hi[cell],
+                                       np.arange(cell.size))
+        assert np.array_equal(compact[0], expanded[0])
+        assert np.array_equal(compact[1], expanded[1])
+        assert np.all((compact[0] >= lo[cell]) & (compact[0] <= hi[cell]))
+        assert np.all(np.isfinite(compact[1]))
+
+    def test_pinned_hit_counts(self, factor_model, zero_curve):
+        # three small ladders whose hits were recorded when the truncation
+        # constants were computed per draw; any change to a draw moves them
+        pointwise = LadderConfig((200, 500, 1000), 2.0, 1.5, 0.8, (4000, 3000, 2000), seed=1801)
+        records = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), pointwise)
+        assert [r.hits for r in records] == [157, 47, 10]
+        centers = [Curve.constant(factor_model.grid, c) for c in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        uniform = LadderConfig((200, 500, 1000), 2.0, 1.5, 0.8, (3000, 2000, 1000), seed=1802)
+        records = uniform_ladder(factor_model, centers, IdentityIndex(), uniform)
+        assert [r.hits for r in records] == [679, 214, 40]
+        model = _uniform_response_model(factor_model, 1.0)
+        centers = [Curve.constant(model.grid, c) for c in (-0.5, 0.3, 1.2)]
+        uniform = LadderConfig((200, 500, 1000), 2.0, 1.5, 0.6, (3000, 2000, 1000), seed=1803)
+        records = uniform_ladder(model, centers, IdentityIndex(), uniform)
+        assert [r.hits for r in records] == [895, 325, 84]
+
+    def test_rung_stats_count_the_rung_draws(self, factor_model, zero_curve):
+        # one center: every in-window draw lies in its window, so the draws are
+        # the window counts of the rung's stream
+        n_values, reps, seed = (200, 500), (2000, 1000), 8114
+        cfg = LadderConfig(n_values, 2.0, 1.5, 1.0, reps, seed=seed)
+        rungs = []
+        records = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg, rungs)
+        assert records == pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
+        assert [(r.n, r.replicates) for r in rungs] == list(zip(n_values, reps))
+        for rung, record in zip(rungs, records):
+            _, counts = sampler_rung(factor_model, IdentityIndex(), [0.0], [0.0], rung.n,
+                                     record.h, seed, rung.replicates)
+            assert rung.in_window_draws == int(counts.sum()) > 0
+            assert rung.seconds > 0.0
 
     def test_million_observation_rung(self, factor_model, zero_curve):
         n, reps = 10**6, 2000
