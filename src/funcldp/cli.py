@@ -4,8 +4,9 @@ One JSON config file describes a run; the command dispatches to the
 library, which returns records, and writes them as plot-ready CSV
 artifacts through ``_write_csv``, plus a ``manifest.json`` that echoes
 the config, seed, versions and CPU count so the run can be reproduced
-exactly, for a ladder run each rung's draws and time, and for a cover run
-the member distances each radius evaluated.
+exactly, for a ladder run each rung's draws and time, for a cover run
+the member distances each radius evaluated, and for a rate run the rows
+and time of its level sweep and its conjugate grid.
 All outputs stay inside the declared output directory.
 """
 
@@ -197,6 +198,7 @@ def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     lam1_values = _field(cfg, "lambda1_values", numbers, np.linspace(0.25, 4.0, 7).tolist())
     ratio_values = _field(cfg, "ratio_values", numbers, np.linspace(-2.0, 2.0, 7).tolist())
     r_true = ratefn.tilted_mean(model, 0.0)
+    started = time.perf_counter()
     sweep = []
     for lam in lam_values:
         try:
@@ -205,6 +207,7 @@ def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
             g1 = g2 = math.nan
         beta = ratefn.two_sided_rate(model, r_true, lam) if lam > 0 else math.nan
         sweep.append((lam, ratefn.ratio_rate_closed(model, lam), g1, g2, beta))
+    swept = time.perf_counter()
     conjugate = []
     for lam1, lam2 in ((l1, l1 * r) for l1 in lam1_values for r in ratio_values):
         try:
@@ -215,13 +218,15 @@ def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
         both_finite = math.isfinite(num) and math.isfinite(closed)
         diff = abs(num - closed) if both_finite else 0.0 if num == closed else math.nan
         conjugate.append((lam1, lam2, num, closed, diff))
+    phases = {"sweep": {"rows": len(sweep), "seconds": swept - started},
+              "conjugate": {"rows": len(conjugate), "seconds": time.perf_counter() - swept}}
     return [
         _write_csv(out, "rate_sweep.csv",
                    ["lambda", "gamma", "gamma_prime", "gamma_second", "beta"], sweep),
         _write_csv(out, "rate_conjugate.csv",
                    ["lambda1", "lambda2", "gamma_legendre", "gamma_closed", "abs_diff"],
                    conjugate),
-    ], {}
+    ], {"phases": phases}
 
 
 def _run_estimate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
@@ -351,7 +356,7 @@ def _run_cover(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
 
 # Each runner returns the artifact paths it wrote and the fields it adds
 # to the manifest (the ladders' per-rung stats, the cover command's
-# per-radius counters).
+# per-radius counters, the rate command's rows and seconds per loop).
 _RUNNERS = {"rate": _run_rate, "estimate": _run_estimate, "simulate": _run_simulate,
             "uniform": _run_uniform, "cover": _run_cover}
 COMMANDS = tuple(_RUNNERS)

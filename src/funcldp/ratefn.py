@@ -366,6 +366,25 @@ def log_mgf_gradient(model: RateModel, t1: float, t2: float) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 
 
+def _newton_step(grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Newton step -H^-1 g for one or two unknowns, and the decrement g' H^-1 g.
+
+    In closed form on Python floats: one unknown divides, two take Cramer's
+    rule.  A zero pivot or determinant gives a NaN decrement.
+    """
+    g, h = grad.tolist(), hess.tolist()
+    try:
+        if len(g) == 1:
+            step = [-g[0] / h[0][0]]
+        else:
+            (a, b), (c, d) = h
+            det = a * d - b * c
+            step = [(b * g[1] - d * g[0]) / det, (c * g[0] - a * g[1]) / det]
+    except ZeroDivisionError:
+        return np.full(len(g), math.nan), math.nan
+    return np.array(step), -sum(gi * si for gi, si in zip(g, step))
+
+
 def _newton_minimize(
     local: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
     x: np.ndarray,
@@ -374,8 +393,9 @@ def _newton_minimize(
 ) -> tuple[np.ndarray, float]:
     """Minimiser and minimum of a smooth convex function by damped Newton descent from ``x``.
 
-    ``local(x)`` returns the value, gradient and Hessian at ``x``.  Each
-    Newton step is halved until the value decreases.  The descent settles
+    ``local(x)`` returns the value, gradient and Hessian at ``x``, a point
+    of one or two unknowns (``_newton_step``).  Each Newton step is
+    halved until the value decreases.  The descent settles
     when the Newton decrement g' H^-1 g, twice the predicted decrease, is
     below _SETTLE_TOL of the value (at least 1): there the value can no
     longer confirm a step, and the descent returns the iterate and its
@@ -388,11 +408,7 @@ def _newton_minimize(
     f_x, grad, hess = local(x)
     settled = math.inf
     for _ in range(_NEWTON_ITERATIONS):
-        try:
-            step = -np.linalg.solve(hess, grad)
-            decrement = float(-grad @ step)
-        except np.linalg.LinAlgError:
-            decrement = math.nan
+        step, decrement = _newton_step(grad, hess)
         if not 0.0 <= decrement < math.inf:
             raise NumericError(f"no Newton step at {x} for {what}; Hessian {hess.tolist()}")
         if decrement <= _SETTLE_TOL * max(1.0, abs(f_x)):
@@ -421,9 +437,18 @@ def _newton_minimize(
 def legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:
     """Fenchel-Legendre conjugate of the limit log-MGF by damped Newton ascent.
 
-    Maximizes Q(t) = lam . t - Phi(t) from the origin.  The supremum is
-    finite exactly when lam1 > 0 and lam2/lam1 lies inside the reachable
-    tilted-mean range; elsewhere the rate is +inf without an ascent.
+    Maximizes Q(t) = lam . t - Phi(t).  The supremum is finite exactly when
+    lam1 > 0 and y = lam2/lam1 lies inside the reachable tilted-mean range;
+    elsewhere the rate is +inf without an ascent.  The ascent starts at the
+    maximiser for a flat kernel of value k_max, the largest kernel value at
+    the rule's nodes: there Phi(t) = exp(k_max t1) M(k_max t2) - mass, so
+    t2 = s / k_max and t1 = (log(lam1 / k_max) - D - y s) / k_max, with s
+    and D = log M(s) - y s the minimiser and minimum of the uniform-kernel
+    dual at y.  On a flat kernel the start is the maximiser.  The start only
+    seeds the argmax: the value returned is Q from ``_TiltOps`` at the
+    point where Newton's own decrement on that table settles, and Q is
+    concave, so the ascent corrects any start.  The value therefore stays
+    a check on ``closed_rate_uniform`` that is independent of its formula.
     """
     if not _level(lam1) > 0 or not _inside_range(model, lam2 / lam1):
         return math.inf
@@ -434,9 +459,10 @@ def legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:
         value, grad, hess = ops.local(t)
         return value - float(lam @ t), grad - lam, hess
 
-    return 0.0 - _newton_minimize(
-        local, np.zeros(2), f"the conjugate at lam=({lam1}, {lam2})"
-    )[1]
+    y, k_max = lam2 / lam1, float(ops.k.max())
+    s, dual = _tilt_dual(model, y)
+    t0 = np.array([math.log(lam1 / k_max) - dual - y * s, s]) / k_max
+    return 0.0 - _newton_minimize(local, t0, f"the conjugate at lam=({lam1}, {lam2})")[1]
 
 
 def _is_plain_uniform(model: RateModel) -> bool:

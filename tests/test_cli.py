@@ -250,6 +250,23 @@ class TestRateCommand:
         assert lines[3].split(",")[:2] == ["2.0", "0.0"]
         assert float(lines[3].split(",")[3]) == pytest.approx(2 * math.log(2.0) - 1.0, abs=1e-9)
 
+    def test_manifest_lists_phases(self, tmp_path):
+        cfg = {"command": "rate", "lambda_values": [0.5, 1.0, 9.0],
+               "lambda1_values": [1.0, 2.0], "ratio_values": [-1.0, 0.0, 1.0]}
+        outputs = run(cfg, str(tmp_path / "out"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        phases = manifest["phases"]
+        assert set(phases) == {"sweep", "conjugate"}
+        # one row per CSV line after the header, and the two loops inside the run's time
+        for name, csv_name in (("sweep", "rate_sweep.csv"), ("conjugate", "rate_conjugate.csv")):
+            path = next(p for p in outputs if p.endswith(csv_name))
+            assert phases[name]["rows"] == len(open(path).read().splitlines()) - 1
+            assert set(phases[name]) == {"rows", "seconds"}
+            assert phases[name]["seconds"] > 0.0
+        assert (phases["sweep"]["rows"], phases["conjugate"]["rows"]) == (3, 6)
+        assert sum(p["seconds"] for p in phases.values()) <= manifest["wall_time_s"] + 1e-3
+        assert "rungs" not in manifest and "covers" not in manifest
+
 
 class TestSimulateCommand:
     def test_deterministic_bytes(self, tmp_path):

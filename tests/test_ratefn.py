@@ -120,6 +120,23 @@ def cold_start_ratio_rate(model: RateModel, lam: float) -> float:
     return 0.0 - ratefn._newton_minimize(local, np.zeros(1), f"the cold ratio rate at {lam}")[1]
 
 
+def cold_start_legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:
+    """sup_t [lam . t - Phi(t)] by damped Newton from t = 0 on ``legendre_rate``'s objective.
+
+    The same ascent as ``legendre_rate`` without the uniform-kernel start,
+    so the two differ only by where the ascent begins.
+    """
+    ops = ratefn._TiltOps(model)
+    lam = np.array([lam1, lam2])
+
+    def local(t):
+        value, grad, hess = ops.local(t)
+        return value - float(lam @ t), grad - lam, hess
+
+    return 0.0 - ratefn._newton_minimize(
+        local, np.zeros(2), f"the cold conjugate at lam=({lam1}, {lam2})")[1]
+
+
 def _trapezoid_log_mgf(model: RateModel, t1: float, t2: float, inner_values, u_nodes: int):
     """Weight integral of G(theta(v)), G by a trapezoid rule on [0, 1] in blocks of rows.
 
@@ -278,6 +295,25 @@ def start_sweep(model: RateModel) -> list[float]:
     return [float(y) for y in np.linspace(rng.v0 + 2e-6, rng.v1 - 2e-6, 161)]
 
 
+def conjugate_sweep(model: RateModel) -> list[tuple[float, float]]:
+    """(lam1, lam2) pairs: four masses lam1 times every eighth level of ``start_sweep``."""
+    return [(lam1, lam1 * y) for lam1 in (0.05, 0.5, 2.0, 4.0) for y in start_sweep(model)[::8]]
+
+
+@pytest.fixture
+def local_calls(monkeypatch):
+    """A counter of ``_TiltOps.local`` calls, so a cost guard cannot be flaky."""
+    count = [0]
+    inner = ratefn._TiltOps.local
+
+    def counting(ops, t):
+        count[0] += 1
+        return inner(ops, t)
+
+    monkeypatch.setattr(ratefn._TiltOps, "local", counting)
+    return count
+
+
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 # The session fixtures' models; hypothesis tests take no function-scoped fixtures.
 GAUSSIAN_MODEL = gaussian_identity_model()
@@ -419,6 +455,40 @@ class TestNewtonDuals:
             rel=1e-12, abs=1e-14)
 
 
+class TestNewtonStep:
+    """The closed-form Newton step against a linear solve, and its failures."""
+
+    def test_one_unknown_is_the_division(self):
+        rng = np.random.default_rng(31)
+        for g, h in zip(rng.standard_normal(50) * 1e3, rng.uniform(1e-6, 1e3, 50)):
+            step, decrement = ratefn._newton_step(np.array([g]), np.array([[h]]))
+            assert step[0] == -np.linalg.solve([[h]], [g])[0]
+            assert decrement == -g * step[0] >= 0.0
+
+    def test_two_unknowns_match_linear_solve(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            a = rng.standard_normal((2, 2))
+            hess, grad = a @ a.T + 0.1 * np.eye(2), rng.standard_normal(2)
+            step, decrement = ratefn._newton_step(grad, hess)
+            expected = -np.linalg.solve(hess, grad)
+            np.testing.assert_allclose(step, expected, rtol=1e-12, atol=1e-14)
+            assert decrement == pytest.approx(-grad @ expected, rel=1e-12)
+
+    @pytest.mark.parametrize("grad, hess", [
+        ([1.0, 1.0], [[1.0, 2.0], [2.0, 4.0]]),  # singular: det = 0
+        ([math.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ([1.0], [[0.0]]),
+        ([math.nan], [[1.0]]),
+    ])
+    def test_no_step_raises(self, grad, hess):
+        def local(x):
+            return float(x @ x), np.array(grad), np.array(hess)
+
+        with pytest.raises(NumericError, match="no Newton step"):
+            ratefn._newton_minimize(local, np.zeros(len(grad)), "a test function")
+
+
 class TestSolverCost:
     """``_tilted_moments`` calls per solve, counted, so the guard cannot be flaky.
 
@@ -475,34 +545,54 @@ class TestRatioRateCost:
     affine kernels, where the line function grows like an exponential.
     """
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        count = [0]
-        inner = ratefn._TiltOps.local
-
-        def counting(ops, t):
-            count[0] += 1
-            return inner(ops, t)
-
-        monkeypatch.setattr(ratefn._TiltOps, "local", counting)
-        return count
-
     @pytest.mark.parametrize("kernel", [ExpDecayKernel(), AffineKernel()])
     @pytest.mark.parametrize("lam", [-7.9, 7.9])
-    def test_range_edge(self, calls, kernel, lam):
+    def test_range_edge(self, local_calls, kernel, lam):
         model = RateModel(WeightDensity.gaussian(), IdentityIndex(), kernel, IdentityScaling())
         ratio_rate(model, lam)
-        assert calls[0] <= 3
+        assert local_calls[0] <= 3
 
     @pytest.mark.parametrize("name", sorted(START_MODELS))
-    def test_over_reachable_range(self, calls, name):
+    def test_over_reachable_range(self, local_calls, name):
         # on a flat kernel the start is the minimiser: one call to confirm it
         model = START_MODELS[name]
         bound = 1 if isinstance(model.kernel, UniformKernel) else 12
         for lam in start_sweep(model):
-            calls[0] = 0
+            local_calls[0] = 0
             ratio_rate(model, lam)
-            assert calls[0] <= bound, lam
+            assert local_calls[0] <= bound, lam
+
+
+class TestLegendreRateCost:
+    """``_TiltOps.local`` calls per conjugate rate, counted, so the guard cannot be flaky.
+
+    From t = 0 the ascent makes 4-25 calls per rate over ``conjugate_sweep``
+    (688-1020 per model).  A bound of "never more than the cold start" per
+    rate does not hold: on exp_decay_power2 the warm start needs more calls
+    on 9 of the 84 rates, and on three other models on one rate each.
+    """
+
+    def test_flat_kernel_confirms_start(self, gaussian_model, local_calls):
+        for lam1, lam2 in conjugate_sweep(gaussian_model):
+            local_calls[0] = 0
+            legendre_rate(gaussian_model, lam1, lam2)
+            assert local_calls[0] == 1, (lam1, lam2)
+
+    @pytest.mark.parametrize("name", sorted(START_MODELS))
+    def test_over_reachable_range(self, local_calls, name):
+        # on a flat kernel the start is the maximiser: one call to confirm it
+        model = START_MODELS[name]
+        flat = isinstance(model.kernel, UniformKernel)
+        warm = cold = 0
+        for lam1, lam2 in conjugate_sweep(model):
+            local_calls[0] = 0
+            legendre_rate(model, lam1, lam2)
+            assert local_calls[0] <= (1 if flat else 17), (lam1, lam2)
+            warm += local_calls[0]
+            local_calls[0] = 0
+            cold_start_legendre_rate(model, lam1, lam2)
+            cold += local_calls[0]
+        assert warm < cold
 
 
 class TestZeroWeightNodes:
@@ -769,6 +859,14 @@ class TestLegendreRate:
             assert numeric == pytest.approx(closed, abs=1e-8)
         else:
             assert numeric == closed == math.inf
+
+    @pytest.mark.parametrize("name", sorted(START_MODELS))
+    def test_uniform_start_matches_cold_start(self, name):
+        # pyproject turns a RuntimeWarning from ratefn into an error here
+        model = START_MODELS[name]
+        for lam1, lam2 in conjugate_sweep(model):
+            cold = cold_start_legendre_rate(model, lam1, lam2)
+            assert abs(legendre_rate(model, lam1, lam2) - cold) <= 1e-11 * abs(cold), (lam1, lam2)
 
     def test_midpoint_convexity(self, gaussian_model):
         rng = np.random.default_rng(23)
