@@ -5,9 +5,10 @@ library, which returns records, and writes them as plot-ready CSV
 artifacts through ``_write_csv``, plus a ``manifest.json`` that echoes
 the config, seed, versions and CPU count so the run can be reproduced
 exactly, for a ladder run each rung's draws and time, for a cover run
-the member distances each radius evaluated, and for a rate run the rows
-and time of its level sweep and its conjugate grid.
-All outputs stay inside the declared output directory.
+the member distances each radius evaluated and whether the class is
+undersampled, and for a rate run the rows and time of its level sweep
+and its conjugate grid.  All outputs stay inside the declared output
+directory.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ def _weight(spec) -> ratefn.WeightDensity:
     params = _field(_object(spec), "gaussian", _object)
     return ratefn.WeightDensity.gaussian(
         _field(params, "mean", _number, 0.0), _field(params, "sd", _number, 1.0),
-        _field(spec, "half_width", _number, 8.0), _field(spec, "nodes", _integer, 4001),
+        _field(spec, "half_width", _number, ratefn.WEIGHT_HALF_WIDTH),
+        _field(spec, "nodes", _integer, ratefn.WEIGHT_NODES),
     )
 
 
@@ -351,7 +353,7 @@ def _run_cover(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
                                 [[row[f] for f in _ENTROPY_FIELDS] for row in entropy]))
     covers = [{"nu": r.nu, "n_cover": r.n_cover, "distance_rows": r.distance_rows}
               for r in reports]
-    return paths, {"covers": covers}
+    return paths, {"covers": covers, "undersampled": cls.undersampled}
 
 
 # Each runner returns the artifact paths it wrote and the fields it adds
@@ -370,7 +372,7 @@ def run(cfg: dict, out: str) -> list[str]:
             f"missing or unrecognized field 'command' (must be one of {', '.join(COMMANDS)})"
         )
     os.makedirs(out, exist_ok=True)
-    started = time.time()
+    started = time.perf_counter()
     try:
         seed = _field(cfg, "seed", _integer, _REQUIRED if command in _STOCHASTIC else 0)
         outputs, record = _RUNNERS[command](cfg, out, seed)
@@ -385,7 +387,7 @@ def run(cfg: dict, out: str) -> list[str]:
         "scipy_version": scipy.__version__,
         "python_version": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.perf_counter() - started, 3),
         "outputs": [os.path.basename(p) for p in outputs],
         **record,
     }

@@ -28,11 +28,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimator import IdentityIndex, IndexFunction, IntervalIndicator
-from .funcdata import Grid, IdentityScaling, Kernel, ScalingProfile, UniformKernel, quadrature
+from .funcdata import (Grid, IdentityScaling, Kernel, ScalingProfile, UniformKernel,
+                       frozen_array, quadrature)
 
 PROBE_T = 50.0
 DOMAIN_MARGIN = 1e-6
 _TAIL_FACTOR = 1e-12
+# Default response grid of a weight density: its nodes, and a Gaussian weight's
+# window half-width in sd.  At 8 sd the density is exp(-32), about 1.3e-14 of
+# its peak, so the window's edge values pass the _TAIL_FACTOR check.
+WEIGHT_NODES = 4001
+WEIGHT_HALF_WIDTH = 8.0
 _NEWTON_ITERATIONS = 200
 # Relative change below which a Newton descent counts as settled: a little
 # above the rounding level of the values and points that the callers compute.
@@ -64,6 +70,12 @@ class RateDomainError(ValueError):
         self.tilt_range = tilt_range
 
 
+def normal_pdf(v, mean: float, sd: float):
+    """The normal density of mean ``mean`` and standard deviation ``sd`` at ``v``."""
+    z = (np.asarray(v, dtype=float) - mean) / sd
+    return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+
+
 @dataclass(frozen=True, eq=False)
 class WeightDensity:
     """Nonnegative weight on a truncated uniform response grid.
@@ -83,20 +95,16 @@ class WeightDensity:
     mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 1:
-            raise ValueError(f"weight density needs a 1-D array, got shape {w.shape}")
-        grid = Grid(self.v_lo, self.v_hi, w.shape[0])  # checks v_lo < v_hi and 2+ nodes
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weight values must be finite and nonnegative")
+        w = frozen_array(self.w, 1, np.size(self.w))
+        grid = Grid(self.v_lo, self.v_hi, w.size)  # checks v_lo < v_hi and 2+ nodes
+        if np.any(w < 0):
+            raise ValueError("weight values must be nonnegative")
         peak = float(np.max(w))
         if w[0] > _TAIL_FACTOR * peak or w[-1] > _TAIL_FACTOR * peak:
             raise ValueError(
                 "weight density tails are not negligible; widen the window "
                 f"(edge values {w[0]:.3e}, {w[-1]:.3e} vs peak {peak:.3e})"
             )
-        w = w.copy()
-        w.flags.writeable = False
         object.__setattr__(self, "w", w)
         nodes = grid.nodes()
         nodes.flags.writeable = False
@@ -111,21 +119,18 @@ class WeightDensity:
         return quadrature(values, self.grid)
 
     @classmethod
-    def from_function(cls, fn, v_lo: float, v_hi: float, nodes: int = 4001) -> "WeightDensity":
-        v = Grid(v_lo, v_hi, nodes).nodes()
-        return cls(v_lo, v_hi, np.asarray(fn(v), dtype=float))
+    def from_function(cls, fn, v_lo: float, v_hi: float,
+                      nodes: int = WEIGHT_NODES) -> "WeightDensity":
+        return cls(v_lo, v_hi, fn(Grid(v_lo, v_hi, nodes).nodes()))
 
     @classmethod
-    def gaussian(cls, mean: float = 0.0, sd: float = 1.0, half_width: float = 8.0,
-                 nodes: int = 4001) -> "WeightDensity":
+    def gaussian(cls, mean: float = 0.0, sd: float = 1.0, half_width: float = WEIGHT_HALF_WIDTH,
+                 nodes: int = WEIGHT_NODES) -> "WeightDensity":
         """Gaussian-shaped weight truncated at mean +- half_width * sd."""
         if not sd > 0:
             raise ValueError(f"gaussian weight needs sd > 0, got {sd}")
-
-        def pdf(v):
-            return np.exp(-0.5 * ((v - mean) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
-
-        return cls.from_function(pdf, mean - half_width * sd, mean + half_width * sd, nodes)
+        return cls.from_function(lambda v: normal_pdf(v, mean, sd),
+                                 mean - half_width * sd, mean + half_width * sd, nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +185,8 @@ class RateModel:
         return self._tilt_range
 
 
-def gaussian_identity_model(nodes: int = 4001, half_width: float = 8.0) -> RateModel:
+def gaussian_identity_model(nodes: int = WEIGHT_NODES,
+                            half_width: float = WEIGHT_HALF_WIDTH) -> RateModel:
     """Standard-normal weight with the identity index and the uniform kernel."""
     return RateModel(
         weight=WeightDensity.gaussian(0.0, 1.0, half_width, nodes),

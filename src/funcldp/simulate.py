@@ -41,7 +41,7 @@ from scipy.special import ndtr, ndtri
 
 from . import ratefn
 from .estimator import Dataset, IndexFunction
-from .funcdata import Curve, FactorRows, Grid, IdentityScaling, UniformKernel
+from .funcdata import Curve, FactorRows, Grid, GridMismatchError, IdentityScaling, UniformKernel
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -51,10 +51,6 @@ _BLOCK_DRAWS = 1 << 16
 # noise scale is treated as independent of P; the closed-form cell masses
 # would lose more to cancellation than that approximation costs.
 _FLAT_SPREAD = 1.5e-8
-# Nodes of an induced weight's window, and the window's half-width in
-# standard deviations of a Gaussian weight: its truncated tails are negligible.
-_WEIGHT_NODES = 4001
-_WEIGHT_TAIL_SIGMAS = 8.0
 
 
 def _reflect_low(lo, hi):
@@ -107,9 +103,7 @@ class NormalLaw:
         return rng.normal(self.mean, self.sd, size=n)
 
     def pdf(self, v):
-        v = np.asarray(v, dtype=float)
-        z = (v - self.mean) / self.sd
-        return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+        return ratefn.normal_pdf(v, self.mean, self.sd)
 
     def cell_masses(self, a: float, b: float, lo, hi) -> np.ndarray:
         """P(lo <= a Y + b eps <= hi) for each cell, eps standard normal."""
@@ -285,20 +279,18 @@ def conditional_density(model: LinearFactorModel, x: Curve, v):
     This is the Gaussian density of the noise projection evaluated where
     the curve projection of ``x`` lands, scaled by the noise integral.
     """
-    v = np.asarray(v, dtype=float)
-    c = x.integral()
-    z = (c - v * model.signal_integral) / model.noise_integral
-    out = np.exp(-0.5 * z * z) / (model.noise_integral * math.sqrt(2.0 * math.pi))
+    out = ratefn.normal_pdf(x.integral(), np.asarray(v, dtype=float) * model.signal_integral,
+                            model.noise_integral)
     return float(out) if out.ndim == 0 else out
 
 
 def induced_weight(model: LinearFactorModel, x: Curve) -> ratefn.WeightDensity:
     """Weight density w(v) = local density times response density at ``x``.
 
-    For a normal response the product is Gaussian-shaped and the window is
-    chosen wide enough that the truncation tails are negligible; for a
-    uniform response the window pads the support so the weight vanishes
-    at the edges.
+    For a normal response the product is Gaussian-shaped and its window
+    spans ``ratefn.WEIGHT_HALF_WIDTH`` standard deviations either side; for
+    a uniform response the window pads the support by two of its
+    ``ratefn.WEIGHT_NODES`` nodes so the weight vanishes at the edges.
     """
     c = x.integral()
     if isinstance(model.y_law, NormalLaw):
@@ -306,14 +298,13 @@ def induced_weight(model: LinearFactorModel, x: Curve) -> ratefn.WeightDensity:
         precision = (ih / il) ** 2 + 1.0 / model.y_law.sd**2
         var = 1.0 / precision
         center = var * (c * ih / il**2 + model.y_law.mean / model.y_law.sd**2)
-        half = _WEIGHT_TAIL_SIGMAS * math.sqrt(var)
+        half = ratefn.WEIGHT_HALF_WIDTH * math.sqrt(var)
         v_lo, v_hi = center - half, center + half
     else:
-        pad = 2.0 * (model.y_law.hi - model.y_law.lo) / (_WEIGHT_NODES - 1)
+        pad = 2.0 * (model.y_law.hi - model.y_law.lo) / (ratefn.WEIGHT_NODES - 1)
         v_lo, v_hi = model.y_law.lo - pad, model.y_law.hi + pad
-    v = Grid(v_lo, v_hi, _WEIGHT_NODES).nodes()
-    w = conditional_density(model, x, v) * model.y_law.pdf(v)
-    return ratefn.WeightDensity(v_lo, v_hi, w)
+    return ratefn.WeightDensity.from_function(
+        lambda v: conditional_density(model, x, v) * model.y_law.pdf(v), v_lo, v_hi)
 
 
 @dataclass(frozen=True)
@@ -504,7 +495,11 @@ def _run_ladder(
     simulate: at each center the rate model pairs the induced weight with
     ``index``, the uniform kernel and the identity small-ball scaling.
     Each rung's ``RungStats`` is appended to ``rungs`` when it is a list.
+    A center off the model's grid raises ``GridMismatchError``.
     """
+    for x in class_grid:
+        if x.grid != model.grid:
+            raise GridMismatchError(f"ladder center on {x.grid}, model on {model.grid}")
     rate_models = [
         ratefn.RateModel(induced_weight(model, x), index, UniformKernel(), IdentityScaling())
         for x in class_grid
@@ -575,8 +570,4 @@ def uniform_ladder(
     """
     if not class_grid:
         raise ValueError("uniform ladder needs a nonempty class grid")
-    grid = class_grid[0].grid
-    for x in class_grid:
-        if x.grid != grid:
-            raise ValueError("all class centers must share one grid")
     return _run_ladder(model, class_grid, index, cfg, rungs)

@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -267,6 +268,16 @@ class TestRateCommand:
         assert sum(p["seconds"] for p in phases.values()) <= manifest["wall_time_s"] + 1e-3
         assert "rungs" not in manifest and "covers" not in manifest
 
+    def test_wall_time_ignores_clock_jumps(self, tmp_path, monkeypatch):
+        # the system clock set back an hour during the run does not reach the manifest
+        clock = iter([1e9])
+        monkeypatch.setattr(time, "time", lambda: next(clock, 1e9 - 3600.0))
+        cfg = {"command": "rate", "lambda_values": [0.5], "lambda1_values": [1.0],
+               "ratio_values": [0.0]}
+        run(cfg, str(tmp_path / "out"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert 0.0 <= manifest["wall_time_s"] < 60.0
+
 
 class TestSimulateCommand:
     def test_deterministic_bytes(self, tmp_path):
@@ -429,6 +440,21 @@ class TestCoverCommand:
         assert len(rows) == sum(c["n_cover"] for c in covers)
         assert sum(c["distance_rows"] for c in covers) == sum(rows)
         assert all(64 <= c["distance_rows"] <= 64 * c["n_cover"] for c in covers)
+        assert manifest["undersampled"] is False
+
+    def test_manifest_records_undersampled(self, tmp_path):
+        grid = Grid(0.0, 1.0, 201)
+        bump_path = tmp_path / "bump.csv"
+        write_curve_csv(Curve(grid, np.exp(-0.5 * ((grid.nodes() - 0.5) / 0.08) ** 2)),
+                        bump_path)
+        cfg = {"command": "cover",
+               "class": {"scale": {"base_csv": str(bump_path), "a_lo": 1.0, "a_hi": 5.0,
+                                   "count": 8}},
+               "nu_values": [0.1], "metric": {"lp": 1}}
+        with pytest.warns(RuntimeWarning, match="undersampled"):
+            run(cfg, str(tmp_path / "out"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["undersampled"] is True
 
     def test_default_radius_from_ladder(self, tmp_path):
         grid = Grid(0.0, 1.0, 201)

@@ -8,9 +8,10 @@ from scipy import integrate
 from scipy.stats import binomtest, ks_2samp, kstest, norm
 
 from funcldp import funcdata, ratefn, simulate
-from funcldp.cli import run
+from funcldp.cli import _weight, run
 from funcldp.estimator import Dataset, EstimatorConfig, IdentityIndex, IntervalIndicator, z_n
-from funcldp.funcdata import Curve, Grid, IdentityScaling, IntegralDifference, UniformKernel
+from funcldp.funcdata import (Curve, Grid, GridMismatchError, IdentityScaling,
+                              IntegralDifference, UniformKernel)
 from funcldp.simulate import (
     LadderConfig,
     LinearFactorModel,
@@ -270,6 +271,21 @@ class TestInducedWeight:
         assert weight.w[0] == 0.0 and weight.w[-1] == 0.0
         assert weight.mass > 0
 
+    def test_one_response_grid(self, factor_model, zero_curve):
+        # the library's Gaussian weight, the rate model's and the CLI's default
+        # are one weight on the ratefn grid, and every induced weight uses it
+        weights = [ratefn.WeightDensity.gaussian(), ratefn.gaussian_identity_model().weight,
+                   _weight({"gaussian": {}})]
+        for weight in weights:
+            assert weight.w.size == ratefn.WEIGHT_NODES
+            assert (weight.v_lo, weight.v_hi) == (-ratefn.WEIGHT_HALF_WIDTH,
+                                                  ratefn.WEIGHT_HALF_WIDTH)
+            assert weight.w.tobytes() == weights[0].w.tobytes()
+        uniform = LinearFactorModel(factor_model.signal_curve, factor_model.noise_curve,
+                                    UniformLaw(-1.0, 2.0))
+        for model in (factor_model, uniform):
+            assert induced_weight(model, zero_curve).w.size == ratefn.WEIGHT_NODES
+
 
 class TestSmallBallProbe:
     def test_interval_probability_oracle(self, factor_model, zero_curve):
@@ -482,6 +498,29 @@ class TestUniformLadder:
         worst, _ = sampler_rung(factor_model, index, [x.integral() for x in centers],
                                 [r for _, r in entries], n, record.h, seed, reps)
         assert record.hits == int(np.count_nonzero(worst > lam)) > 0
+
+
+class TestLadderCenterGrid:
+    """A ladder center must lie on the model's grid, as ``z_n`` requires of its curve."""
+
+    CFG = LadderConfig((200,), 2.0, 1.5, 1.0, 1000, seed=1)
+
+    def test_pointwise_rejects_center_off_grid(self, factor_model):
+        # a curve on [0, 2], not the model's [0, 1]: its projection is 2, not 1
+        x0 = Curve.constant(Grid(0.0, 2.0, 101), 1.0)
+        with pytest.raises(GridMismatchError):
+            pointwise_ladder(factor_model, x0, IdentityIndex(), self.CFG)
+
+    def test_uniform_rejects_any_center_off_grid(self, factor_model, zero_curve):
+        for off in (Grid(0.0, 2.0, 101), Grid(0.0, 1.0, 51)):
+            centers = [zero_curve, Curve.constant(off, 0.0)]
+            with pytest.raises(GridMismatchError):
+                uniform_ladder(factor_model, centers, IdentityIndex(), self.CFG)
+        # centers sharing a grid other than the model's are rejected too
+        shared = Grid(0.0, 2.0, 101)
+        with pytest.raises(GridMismatchError):
+            uniform_ladder(factor_model, [Curve.constant(shared, c) for c in (0.0, 1.0)],
+                           IdentityIndex(), self.CFG)
 
 
 def _uniform_response_model(factor_model, signal_scale):
