@@ -250,26 +250,16 @@ def _run_estimate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
                        ["h", "phi_h", "r_n1", "r_n2", "r_hat", "active_count"], rows)], {}
 
 
-def _schedule(params: dict) -> tuple[list[int], float, float]:
-    """The ladder's ``n_values``, ``a`` and ``alpha``, checked by ``bandwidth_schedule``."""
-    n_values = _field(params, "n_values", _list_of(_integer))
-    a, alpha = _field(params, "a", _number), _field(params, "alpha", _number)
-    for n in n_values:
-        _checked(("n_values", "a", "alpha"), simulate.bandwidth_schedule, n, a, alpha)
-    return n_values, a, alpha
-
-
 def _replicates(value) -> int | tuple[int, ...]:
     """One replicate count for every rung, or a list of one per rung; each at least 1."""
     return tuple(_integer(r, 1) for r in value) if isinstance(value, list) else _integer(value, 1)
 
 
 def _ladder_config(cfg: dict, seed: int) -> simulate.LadderConfig:
-    replicates = _field(cfg, "replicates", _replicates)
-    n_values, a, alpha = _schedule(cfg)
     return _checked(
-        ("n_values", "lambda", "replicates"), simulate.LadderConfig,
-        tuple(n_values), a, alpha, _field(cfg, "lambda", _number), replicates, seed,
+        ("n_values", "alpha", "lambda", "replicates"), simulate.LadderConfig,
+        tuple(_field(cfg, "n_values", _list_of(_integer))), _field(cfg, "alpha", _number),
+        _field(cfg, "lambda", _number), _field(cfg, "replicates", _replicates), seed,
     )
 
 
@@ -318,8 +308,10 @@ def _class(spec) -> covering.FunctionClass:
 
 def _cover_ladder(params) -> list[tuple[int, float, float]]:
     """(n, h, phi_h) rows of the optional entropy ladder of a cover run."""
-    n_values, a, alpha = _schedule(_object(params))
-    return [(n, *simulate.bandwidth_schedule(n, a, alpha)) for n in n_values]
+    n_values = _field(_object(params), "n_values", _list_of(_integer))
+    a, alpha = _field(params, "a", _number), _field(params, "alpha", _number)
+    return _checked(("n_values", "a", "alpha"),
+                    lambda: [(n, *simulate.bandwidth_schedule(n, a, alpha)) for n in n_values])
 
 
 def _radii(values) -> list[float]:

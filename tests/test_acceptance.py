@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from funcldp import covering, ratefn, simulate
 from funcldp.estimator import EstimatorConfig, IdentityIndex, finite_n_log_mgf, z_n
@@ -142,7 +143,7 @@ def test_criterion_07_pointwise_ladder(factor_model, zero_curve):
     """Empirical decay rates fall monotonically toward the two-sided rate."""
     started = time.time()
     cfg = simulate.LadderConfig(
-        (200, 500, 1000, 2000), 2.0, 1.5, 1.0,
+        (200, 500, 1000, 2000), 1.5, 1.0,
         (50_000, 200_000, 400_000, 800_000), seed=20260809,
     )
     records = simulate.pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
@@ -161,7 +162,7 @@ def test_criterion_08_uniform_ladder(factor_model):
     """Worst-deviation rates track the class rate and sit below every center's."""
     centers = [Curve.constant(factor_model.grid, c) for c in (-1.0, -0.5, 0.0, 0.5, 1.0)]
     cfg = simulate.LadderConfig(
-        (200, 500, 1000, 2000), 2.0, 1.5, 1.0,
+        (200, 500, 1000, 2000), 1.5, 1.0,
         (20_000, 20_000, 40_000, 60_000), seed=5150,
     )
     records = simulate.uniform_ladder(factor_model, centers, IdentityIndex(), cfg)
@@ -170,7 +171,7 @@ def test_criterion_08_uniform_ladder(factor_model):
     assert all(gap <= 0.30 for gap in gaps)
     final = records[-1]
     for j, x in enumerate(centers):
-        comparator_cfg = simulate.LadderConfig((2000,), 2.0, 1.5, 1.0, 50_000, seed=6000 + j)
+        comparator_cfg = simulate.LadderConfig((2000,), 1.5, 1.0, 50_000, seed=6000 + j)
         pointwise = simulate.pointwise_ladder(factor_model, x, IdentityIndex(),
                                               comparator_cfg)[0]
         noise = (
@@ -250,7 +251,7 @@ def test_criterion_10_invariant_suites(gaussian_model, factor_model, zero_curve)
         else:
             assert z.r_hat == pytest.approx(base.r_hat, abs=1e-13)
             assert z.r_n1 == pytest.approx(scale * base.r_n1, rel=1e-13)
-    projections = np.trapezoid(data.x_values, dx=grid.spacing, axis=1)
+    projections = integrate.trapezoid(data.x_values, dx=grid.spacing, axis=1)
     active = np.abs(projections) <= 0.05
     if np.any(active):
         assert data.y[active].min() - 1e-12 <= base.r_hat <= data.y[active].max() + 1e-12

@@ -54,7 +54,6 @@ def _sim_config(**overrides):
         "model": {"default": True},
         "x0": {"constant": 0.0},
         "n_values": [200, 500],
-        "a": 2.0,
         "alpha": 1.5,
         "lambda": 1.0,
         "replicates": 1500,
@@ -145,7 +144,6 @@ class TestExitCodes:
             (_estimate_config(h_values=[math.nan]), "h_values"),
             (_cover_config(ladder=_COVER_LADDER, A=math.nan), "A"),
             ({"command": "rate", "ratio_values": [math.nan]}, "ratio_values"),
-            (_sim_config(a=math.inf), "a"),
             (_sim_config(seed=1.5), "seed"),
             (_estimate_config(n=300.7), "n"),
             (_sim_config(seed=True), "seed"),
@@ -173,6 +171,7 @@ class TestExitCodes:
             ({"command": "rate", "lambda1_values": []}, "lambda1_values"),
             ({"command": "rate", "ratio_values": []}, "ratio_values"),
             (_cover_config(ladder={**_COVER_LADDER, "n_values": []}), "n_values"),
+            (_sim_config(alpha=1.0), "alpha"),
         ],
         ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
              "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
@@ -183,14 +182,14 @@ class TestExitCodes:
              "indicator-degenerate", "indicator-not-list", "indicator-short-pair",
              "indicator-flat-list", "x0-not-float", "points-not-int", "points-one",
              "normal-law-negative-sd", "uniform-law-without-hi", "lambda-nan", "h-values-nan",
-             "A-nan", "ratio-values-nan", "a-infinite", "seed-fraction", "n-fraction",
+             "A-nan", "ratio-values-nan", "seed-fraction", "n-fraction",
              "seed-bool", "simulate-seed-negative", "estimate-seed-negative",
              "replicates-fraction", "replicates-zero-rung", "explicit-not-list",
              "csv-path-not-string", "explicit-empty", "scale-range-through-zero",
              "base-csv-missing", "base-csv-nan-node", "index-unrecognized", "metric-unrecognized",
              "y-law-unrecognized", "centers-unrecognized", "explicit-two-grids",
              "empty-h-values", "empty-radii", "empty-lambda-values", "empty-lambda1-values",
-             "empty-ratio-values", "empty-cover-ladder"],
+             "empty-ratio-values", "empty-cover-ladder", "alpha-one"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)
@@ -320,7 +319,7 @@ class TestSimulateCommand:
             assert r["replicates_per_s"] == pytest.approx(r["replicates"] / r["seconds"])
         # the draws are the ones the library counts on the same stream
         model = simulate.default_model()
-        ladder_cfg = simulate.LadderConfig((200, 500), 2.0, 1.5, 1.0, (1000, 500), seed=11)
+        ladder_cfg = simulate.LadderConfig((200, 500), 1.5, 1.0, (1000, 500), seed=11)
         library = []
         if command == "simulate":
             simulate.pointwise_ladder(model, Curve.constant(model.grid, 0.0), IdentityIndex(),
@@ -351,6 +350,26 @@ class TestSimulateCommand:
         assert (out1 / "ladder.csv").read_bytes() != (out2 / "ladder.csv").read_bytes()
 
 
+    def test_command_override(self, tmp_path):
+        path = _write_config(tmp_path, _sim_config())
+        out = tmp_path / "o"
+        assert main(["--config", path, "--command", "rate", "--out", str(out)]) == 0
+        assert (out / "rate_sweep.csv").exists()
+        assert json.loads((out / "manifest.json").read_text())["command"] == "rate"
+
+    @pytest.mark.parametrize("command", ["simulate", "uniform"])
+    def test_schedule_constant_is_not_read(self, tmp_path, command):
+        # the ladders take phi(h) = 2h from the model; an "a" key, as the cover's, is ignored
+        name = "ladder.csv" if command == "simulate" else "uniform_ladder.csv"
+        cfg = _sim_config(command=command, n_values=[200], replicates=1000,
+                          centers=[{"constant": 0.0}, {"constant": 0.5}])
+        run(cfg, str(tmp_path / "bare"))
+        expected = (tmp_path / "bare" / name).read_bytes()
+        for a in (0.01, 2.0, 7.5):
+            run({**cfg, "a": a}, str(tmp_path / str(a)))
+            assert (tmp_path / str(a) / name).read_bytes() == expected
+
+
 class TestEstimateCommand:
     def test_rows_per_bandwidth(self, tmp_path):
         cfg = {
@@ -365,6 +384,15 @@ class TestEstimateCommand:
         lines = (tmp_path / "out" / "estimate.csv").read_text().splitlines()
         assert lines[0] == "h,phi_h,r_n1,r_n2,r_hat,active_count"
         assert len(lines) == 3
+
+
+    def test_x0_from_csv(self, tmp_path):
+        zero = tmp_path / "zero.csv"
+        write_curve_csv(Curve.constant(simulate.default_model().grid, 0.0), zero)
+        run(_estimate_config(), str(tmp_path / "constant"))
+        run(_estimate_config(x0={"csv": str(zero)}), str(tmp_path / "csv"))
+        assert ((tmp_path / "csv" / "estimate.csv").read_bytes()
+                == (tmp_path / "constant" / "estimate.csv").read_bytes())
 
 
 class TestUniformCommand:
@@ -472,6 +500,18 @@ class TestCoverCommand:
         lines = (tmp_path / "out" / "cover_report.csv").read_text().splitlines()
         assert len(lines) == 3  # one radius per ladder rung
         assert all(line.endswith("true") for line in lines[1:])
+
+    def test_explicit_class(self, tmp_path):
+        grid = Grid(0.0, 1.0, 101)
+        paths = []
+        for k in (1, 2, 3):
+            paths.append(str(tmp_path / f"sine{k}.csv"))
+            write_curve_csv(Curve(grid, k * np.sin(math.pi * grid.nodes())), paths[-1])
+        # neighbours lie 2/pi apart in L1, so no radius below that merges two curves
+        cfg = {"command": "cover", "class": {"explicit": paths}, "nu_values": [0.5, 0.1]}
+        run(cfg, str(tmp_path / "out"))
+        lines = (tmp_path / "out" / "cover_report.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0.5", "3"], ["0.1", "3"]]
 
     def test_cover_requires_radii_or_ladder(self, tmp_path):
         cfg = {"command": "cover", "class": {"explicit": []}}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from funcldp import funcdata
 from funcldp.funcdata import (
@@ -73,8 +74,8 @@ class TestQuadrature:
     def test_matches_numpy_trapezoid(self, points):
         grid = Grid(-1.0, 2.0, points)
         values = np.random.default_rng(points).normal(size=points)
-        expected = float(np.trapezoid(values, dx=grid.spacing))
-        scale = float(np.trapezoid(np.abs(values), dx=grid.spacing))
+        expected = float(integrate.trapezoid(values, dx=grid.spacing))
+        scale = float(integrate.trapezoid(np.abs(values), dx=grid.spacing))
         assert abs(quadrature(values, grid) - expected) <= 1e-14 * scale
 
     def test_constant(self):
@@ -176,11 +177,11 @@ class TestDistance:
 
 
 def trapezoid_distances(x_values, rows, grid, metric):
-    """Distances from x to each row, straight from ``np.trapezoid``."""
+    """Distances from x to each row, straight from ``scipy.integrate.trapezoid``."""
     diff = rows - x_values
     if isinstance(metric, IntegralDifference):
-        return np.abs(np.trapezoid(diff, dx=grid.spacing, axis=1))
-    integral = np.trapezoid(np.abs(diff) ** metric.p, dx=grid.spacing, axis=1)
+        return np.abs(integrate.trapezoid(diff, dx=grid.spacing, axis=1))
+    integral = integrate.trapezoid(np.abs(diff) ** metric.p, dx=grid.spacing, axis=1)
     return integral ** (1.0 / metric.p)
 
 
@@ -188,7 +189,7 @@ KERNEL_METRICS = [LpDistance(1.0), LpDistance(1.5), LpDistance(2.0), IntegralDif
 
 
 class TestDistanceToRows:
-    """The blocked weight-vector kernel against a plain ``np.trapezoid`` reference."""
+    """The blocked weight-vector kernel against a plain ``integrate.trapezoid`` reference."""
 
     def _check(self, x_values, rows, grid, metric):
         rows_before = rows.copy()
@@ -209,7 +210,7 @@ class TestDistanceToRows:
         np.testing.assert_array_equal(scalar, got[picked])
         if isinstance(metric, IntegralDifference):
             # |integral| cancels; bound the error by the integral of |row - x|
-            scale = np.trapezoid(np.abs(rows - x_values), dx=grid.spacing, axis=1)
+            scale = integrate.trapezoid(np.abs(rows - x_values), dx=grid.spacing, axis=1)
             assert np.all(np.abs(got - expected) <= 1e-14 * scale)
         else:
             np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)

@@ -20,7 +20,7 @@ def _cover_nan():
 
 
 def _ladder_lam_nan():
-    simulate.LadderConfig((200,), 2.0, 1.5, NAN, 1000, 0)
+    simulate.LadderConfig((200,), 1.5, NAN, 1000, 0)
 
 
 def _log_mgf_replicates_nan():
@@ -49,6 +49,7 @@ ENTRY_POINTS = {
     "bandwidth_schedule.a": lambda: simulate.bandwidth_schedule(200, NAN, 1.5),
     "bandwidth_schedule.alpha": lambda: simulate.bandwidth_schedule(200, 1.0, NAN),
     "LadderConfig.lam": _ladder_lam_nan,
+    "LadderConfig.alpha": lambda: simulate.LadderConfig((200,), NAN, 1.0, 1000, 0),
     "wilson_interval.trials": lambda: simulate.wilson_interval(0, NAN),
     "scale_class.count": lambda: covering.scale_class(Curve.constant(GRID, 1.0), 1.0, 2.0, NAN),
     "greedy_cover.nu": _cover_nan,

@@ -151,7 +151,7 @@ def _trapezoid_log_mgf(model: RateModel, t1: float, t2: float, inner_values, u_n
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, theta.shape[0], chunk):
             block = theta[start : start + chunk, np.newaxis]
-            g[start : start + chunk] = np.trapezoid(inner_values(block, x), dx=x[1], axis=1)
+            g[start : start + chunk] = integrate.trapezoid(inner_values(block, x), dx=x[1], axis=1)
         value = model.weight.integral(np.where(w > 0, g * w, 0.0))
     if math.isnan(value):
         raise NumericError(f"NaN in log-MGF quadrature at t=({t1}, {t2})")

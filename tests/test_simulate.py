@@ -227,7 +227,7 @@ class TestSampleDataset:
         # E integral(X) = E Y = 0; sd of the mean is sqrt(Ih^2 + Il^2)/sqrt(n)
         n = 100_000
         data = sample_dataset(factor_model, n, seed=11)
-        projections = np.trapezoid(data.x_values, dx=factor_model.grid.spacing, axis=1)
+        projections = integrate.trapezoid(data.x_values, dx=factor_model.grid.spacing, axis=1)
         bound = 3.0 * math.sqrt(2.0) / math.sqrt(n)
         assert abs(float(np.mean(projections))) < bound
 
@@ -361,16 +361,16 @@ class TestWilsonInterval:
 class TestLadderConfig:
     def test_increasing_n_required(self):
         with pytest.raises(ValueError):
-            LadderConfig((200, 200), 2.0, 1.5, 1.0, 1000, 0)
+            LadderConfig((200, 200), 1.5, 1.0, 1000, 0)
 
     def test_minimum_replicates(self):
         with pytest.raises(ValueError, match="1000"):
-            LadderConfig((200,), 2.0, 1.5, 1.0, 10, 0)
+            LadderConfig((200,), 1.5, 1.0, 10, 0)
 
     @pytest.mark.parametrize("later", [0, -5])
     def test_every_rung_needs_a_replicate(self, later):
         with pytest.raises(ValueError, match="replicate"):
-            LadderConfig((200, 500), 2.0, 1.5, 1.0, (1000, later), 0)
+            LadderConfig((200, 500), 1.5, 1.0, (1000, later), 0)
 
     @pytest.mark.parametrize("n_values,replicates,bad", [
         ((200.7, 500), 1000, "200.7"),
@@ -381,16 +381,21 @@ class TestLadderConfig:
     ])
     def test_non_integral_sizes_rejected(self, n_values, replicates, bad):
         with pytest.raises(ValueError, match=re.escape(bad)):
-            LadderConfig(n_values, 2.0, 1.5, 1.0, replicates, 0)
+            LadderConfig(n_values, 1.5, 1.0, replicates, 0)
+
+    @pytest.mark.parametrize("n_values,alpha", [((8, 200), 1.5), ((200,), 1.0)])
+    def test_schedule_checked_at_construction(self, n_values, alpha):
+        with pytest.raises(ValueError, match="schedule needs"):
+            LadderConfig(n_values, alpha, 1.0, 1000, 0)
 
     def test_replicates_broadcast(self):
-        cfg = LadderConfig((200, 500), 2.0, 1.5, 1.0, 1000, 0)
+        cfg = LadderConfig((200, 500), 1.5, 1.0, 1000, 0)
         assert cfg.replicates == (1000, 1000)
 
 
 @pytest.fixture(scope="module")
 def ladder(factor_model, zero_curve):
-    cfg = LadderConfig((200, 500), 2.0, 1.5, 1.0, (4000, 4000), seed=314)
+    cfg = LadderConfig((200, 500), 1.5, 1.0, (4000, 4000), seed=314)
     return pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
 
 
@@ -408,7 +413,7 @@ class TestPointwiseLadder:
 
     def test_csv_deterministic(self, tmp_path):
         cfg = {"command": "simulate", "model": {"default": True}, "x0": {"constant": 0.0},
-               "n_values": [200], "a": 2.0, "alpha": 1.5, "lambda": 1.0,
+               "n_values": [200], "alpha": 1.5, "lambda": 1.0,
                "replicates": 1000, "seed": 2718}
         paths = []
         for name in ("a", "b"):
@@ -417,7 +422,7 @@ class TestPointwiseLadder:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_impossible_width_flags_zero_hits(self, factor_model, zero_curve):
-        cfg = LadderConfig((200,), 2.0, 1.5, 50.0, 1000, seed=161)
+        cfg = LadderConfig((200,), 1.5, 50.0, 1000, seed=161)
         records = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
         assert records[0].flag == "zero_hits"
         assert records[0].hits == 0
@@ -427,7 +432,7 @@ class TestPointwiseLadder:
     def test_hit_probability_monotone_in_width(self, factor_model, zero_curve):
         p_hats, intervals = [], []
         for lam in (0.5, 1.0, 1.5):
-            cfg = LadderConfig((200,), 2.0, 1.5, lam, 4000, seed=777)
+            cfg = LadderConfig((200,), 1.5, lam, 4000, seed=777)
             record = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)[0]
             p_hats.append(record.p_hat)
             intervals.append((record.wilson_low, record.wilson_high))
@@ -462,14 +467,14 @@ class TestPointwiseLadder:
 
 class TestUniformLadder:
     def test_singleton_matches_pointwise(self, factor_model, zero_curve):
-        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, 2000, seed=909)
+        cfg = LadderConfig((200,), 1.5, 1.0, 2000, seed=909)
         single = uniform_ladder(factor_model, [zero_curve], IdentityIndex(), cfg)
         point = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
         assert single == point
 
     def test_union_event_dominates_centers(self, factor_model):
         centers = [Curve.constant(factor_model.grid, c) for c in (-0.5, 0.0, 0.5)]
-        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, 4000, seed=31415)
+        cfg = LadderConfig((200,), 1.5, 1.0, 4000, seed=31415)
         union = uniform_ladder(factor_model, centers, IdentityIndex(), cfg)[0]
         for x in centers:
             single = pointwise_ladder(factor_model, x, IdentityIndex(), cfg)[0]
@@ -478,7 +483,7 @@ class TestUniformLadder:
     def test_theoretical_rate_is_class_minimum(self, factor_model):
         centers = [Curve.constant(factor_model.grid, c) for c in (-1.0, 0.0, 1.0)]
         models = [_rate_model(factor_model, x) for x in centers]
-        cfg = LadderConfig((200,), 2.0, 1.5, 1.0, 1000, seed=1)
+        cfg = LadderConfig((200,), 1.5, 1.0, 1000, seed=1)
         records = uniform_ladder(factor_model, centers, IdentityIndex(), cfg)
         betas = [
             ratefn.two_sided_rate(m, ratefn.tilted_mean(m, 0.0), 1.0) for m in models
@@ -490,7 +495,7 @@ class TestUniformLadder:
         index = IntervalIndicator(((0.0, math.inf),))
         centers = [Curve.constant(factor_model.grid, c) for c in (-0.5, 0.5)]
         n, reps, lam, seed = 500, 3000, 0.3, 8112
-        cfg = LadderConfig((n,), 2.0, 1.5, lam, reps, seed=seed)
+        cfg = LadderConfig((n,), 1.5, lam, reps, seed=seed)
         record = uniform_ladder(factor_model, centers, index, cfg)[0]
         entries = [(m, ratefn.tilted_mean(m, 0.0))
                    for m in (_rate_model(factor_model, x, index) for x in centers)]
@@ -503,7 +508,7 @@ class TestUniformLadder:
 class TestLadderCenterGrid:
     """A ladder center must lie on the model's grid, as ``z_n`` requires of its curve."""
 
-    CFG = LadderConfig((200,), 2.0, 1.5, 1.0, 1000, seed=1)
+    CFG = LadderConfig((200,), 1.5, 1.0, 1000, seed=1)
 
     def test_pointwise_rejects_center_off_grid(self, factor_model):
         # a curve on [0, 2], not the model's [0, 1]: its projection is 2, not 1
@@ -646,16 +651,16 @@ class TestSufficientStatisticSampler:
     def test_pinned_hit_counts(self, factor_model, zero_curve):
         # three small ladders whose hits were recorded when the truncation
         # constants were computed per draw; any change to a draw moves them
-        pointwise = LadderConfig((200, 500, 1000), 2.0, 1.5, 0.8, (4000, 3000, 2000), seed=1801)
+        pointwise = LadderConfig((200, 500, 1000), 1.5, 0.8, (4000, 3000, 2000), seed=1801)
         records = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), pointwise)
         assert [r.hits for r in records] == [157, 47, 10]
         centers = [Curve.constant(factor_model.grid, c) for c in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-        uniform = LadderConfig((200, 500, 1000), 2.0, 1.5, 0.8, (3000, 2000, 1000), seed=1802)
+        uniform = LadderConfig((200, 500, 1000), 1.5, 0.8, (3000, 2000, 1000), seed=1802)
         records = uniform_ladder(factor_model, centers, IdentityIndex(), uniform)
         assert [r.hits for r in records] == [679, 214, 40]
         model = _uniform_response_model(factor_model, 1.0)
         centers = [Curve.constant(model.grid, c) for c in (-0.5, 0.3, 1.2)]
-        uniform = LadderConfig((200, 500, 1000), 2.0, 1.5, 0.6, (3000, 2000, 1000), seed=1803)
+        uniform = LadderConfig((200, 500, 1000), 1.5, 0.6, (3000, 2000, 1000), seed=1803)
         records = uniform_ladder(model, centers, IdentityIndex(), uniform)
         assert [r.hits for r in records] == [895, 325, 84]
 
@@ -663,7 +668,7 @@ class TestSufficientStatisticSampler:
         # one center: every in-window draw lies in its window, so the draws are
         # the window counts of the rung's stream
         n_values, reps, seed = (200, 500), (2000, 1000), 8114
-        cfg = LadderConfig(n_values, 2.0, 1.5, 1.0, reps, seed=seed)
+        cfg = LadderConfig(n_values, 1.5, 1.0, reps, seed=seed)
         rungs = []
         records = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg, rungs)
         assert records == pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
@@ -677,7 +682,7 @@ class TestSufficientStatisticSampler:
     def test_million_observation_rung(self, factor_model, zero_curve):
         n, reps = 10**6, 2000
         started = time.perf_counter()
-        cfg = LadderConfig((n,), 2.0, 1.5, 1.0, reps, seed=8109)
+        cfg = LadderConfig((n,), 1.5, 1.0, reps, seed=8109)
         record = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)[0]
         assert time.perf_counter() - started < 20.0
         assert record.replicates == reps and record.n == n
@@ -689,7 +694,7 @@ class TestSufficientStatisticSampler:
     def test_ladder_hits_come_from_the_rung_stream(self, factor_model, induced_rate_model,
                                                    zero_curve):
         n, reps, lam, seed = 500, 3000, 0.8, 8111
-        cfg = LadderConfig((n,), 2.0, 1.5, lam, reps, seed=seed)
+        cfg = LadderConfig((n,), 1.5, lam, reps, seed=seed)
         record = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)[0]
         r_true = ratefn.tilted_mean(induced_rate_model, 0.0)
         worst, _ = sampler_rung(factor_model, IdentityIndex(), [0.0], [r_true], n, record.h,
