@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .funcdata import (Curve, FactorRows, Grid, GridMismatchError, Kernel, Rows, SemiMetric,
-                       row_blocks)
+                       frozen_array, row_blocks)
 
 _INTERVAL = tuple[float, float]
 
@@ -90,14 +90,15 @@ class Dataset:
             raise ValueError(f"y must have length {rows.shape[0]}, got {y.shape}")
         if rows.shape[0] < 1:
             raise ValueError("dataset needs at least one pair")
-        finite = math.isfinite(rows.bound()) if factored else np.all(np.isfinite(rows))
-        if not (finite and np.all(np.isfinite(y))):
+        try:  # the shapes are checked, so frozen_array can reject only a value
+            if not factored:
+                self.x_values = rows = frozen_array(rows, 2, grid.points)  # its own x_values
+            y = frozen_array(y, 1, rows.shape[0])
+        except ValueError:
+            raise ValueError("dataset values must all be finite") from None
+        if factored and not math.isfinite(rows.bound()):
             raise ValueError("dataset values must all be finite")
         self.grid, self.rows, self.y = grid, rows, y
-        if not factored:
-            self.rows.flags.writeable = False
-            self.x_values = rows  # a matrix is its own x_values
-        self.y.flags.writeable = False
 
     @property
     def n(self) -> int:

@@ -153,9 +153,6 @@ class RateModel:
         lvals = np.asarray(self.index(self.weight.nodes), dtype=float)
         if lvals.shape != self.weight.nodes.shape or not np.all(np.isfinite(lvals)):
             raise ValueError("index function must map the weight nodes to finite values")
-        lvals = lvals.copy()
-        lvals.flags.writeable = False
-        object.__setattr__(self, "_lvals", lvals)
         # Only nodes with w > 0 enter a response-side integral, so an
         # exponent that overflows on a zero-weight node never meets 0 * inf.
         w = self.weight
@@ -175,14 +172,6 @@ class RateModel:
         if not (v0 <= mid + 1e-12 and mid <= v1 + 1e-12):
             raise NumericError(f"tilted mean probes are not monotone: {v0}, {mid}, {v1}")
         object.__setattr__(self, "_tilt_range", TiltRange(v0, v1))
-
-    @property
-    def lvals(self) -> np.ndarray:
-        return self._lvals
-
-    @property
-    def tilt_range(self) -> TiltRange:
-        return self._tilt_range
 
 
 def gaussian_identity_model(nodes: int = WEIGHT_NODES,
@@ -226,7 +215,7 @@ def tilted_mean(model: RateModel, t: float) -> float:
 
 def tilted_mean_range(model: RateModel) -> TiltRange:
     """Reachable range of the tilted mean, probed at tilts -+PROBE_T when the model is built."""
-    return model.tilt_range
+    return model._tilt_range
 
 
 def _level(x: float) -> float:
@@ -238,7 +227,7 @@ def _level(x: float) -> float:
 
 def _inside_range(model: RateModel, level: float) -> bool:
     """Whether ``level`` lies in the reachable range, DOMAIN_MARGIN clear of its ends."""
-    rng = model.tilt_range
+    rng = model._tilt_range
     return rng.v0 + DOMAIN_MARGIN < _level(level) < rng.v1 - DOMAIN_MARGIN
 
 
@@ -274,7 +263,7 @@ def tilted_mean_inverse(model: RateModel, y: float) -> float:
     descent (``_tilt_dual``), polished until the tilted mean meets y to its
     rounding level.  ``RateDomainError`` outside the reachable range.
     """
-    rng = model.tilt_range
+    rng = model._tilt_range
     if not rng.v0 < y < rng.v1:
         raise RateDomainError(
             f"level {y} outside the reachable tilted-mean range ({rng.v0}, {rng.v1})", rng
@@ -595,7 +584,7 @@ def ratio_rate_derivatives(model: RateModel, lam: float) -> tuple[float, float]:
     """
     _require_plain_uniform(model, "ratio-rate derivatives")
     if not _inside_range(model, lam):
-        rng = model.tilt_range
+        rng = model._tilt_range
         raise RateDomainError(f"level {lam} outside ({rng.v0}, {rng.v1})", rng)
     s = tilted_mean_inverse(model, lam)
     log_mass, _, var = _tilted_moments(model, s)

@@ -20,8 +20,9 @@ h of c's projection, and 0 when none does.  So a ladder rung samples
 only those observations, exactly: the window endpoints c +- h cut the
 P-line into cells; one multinomial draw over (cell masses, rest) gives
 each replicate's cell counts; each in-cell P is drawn from its law
-truncated to the cell, by constants computed once per cell, and then Y
-from its law given P.  Per-center sums and counts follow from a
+truncated to the cell, and then Y from its law given P.  The law's
+``cells`` returns the cell masses and that sampler, whose constants it
+computes once per rung.  Per-center sums and counts follow from a
 cell-by-center incidence matrix.  A rung draws
 from one stream, ``SeedSequence((seed, n))``, in blocks of replicates
 sized by a fixed budget of in-window draws, so its outcome depends only
@@ -104,25 +105,25 @@ class NormalLaw:
     def pdf(self, v):
         return ratefn.normal_pdf(v, self.mean, self.sd)
 
-    def cell_masses(self, a: float, b: float, lo, hi) -> np.ndarray:
-        """P(lo <= a Y + b eps <= hi) for each cell, eps standard normal."""
-        mu, sd = a * self.mean, math.hypot(a * self.sd, b)
-        return _truncation((lo - mu) / sd, (hi - mu) / sd)[-1]
+    def cells(self, a: float, b: float, lo: np.ndarray, hi: np.ndarray):
+        """Masses P(lo <= a Y + b eps <= hi) of the cells, eps standard normal, and a sampler.
 
-    def sample_in_cells(self, rng: np.random.Generator, a: float, b: float, lo: np.ndarray,
-                        hi: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(P, Y) per draw: P = a Y + b eps given the cell [lo[cell_i], hi[cell_i]], Y given P.
-
-        P is normal, and Y given P is the bivariate-normal conditional
+        ``draw(rng, cell)`` gives (P, Y) per draw: P = a Y + b eps given the
+        cell [lo[cell_i], hi[cell_i]], then Y given P.  P is normal, and Y
+        given P is the bivariate-normal conditional
         N(m + a s^2 (P - a m) / sd^2, s^2 b^2 / sd^2) with sd^2 = a^2 s^2 + b^2.
-        P's truncation constants are computed per cell, and draws index them.
+        P's truncation constants are computed here, once, and draws index them.
         """
         mu, sd = a * self.mean, math.hypot(a * self.sd, b)
-        z = _truncated_normal(rng.random(cell.shape), _truncation((lo - mu) / sd, (hi - mu) / sd),
-                              cell)
-        noise = rng.standard_normal(z.shape)
-        y = self.mean + (a * self.sd**2 / sd) * z + (self.sd * b / sd) * noise
-        return mu + sd * z, y
+        constants = _truncation((lo - mu) / sd, (hi - mu) / sd)
+
+        def draw(rng: np.random.Generator, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            z = _truncated_normal(rng.random(cell.shape), constants, cell)
+            noise = rng.standard_normal(z.shape)
+            y = self.mean + (a * self.sd**2 / sd) * z + (self.sd * b / sd) * noise
+            return mu + sd * z, y
+
+        return constants[-1], draw
 
 
 @dataclass(frozen=True)
@@ -144,63 +145,55 @@ class UniformLaw:
         inside = (v >= self.lo) & (v <= self.hi)
         return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
-    def _projection(self, a: float) -> tuple[float, float]:
-        """Center and half-width of the support of a Y."""
-        return 0.5 * a * (self.lo + self.hi), 0.5 * abs(a) * (self.hi - self.lo)
+    def cells(self, a: float, b: float, lo: np.ndarray, hi: np.ndarray):
+        """Cell masses and their sampler, as ``NormalLaw.cells`` returns them.
 
-    def cell_masses(self, a: float, b: float, lo, hi) -> np.ndarray:
-        """P(lo <= a Y + b eps <= hi) for each cell, eps standard normal.
-
-        The density of P is symmetric about its center m, so cells right of
-        m are mirrored to the left, where the closed form
-        (b / 2 half) [int Phi((x + half)/b) - int Phi((x - half)/b)] over
-        the cell offsets x = P - m keeps its precision.
+        When a Y spreads over less than ``_FLAT_SPREAD`` of b, Y is independent
+        of P.  Otherwise P's density is symmetric and unimodal about its center
+        m.  Cells right of m are mirrored left, where the closed-form mass
+        (b / 2 half) [int Phi((x + half)/b) - int Phi((x - half)/b)] over the
+        offsets x = P - m keeps its precision, and P is drawn by rejection from
+        a uniform proposal on its cell under the density at the cell point
+        nearest m.  Y given P is N(P / a, (b / a)^2) truncated to [lo, hi].
         """
-        m, half = self._projection(a)
+        m, half = 0.5 * a * (self.lo + self.hi), 0.5 * abs(a) * (self.hi - self.lo)
+        x_lo, x_hi = lo - m, hi - m
         if half < _FLAT_SPREAD * b:
-            return _truncation((lo - m) / b, (hi - m) / b)[-1]
-        _, x1, x2 = _reflect_low(lo - m, hi - m)
+            constants = _truncation(x_lo / b, x_hi / b)
+
+            def draw(rng: np.random.Generator, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                p = m + b * _truncated_normal(rng.random(cell.shape), constants, cell)
+                return p, self.sample(rng, p.shape[0])
+
+            return constants[-1], draw
+        _, x1, x2 = _reflect_low(x_lo, x_hi)
         inner = _phi_integral((x1 + half) / b, (x2 + half) / b)
         outer = _phi_integral((x1 - half) / b, (x2 - half) / b)
         # inner >= outer exactly; rounding can leave a far, thin cell a hair below 0
-        return np.maximum((b / (2.0 * half)) * (inner - outer), 0.0)
-
-    def sample_in_cells(self, rng: np.random.Generator, a: float, b: float, lo: np.ndarray,
-                        hi: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(P, Y) per draw: P = a Y + b eps given the cell [lo[cell_i], hi[cell_i]], Y given P.
-
-        P is drawn by rejection from a uniform proposal on the cell; its
-        density is symmetric and unimodal about m, so the envelope is the
-        density at the cell point nearest m.  Y given P is
-        N(P / a, (b / a)^2) truncated to [lo, hi]; when a Y does not spread,
-        Y is independent of P.  P's envelopes, offsets and truncation
-        constants are computed per cell, and draws index them; Y's move with P.
-        """
-        m, half = self._projection(a)
-        if half < _FLAT_SPREAD * b:
-            p = m + b * _truncated_normal(rng.random(cell.shape),
-                                          _truncation((lo - m) / b, (hi - m) / b), cell)
-            return p, self.sample(rng, p.shape[0])
+        masses = np.maximum((b / (2.0 * half)) * (inner - outer), 0.0)
 
         def shape(x):  # the density of P at offset x, up to a constant
             x = -np.abs(x)
             return ndtr((x + half) / b) - ndtr((x - half) / b)
 
-        x_lo, x_hi = lo - m, hi - m
-        envelope = shape(np.clip(0.0, x_lo, x_hi))[cell]
-        x_lo, width = x_lo[cell], (x_hi - x_lo)[cell]
-        x = np.empty(cell.shape)
-        todo = np.arange(cell.shape[0])
-        while todo.size:
-            cand = x_lo[todo] + width[todo] * rng.random(todo.size)
-            accept = rng.random(todo.size) * envelope[todo] <= shape(cand)
-            x[todo[accept]] = cand[accept]
-            todo = todo[~accept]
-        p = m + x
+        envelopes, widths = shape(np.clip(0.0, x_lo, x_hi)), x_hi - x_lo
         sign = math.copysign(1.0, a)
-        z = _truncated_normal(rng.random(p.shape), _truncation(sign * (a * self.lo - p) / b,
-                                                               sign * (a * self.hi - p) / b))
-        return p, np.clip((p + sign * b * z) / a, self.lo, self.hi)
+
+        def draw(rng: np.random.Generator, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            envelope, offset, width = envelopes[cell], x_lo[cell], widths[cell]
+            x = np.empty(cell.shape)
+            todo = np.arange(cell.shape[0])
+            while todo.size:
+                cand = offset[todo] + width[todo] * rng.random(todo.size)
+                accept = rng.random(todo.size) * envelope[todo] <= shape(cand)
+                x[todo[accept]] = cand[accept]
+                todo = todo[~accept]
+            p = m + x
+            z = _truncated_normal(rng.random(p.shape), _truncation(sign * (a * self.lo - p) / b,
+                                                                   sign * (a * self.hi - p) / b))
+            return p, np.clip((p + sign * b * z) / a, self.lo, self.hi)
+
+        return masses, draw
 
 
 YLaw = NormalLaw | UniformLaw
@@ -469,7 +462,7 @@ def _rung_estimates(
     covered = incidence.any(axis=1)
     lo, hi = edges[:-1][covered], edges[1:][covered]
     incidence = incidence[covered].astype(float)
-    masses = model.y_law.cell_masses(a, b, lo, hi)
+    masses, draw = model.y_law.cells(a, b, lo, hi)
     cells, inside = masses.shape[0], float(np.sum(masses))
     pvals = np.append(masses, max(0.0, 1.0 - inside))
     block = max(1, int(_BLOCK_DRAWS / (n * inside + cells + 1)))
@@ -477,14 +470,13 @@ def _rung_estimates(
         size = min(block, reps - start)
         counts = rng.multinomial(n, pvals, size=size)[:, :cells]
         slot = np.repeat(np.arange(size * cells), counts.ravel())  # replicate * cells + cell
-        cell = np.repeat(np.tile(np.arange(cells), size), counts.ravel())
-        _, y = model.y_law.sample_in_cells(rng, a, b, lo, hi, cell)
+        _, y = draw(rng, slot % cells)
         sums = np.bincount(slot, weights=index(y), minlength=size * cells)
         window_counts = counts @ incidence
         window_sums = sums.reshape(size, cells) @ incidence
         r_hat = np.divide(window_sums, window_counts, out=np.zeros_like(window_sums),
                           where=window_counts > 0)
-        yield window_counts, r_hat, cell.size
+        yield window_counts, r_hat, slot.size
 
 
 def _run_ladder(

@@ -70,6 +70,24 @@ class TestDataset:
         with pytest.raises(ValueError, match="at least one pair"):
             Dataset(GRID, np.zeros((0, 101)), [])
 
+    def test_values_finite(self):
+        for x, y in ((np.full((2, 101), np.nan), [1.0, 2.0]), (np.zeros((2, 101)), [1.0, np.inf])):
+            with pytest.raises(ValueError, match="dataset values must all be finite"):
+                Dataset(GRID, x, y)
+
+    def test_owns_its_arrays(self):
+        # the caller's arrays stay writeable, and views taken before
+        # construction cannot change the dataset
+        x, y = np.zeros((3, 101)), np.array([1.0, 2.0, 3.0])
+        row, y_view = x[0], y[:]
+        data = Dataset(GRID, x, y)
+        assert x.flags.writeable and y.flags.writeable
+        row[:] = np.nan
+        y_view[0] = np.nan
+        assert np.all(data.rows == 0.0) and data.y.tolist() == [1.0, 2.0, 3.0]
+        assert data.x_values is data.rows
+        assert not (data.rows.flags.writeable or data.y.flags.writeable)
+
 
 class TestSampledDataset:
     """A sampled dataset holds its rows as factors; ``x_values`` is built on demand."""

@@ -98,7 +98,7 @@ def closed_inner_ratio_rate(model: RateModel, lam: float, g=None) -> float:
     w = model.weight
 
     def line(s):
-        return w.integral(w.w * g(s * (model.lvals - lam)))
+        return w.integral(w.w * g(s * (model.index(model.weight.nodes) - lam)))
 
     start = 0.1 if lam >= 0 else -0.1
     return -float(optimize.minimize_scalar(line, bracket=(0.0, start), tol=1e-12).fun)
@@ -143,7 +143,7 @@ def _trapezoid_log_mgf(model: RateModel, t1: float, t2: float, inner_values, u_n
     ``inner_values(theta_column, x)`` gives the kernel-axis integrand at the
     grid x; overflow gives +inf and NaN raises ``NumericError``.
     """
-    theta = t1 + t2 * model.lvals
+    theta = t1 + t2 * model.index(model.weight.nodes)
     x = np.linspace(0.0, 1.0, u_nodes)
     w = model.weight.w
     g = np.empty_like(theta)
@@ -205,7 +205,7 @@ def quad_inner_integral(model: RateModel):
 
 def quad_log_mgf(model: RateModel, t1: float, t2: float) -> float:
     """Limit log-MGF with each kernel-side integral by adaptive quadrature."""
-    g = quad_inner_integral(model)(t1 + t2 * model.lvals)
+    g = quad_inner_integral(model)(t1 + t2 * model.index(model.weight.nodes))
     return model.weight.integral(g * model.weight.w)
 
 
@@ -235,7 +235,7 @@ def integral_moments(model: RateModel, s: float) -> tuple[float, float, float]:
     Runs over every node; a zero-weight node gets the exponent -inf, so it
     contributes 0 whatever s l is there.
     """
-    w, l = model.weight.w, model.lvals
+    w, l = model.weight.w, model.index(model.weight.nodes)
     e = np.where(w > 0, s * l, -np.inf)
     shift = float(np.max(e))
     tilted = np.exp(e - shift) * w
@@ -251,7 +251,7 @@ def integral_log_mgf(model: RateModel, t1: float, t2: float) -> float:
     never reaches the sum; overflow elsewhere gives +inf.
     """
     k, weights = ratefn._kernel_rule(model)
-    theta = t1 + t2 * model.lvals
+    theta = t1 + t2 * model.index(model.weight.nodes)
     w = model.weight.w
     with np.errstate(over="ignore", invalid="ignore"):
         g = (np.exp(theta[:, np.newaxis] * k) - 1.0).dot(weights)
@@ -291,7 +291,7 @@ START_MODELS = {
 
 def start_sweep(model: RateModel) -> list[float]:
     """161 levels across the reachable range, 2e-6 clear of its ends."""
-    rng = model.tilt_range
+    rng = tilted_mean_range(model)
     return [float(y) for y in np.linspace(rng.v0 + 2e-6, rng.v1 - 2e-6, 161)]
 
 
@@ -396,7 +396,7 @@ class TestNewtonDuals:
     @example(name="gaussian", u=1.0)
     def test_tilted_mean_inverse_matches_bisection(self, name, u):
         model = DUAL_MODELS[name]
-        rng = model.tilt_range
+        rng = tilted_mean_range(model)
         y = rng.v0 + 1e-9 + u * (rng.v1 - rng.v0 - 2e-9)
         oracle = bisection_inverse(lambda t: integral_moments(model, t)[1], y)
         # no route resolves the tilt past the rounding level of the mean
@@ -428,7 +428,7 @@ class TestNewtonDuals:
                           PROPERTY_MODELS[kernel].kernel, IdentityScaling())
         lam2 = u * lam1
         w = model.weight
-        mass_on = w.integral(model.lvals * w.w)
+        mass_on = w.integral(model.index(model.weight.nodes) * w.w)
         mass_off = w.mass - mass_on
         t_on = bisection_inverse(lambda t: tilted_kernel_moment(model, t), lam2 / mass_on)
         t_off = bisection_inverse(lambda t: tilted_kernel_moment(model, t),
@@ -443,7 +443,7 @@ class TestNewtonDuals:
            lam1=st.floats(-5.0, 3.0).map(math.exp))
     def test_closed_rates_match_bisection_formulas(self, name, u, lam1):
         model = DUAL_MODELS[name]
-        rng = model.tilt_range
+        rng = tilted_mean_range(model)
         lam = rng.v0 + 2e-6 + u * (rng.v1 - rng.v0 - 4e-6)
         s = bisection_inverse(lambda t: integral_moments(model, t)[1], lam)
         log_mass = integral_moments(model, s)[0]
@@ -514,7 +514,7 @@ class TestSolverCost:
         assert calls[0] <= 4
 
     def test_inverse_over_reachable_range(self, gaussian_model, calls):
-        rng = gaussian_model.tilt_range
+        rng = tilted_mean_range(gaussian_model)
         for y in np.linspace(rng.v0 + 1e-9, rng.v1 - 1e-9, 81):
             calls[0] = 0
             tilted_mean_inverse(gaussian_model, float(y))
@@ -523,7 +523,7 @@ class TestSolverCost:
     def test_indicator_inverse_starts_at_closed_form(self, halfline_indicator_model, calls):
         # from s = 0 the descent took 32 / 18 / 9 / 5 calls at y = 1e-12 /
         # 1e-6 / 0.01 / 0.3 and as many at the mirrored levels
-        rng = halfline_indicator_model.tilt_range
+        rng = tilted_mean_range(halfline_indicator_model)
         tails = np.geomspace(1e-12, 0.5, 25)
         levels = [*tails, *(1.0 - tails), *np.linspace(rng.v0 + 1e-9, rng.v1 - 1e-9, 81)]
         for y in levels:
@@ -640,7 +640,7 @@ class TestTiltedMeanRange:
 
     def test_probed_once_per_model(self, gaussian_model):
         rng = tilted_mean_range(gaussian_model)
-        assert rng is gaussian_model.tilt_range
+        assert rng is tilted_mean_range(gaussian_model)
         assert rng.v0 == tilted_mean(gaussian_model, -ratefn.PROBE_T)
         assert rng.v1 == tilted_mean(gaussian_model, ratefn.PROBE_T)
 
@@ -656,8 +656,9 @@ class TestLogMgfLimit:
     def test_uniform_kernel_matches_plain_exponential_form(self, gaussian_model):
         # with a flat kernel the double integral collapses to a single one
         w = gaussian_model.weight
+        lvals = gaussian_model.index(w.nodes)
         for t1, t2 in ((0.2, 0.1), (-0.4, 0.3), (1.0, -0.5)):
-            direct = w.integral((np.exp(t1 + t2 * gaussian_model.lvals) - 1.0) * w.w)
+            direct = w.integral((np.exp(t1 + t2 * lvals) - 1.0) * w.w)
             for route in LOG_MGF_ROUTES:
                 assert route(gaussian_model, t1, t2) == pytest.approx(direct, abs=1e-10)
 
@@ -728,7 +729,7 @@ class TestLogMgfLimit:
         model = RateModel(gaussian_model.weight, IdentityIndex(), UniformKernel(scale=2.0),
                           PowerScaling(3.0))
         w = model.weight
-        direct = w.integral((np.exp(2.0 * (0.2 - 0.3 * model.lvals)) - 1.0) * w.w)
+        direct = w.integral((np.exp(2.0 * (0.2 - 0.3 * model.index(w.nodes))) - 1.0) * w.w)
         for route in LOG_MGF_ROUTES:
             assert route(model, 0.2, -0.3) == pytest.approx(direct, rel=1e-10)
 
@@ -850,7 +851,7 @@ class TestLegendreRate:
     def test_matches_closed_route_over_reachable_range(self, lam1, u):
         # (lam1, lam2 / lam1) over the whole reachable range and a little
         # beyond it, not only the grid: same value, and +inf at the same points
-        rng = GAUSSIAN_MODEL.tilt_range
+        rng = tilted_mean_range(GAUSSIAN_MODEL)
         lam2 = lam1 * (rng.v0 + u * (rng.v1 - rng.v0))
         closed = closed_rate_uniform(GAUSSIAN_MODEL, lam1, lam2)
         numeric = legendre_rate(GAUSSIAN_MODEL, lam1, lam2)
@@ -924,9 +925,9 @@ class TestStationaryPoint:
         assert t2 == pytest.approx(1.0, abs=1e-8)
 
     def test_mean_vector_maps_to_origin(self, gaussian_model):
-        mass = gaussian_model.weight.mass
-        mean = gaussian_model.weight.integral(gaussian_model.lvals * gaussian_model.weight.w)
-        t1, t2 = conjugate_stationary_point(gaussian_model, mass, mean)
+        w = gaussian_model.weight
+        mean = w.integral(gaussian_model.index(w.nodes) * w.w)
+        t1, t2 = conjugate_stationary_point(gaussian_model, w.mass, mean)
         assert abs(t1) < 1e-9 and abs(t2) < 1e-9
 
     @pytest.mark.parametrize("lam1,lam2", [(1.0, 0.5), (2.0, -1.0), (0.7, 0.7)])
@@ -1037,7 +1038,7 @@ class TestRatioRate:
     @given(kernel=st.sampled_from(sorted(PROPERTY_MODELS)), u=st.floats(0.0, 1.0))
     def test_matches_closed_inner_oracle(self, kernel, u):
         model = PROPERTY_MODELS[kernel]
-        rng = model.tilt_range
+        rng = tilted_mean_range(model)
         lam = rng.v0 + 2e-6 + u * (rng.v1 - rng.v0 - 4e-6)
         value = ratio_rate(model, lam)
         assert value == pytest.approx(closed_inner_ratio_rate(model, lam), abs=1e-8)
@@ -1119,7 +1120,8 @@ class TestRatioRateQuadratic:
             WeightDensity.gaussian(0.0, 1.3), IdentityIndex(), UniformKernel(),
             IdentityScaling(),
         )
-        second = model.weight.integral(model.lvals**2 * model.weight.w) / model.weight.mass
+        w = model.weight
+        second = w.integral(model.index(w.nodes) ** 2 * w.w) / w.mass
         lam = 0.05 * math.sqrt(second)
         ratio = ratio_rate_closed(model, lam) / ratio_rate_quadratic(model, lam)
         assert 0.9 <= ratio <= 1.1

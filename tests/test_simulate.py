@@ -583,12 +583,10 @@ class TestSufficientStatisticSampler:
         sd_p = math.hypot(a, b)
         for z_lo, z_hi in ((8.0, 8.3), (25.0, 25.05), (-8.3, -8.0)):
             lo, hi = z_lo * sd_p, z_hi * sd_p
-            mass = law.cell_masses(a, b, np.array([lo]), np.array([hi]))[0]
+            masses, draw = law.cells(a, b, np.array([lo]), np.array([hi]))
             expected = norm.sf(z_lo) - norm.sf(z_hi) if z_lo > 0 else norm.cdf(z_hi) - norm.cdf(z_lo)
-            assert mass == pytest.approx(expected, rel=1e-10)
-            rng = np.random.default_rng(8108)
-            p, y = law.sample_in_cells(rng, a, b, np.array([lo]), np.array([hi]),
-                                       np.zeros(20_000, dtype=int))
+            assert masses[0] == pytest.approx(expected, rel=1e-10)
+            p, y = draw(np.random.default_rng(8108), np.zeros(20_000, dtype=int))
             assert np.all((p >= lo) & (p <= hi)) and np.all(np.isfinite(y))
             # the tail side of each cell keeps its precision: sf above 0, cdf below
             f = (lambda z: -norm.sf(z)) if z_lo > 0 else norm.cdf
@@ -601,9 +599,9 @@ class TestSufficientStatisticSampler:
         model = _uniform_response_model(factor_model, 1.0)
         a, b = model.signal_integral, model.noise_integral
         for lo, hi in ((6.0, 6.1), (-5.0, -4.9), (0.2, 0.25)):
-            mass = model.y_law.cell_masses(a, b, np.array([lo]), np.array([hi]))[0]
+            masses, _ = model.y_law.cells(a, b, np.array([lo]), np.array([hi]))
             center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            assert mass == pytest.approx(window_probability(model, center, half), rel=1e-9)
+            assert masses[0] == pytest.approx(window_probability(model, center, half), rel=1e-9)
 
     @pytest.mark.parametrize("signal_scale", [1.0, -0.7])
     def test_uniform_law_wide_cell_draws(self, factor_model, signal_scale):
@@ -615,8 +613,8 @@ class TestSufficientStatisticSampler:
         p_all = a * y_all + b * rng.standard_normal(400_000)
         for lo, hi in ((-0.6, 0.2), (1.0, 3.5)):
             inside = (p_all >= lo) & (p_all <= hi)
-            p, y = model.y_law.sample_in_cells(rng, a, b, np.array([lo]), np.array([hi]),
-                                               np.zeros(20_000, dtype=int))
+            _, draw = model.y_law.cells(a, b, np.array([lo]), np.array([hi]))
+            p, y = draw(rng, np.zeros(20_000, dtype=int))
             assert ks_2samp(p, p_all[inside]).pvalue > _TAIL
             assert ks_2samp(y, y_all[inside]).pvalue > _TAIL
 
@@ -640,9 +638,11 @@ class TestSufficientStatisticSampler:
         z = np.array([[-25.05, -25.0], [-2.0, -1.0], [-0.3, 0.2], [3.0, 4.0], [25.0, 25.05]])
         lo, hi = center + sd_p * z[:, 0], center + sd_p * z[:, 1]
         cell = np.random.default_rng(8112).integers(0, lo.size, 3000)
-        compact = law.sample_in_cells(np.random.default_rng(8113), a, b, lo, hi, cell)
-        expanded = law.sample_in_cells(np.random.default_rng(8113), a, b, lo[cell], hi[cell],
-                                       np.arange(cell.size))
+        masses, draw = law.cells(a, b, lo, hi)
+        expanded_masses, draw_expanded = law.cells(a, b, lo[cell], hi[cell])
+        assert np.array_equal(masses[cell], expanded_masses)
+        compact = draw(np.random.default_rng(8113), cell)
+        expanded = draw_expanded(np.random.default_rng(8113), np.arange(cell.size))
         assert np.array_equal(compact[0], expanded[0])
         assert np.array_equal(compact[1], expanded[1])
         assert np.all((compact[0] >= lo[cell]) & (compact[0] <= hi[cell]))
@@ -663,6 +663,31 @@ class TestSufficientStatisticSampler:
         uniform = LadderConfig((200, 500, 1000), 1.5, 0.6, (3000, 2000, 1000), seed=1803)
         records = uniform_ladder(model, centers, IdentityIndex(), uniform)
         assert [r.hits for r in records] == [895, 325, 84]
+
+    def test_cells_built_once_per_rung(self, factor_model, zero_curve):
+        # the law derives each rung's cell constants once, however many blocks
+        # the rung draws in, and the counting law draws what NormalLaw draws
+        blocks = []  # one list per cells call, one entry per draw call
+
+        class CountingLaw(NormalLaw):
+            def cells(self, a, b, lo, hi):
+                masses, draw = super().cells(a, b, lo, hi)
+                rung = []
+                blocks.append(rung)
+
+                def counting_draw(rng, cell):
+                    rung.append(cell.size)
+                    return draw(rng, cell)
+
+                return masses, counting_draw
+
+        model = LinearFactorModel(factor_model.signal_curve, factor_model.noise_curve,
+                                  CountingLaw(0.0, 1.0))
+        cfg = LadderConfig((200, 1000, 20000), 1.5, 1.0, (2000, 1000, 6000), seed=8115)
+        records = pointwise_ladder(model, zero_curve, IdentityIndex(), cfg)
+        assert len(blocks) == 3
+        assert len(blocks[0]) == 1 and len(blocks[2]) > 1
+        assert records == pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
 
     def test_rung_stats_count_the_rung_draws(self, factor_model, zero_curve):
         # one center: every in-window draw lies in its window, so the draws are
