@@ -7,8 +7,8 @@ the config, seed, versions and CPU count so the run can be reproduced
 exactly, for a ladder run each rung's draws and time, for a cover run
 the member distances each radius evaluated and whether the class is
 undersampled, and for a rate run the rows and time of its level sweep
-and its conjugate grid.  All outputs stay inside the declared output
-directory.
+and its conjugate grid, and the grid's distinct levels.  All outputs
+stay inside the declared output directory.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .funcdata import (Curve, Grid, IdentityScaling, IntegralDifference, LpDista
 
 _STOCHASTIC = ("estimate", "simulate", "uniform")
 _REQUIRED = object()  # default of a field that the config must give
-# Rate routes that fail numerically or lie off their domain; such a cell reads nan.
-_RATE_FAILURES = (ratefn.NumericError, ratefn.RateDomainError)
 _ENTROPY_FIELDS = ("nu", "n_cover", "nu_log_n", "n", "h", "phi_h", "log_n_over_speed",
                    "admissible")
 
@@ -205,23 +203,21 @@ def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     for lam in lam_values:
         try:
             g1, g2 = ratefn.ratio_rate_derivatives(model, lam)
-        except _RATE_FAILURES:
+        except (ratefn.NumericError, ratefn.RateDomainError):  # the cells read nan
             g1 = g2 = math.nan
         beta = ratefn.two_sided_rate(model, r_true, lam) if lam > 0 else math.nan
         sweep.append((lam, ratefn.ratio_rate_closed(model, lam), g1, g2, beta))
     swept = time.perf_counter()
+    pairs = [(l1, l1 * r) for l1 in lam1_values for r in ratio_values]
+    rates, levels = ratefn.conjugate_rates(model, pairs)
     conjugate = []
-    for lam1, lam2 in ((l1, l1 * r) for l1 in lam1_values for r in ratio_values):
-        try:
-            num = ratefn.legendre_rate(model, lam1, lam2)
-        except _RATE_FAILURES:
-            num = math.nan
-        closed = ratefn.closed_rate_uniform(model, lam1, lam2)
+    for (lam1, lam2), (num, closed) in zip(pairs, rates):
         both_finite = math.isfinite(num) and math.isfinite(closed)
         diff = abs(num - closed) if both_finite else 0.0 if num == closed else math.nan
         conjugate.append((lam1, lam2, num, closed, diff))
     phases = {"sweep": {"rows": len(sweep), "seconds": swept - started},
-              "conjugate": {"rows": len(conjugate), "seconds": time.perf_counter() - swept}}
+              "conjugate": {"rows": len(conjugate), "levels": levels,
+                            "seconds": time.perf_counter() - swept}}
     return [
         _write_csv(out, "rate_sweep.csv",
                    ["lambda", "gamma", "gamma_prime", "gamma_second", "beta"], sweep),
@@ -350,7 +346,7 @@ def _run_cover(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
 
 # Each runner returns the artifact paths it wrote and the fields it adds
 # to the manifest (the ladders' per-rung stats, the cover command's
-# per-radius counters, the rate command's rows and seconds per loop).
+# per-radius counters, the rate command's per-phase counters and times).
 _RUNNERS = {"rate": _run_rate, "estimate": _run_estimate, "simulate": _run_simulate,
             "uniform": _run_uniform, "cover": _run_cover}
 COMMANDS = tuple(_RUNNERS)

@@ -127,7 +127,7 @@ def row_blocks(rows: int, points: int) -> Iterator[tuple[slice, np.ndarray]]:
 
 @dataclass(frozen=True)
 class FactorRows:
-    """Read-only rows sum_k coeffs[i, k] * basis[k], held as the (n, k) and (k, points) factors."""
+    """Read-only rows sum_k coeffs[i, k] * basis[k], held as frozen copies of both factors."""
 
     coeffs: np.ndarray
     basis: np.ndarray
@@ -135,6 +135,8 @@ class FactorRows:
     def __post_init__(self):
         if (self.coeffs.ndim, self.basis.ndim) != (2, 2) or self.coeffs.shape[1] != len(self.basis):
             raise ValueError(f"factors of shapes {self.coeffs.shape}, {self.basis.shape} differ")
+        for name, arr in (("coeffs", self.coeffs), ("basis", self.basis)):
+            object.__setattr__(self, name, arr.copy(order="K"))
         self.coeffs.flags.writeable = self.basis.flags.writeable = False
 
     @property

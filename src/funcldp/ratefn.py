@@ -21,6 +21,7 @@ as a rate of 0 or +inf.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -429,6 +430,25 @@ def _newton_minimize(
         f"Newton descent did not converge in {_NEWTON_ITERATIONS} iterations for {what}")
 
 
+def _conjugate_level(model: RateModel, lam1: float, lam2: float) -> float | None:
+    """The level y = lam2 / lam1 of the conjugate routes' dual; None where the rate is +inf."""
+    return lam2 / lam1 if _level(lam1) > 0 and _inside_range(model, lam2 / lam1) else None
+
+
+def _legendre_ascent(model: RateModel, lam1: float, lam2: float, dual: tuple) -> float:
+    """``legendre_rate`` at a finite rate, from the uniform-kernel dual (s, D) at its level."""
+    ops = _TiltOps(model)
+    lam = np.array([lam1, lam2], dtype=float)
+
+    def local(t):
+        value, grad, hess = ops.local(t)
+        return value - float(lam @ t), grad - lam, hess
+
+    (s, d), y, k_max = dual, lam2 / lam1, float(ops.k.max())
+    t0 = np.array([math.log(lam1 / k_max) - d - y * s, s]) / k_max
+    return 0.0 - _newton_minimize(local, t0, f"the conjugate at lam=({lam1}, {lam2})")[1]
+
+
 def legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:
     """Fenchel-Legendre conjugate of the limit log-MGF by damped Newton ascent.
 
@@ -445,19 +465,8 @@ def legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:
     concave, so the ascent corrects any start.  The value therefore stays
     a check on ``closed_rate_uniform`` that is independent of its formula.
     """
-    if not _level(lam1) > 0 or not _inside_range(model, lam2 / lam1):
-        return math.inf
-    ops = _TiltOps(model)
-    lam = np.array([lam1, lam2], dtype=float)
-
-    def local(t):
-        value, grad, hess = ops.local(t)
-        return value - float(lam @ t), grad - lam, hess
-
-    y, k_max = lam2 / lam1, float(ops.k.max())
-    s, dual = _tilt_dual(model, y)
-    t0 = np.array([math.log(lam1 / k_max) - dual - y * s, s]) / k_max
-    return 0.0 - _newton_minimize(local, t0, f"the conjugate at lam=({lam1}, {lam2})")[1]
+    y = _conjugate_level(model, lam1, lam2)
+    return math.inf if y is None else _legendre_ascent(model, lam1, lam2, _tilt_dual(model, y))
 
 
 def _is_plain_uniform(model: RateModel) -> bool:
@@ -469,6 +478,12 @@ def _require_plain_uniform(model: RateModel, what: str) -> None:
         raise ValueError(f"{what} requires the unit uniform kernel")
 
 
+def _closed_rate(model: RateModel, lam1: float, dual: tuple) -> float:
+    """``closed_rate_uniform`` at a finite rate from the dual (s, D) at its level."""
+    # the trapezoid mass and the moment-row dual round apart at the zero
+    return max(0.0, lam1 * (math.log(lam1) - 1.0 - dual[1]) + model.weight.mass)
+
+
 def closed_rate_uniform(model: RateModel, lam1: float, lam2: float) -> float:
     """Closed-form conjugate rate of the component pair under the uniform kernel.
 
@@ -476,11 +491,32 @@ def closed_rate_uniform(model: RateModel, lam1: float, lam2: float) -> float:
     reachable tilted-mean range; +inf elsewhere.
     """
     _require_plain_uniform(model, "the closed conjugate rate")
-    if not _level(lam1) > 0 or not _inside_range(model, lam2 / lam1):
-        return math.inf
-    dual = _tilt_dual(model, lam2 / lam1)[1]
-    # the trapezoid mass and the moment-row dual round apart at the zero
-    return max(0.0, lam1 * (math.log(lam1) - 1.0 - dual) + model.weight.mass)
+    y = _conjugate_level(model, lam1, lam2)
+    return math.inf if y is None else _closed_rate(model, lam1, _tilt_dual(model, y))
+
+
+def conjugate_rates(model: RateModel, pairs: Sequence[tuple[float, float]]) -> tuple[list, int]:
+    """``legendre_rate`` and ``closed_rate_uniform`` at each pair, and the levels solved.
+
+    The pairs at one float level y = lam2/lam1 share its uniform-kernel dual, solved once:
+    it only seeds the ascent, so that stays a check on the closed form.  A failed dual
+    leaves both rates nan at its level's pairs, a failed ascent its own rate.
+    """
+    _require_plain_uniform(model, "the closed conjugate rate")
+    rates, levels = [], {}
+    for i, pair in enumerate(pairs):
+        y = _conjugate_level(model, *pair)
+        if y is not None:
+            levels.setdefault(y, []).append(i)
+        rates.append([math.inf if y is None else math.nan] * 2)
+    for y, rows in levels.items():
+        with contextlib.suppress(NumericError, RateDomainError):
+            dual = _tilt_dual(model, y)
+            for i in rows:
+                rates[i][1] = _closed_rate(model, pairs[i][0], dual)
+                with contextlib.suppress(NumericError, RateDomainError):
+                    rates[i][0] = _legendre_ascent(model, *pairs[i], dual)
+    return rates, len(levels)
 
 
 def _kernel_dual(model: RateModel, y: float) -> tuple[float, float]:

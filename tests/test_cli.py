@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcldp import simulate
+from funcldp import ratefn, simulate
 from funcldp.cli import ConfigError, main, run
 from funcldp.estimator import IdentityIndex
 from funcldp.funcdata import Curve, Grid, LpDistance, write_curve_csv
@@ -261,11 +262,66 @@ class TestRateCommand:
         for name, csv_name in (("sweep", "rate_sweep.csv"), ("conjugate", "rate_conjugate.csv")):
             path = next(p for p in outputs if p.endswith(csv_name))
             assert phases[name]["rows"] == len(open(path).read().splitlines()) - 1
-            assert set(phases[name]) == {"rows", "seconds"}
             assert phases[name]["seconds"] > 0.0
+        assert set(phases["sweep"]) == {"rows", "seconds"}
+        assert set(phases["conjugate"]) == {"rows", "levels", "seconds"}
         assert (phases["sweep"]["rows"], phases["conjugate"]["rows"]) == (3, 6)
+        assert phases["conjugate"]["levels"] == 3  # y = -1, 0 and 1, each at both lambda1
         assert sum(p["seconds"] for p in phases.values()) <= manifest["wall_time_s"] + 1e-3
         assert "rungs" not in manifest and "covers" not in manifest
+
+    @pytest.mark.parametrize("grid", [
+        {},
+        {"lambda1_values": [0.0, -1.0, 1.0, 2.0], "ratio_values": [-2 / 3, 0.0, 1.0, 9.0]},
+    ], ids=["default", "edges"])
+    def test_conjugate_cells_are_the_per_pair_routes(self, tmp_path, grid):
+        # the level-grouped grid writes exactly what each route gives for its own pair
+        run({"command": "rate", "lambda_values": [1.0], **grid}, str(tmp_path / "out"))
+        model = ratefn.gaussian_identity_model()
+        for row in csv.DictReader(open(tmp_path / "out" / "rate_conjugate.csv")):
+            lam1, lam2 = float(row["lambda1"]), float(row["lambda2"])
+            assert float(row["gamma_legendre"]) == ratefn.legendre_rate(model, lam1, lam2)
+            assert float(row["gamma_closed"]) == ratefn.closed_rate_uniform(model, lam1, lam2)
+
+    def test_conjugate_phase_solves_one_dual_per_level(self, tmp_path, monkeypatch):
+        # a sweep level beyond the reachable range solves no dual, so every count is the grid's
+        levels = []
+        dual = ratefn._tilt_dual
+        monkeypatch.setattr(ratefn, "_tilt_dual", lambda model, y, **kw: (
+            levels.append(y), dual(model, y, **kw))[1])
+        run({"command": "rate", "lambda_values": [9.0]}, str(tmp_path / "out"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["phases"]["conjugate"]["levels"] == 13  # 49 rows, 7 ratios
+        assert len(levels) == len(set(levels)) == 13
+
+    @pytest.mark.parametrize("error", [ratefn.NumericError, ratefn.RateDomainError])
+    @pytest.mark.parametrize("failing", ["_tilt_dual", "_legendre_ascent"])
+    def test_failed_level_reads_nan(self, tmp_path, monkeypatch, error, failing):
+        # a failed dual blanks both routes at the level y = 1, a failed ascent only its
+        # own column; the run and the other rows go on
+        cfg = {"command": "rate", "lambda_values": [9.0], "lambda1_values": [1.0, 2.0],
+               "ratio_values": [-1.0, 0.0, 1.0]}
+        config = _write_config(tmp_path, cfg)
+        main(["--config", config, "--out", str(tmp_path / "plain")])
+        route = getattr(ratefn, failing)
+
+        def fail_at_one(model, *args, **kw):
+            if (args[0] if failing == "_tilt_dual" else args[1] / args[0]) == 1.0:
+                raise error("injected")
+            return route(model, *args, **kw)
+
+        monkeypatch.setattr(ratefn, failing, fail_at_one)
+        assert main(["--config", config, "--out", str(tmp_path / "failed")]) == 0
+        plain, failed = (open(tmp_path / d / "rate_conjugate.csv").read().splitlines()
+                         for d in ("plain", "failed"))
+        for i, (before, after) in enumerate(zip(plain, failed)):
+            if i in (3, 6):  # the rows (1, 1) and (2, 2)
+                kept = before.split(",")
+                closed = kept[3] if failing == "_legendre_ascent" else "nan"
+                assert after.split(",") == kept[:2] + ["nan", closed, "nan"]
+            else:
+                assert after == before
+        assert len(failed) == len(plain) == 7
 
     def test_wall_time_ignores_clock_jumps(self, tmp_path, monkeypatch):
         # the system clock set back an hour during the run does not reach the manifest

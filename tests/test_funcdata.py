@@ -268,7 +268,18 @@ class TestFactorRows:
         rows = funcdata.FactorRows(coeffs, basis)
         assert rows.shape == (3, 4)
         np.testing.assert_array_equal(rows[0:3], coeffs @ basis)
-        assert not (coeffs.flags.writeable or basis.flags.writeable)
+        assert not (rows.coeffs.flags.writeable or rows.basis.flags.writeable)
+
+    def test_factors_are_copied(self):
+        # the caller's arrays stay writable, and no view of them reaches the rows
+        coeffs, basis = np.ones((2, 2)), np.ones((2, 3))
+        views = coeffs[0], basis[0]
+        rows = funcdata.FactorRows(coeffs, basis)
+        assert coeffs.flags.writeable and basis.flags.writeable
+        for view in views:
+            view[:] = 7.0
+        np.testing.assert_array_equal(rows[0:2], np.full((2, 3), 2.0))
+        assert rows.bound() == 2.0
 
     @pytest.mark.parametrize("coeffs, basis", [
         (np.ones((3, 2)), np.ones((3, 4))),

@@ -26,6 +26,7 @@ from funcldp.ratefn import (
     WeightDensity,
     class_rate,
     closed_rate_uniform,
+    conjugate_rates,
     gaussian_identity_model,
     indicator_rate,
     legendre_rate,
@@ -911,6 +912,26 @@ class TestClosedRateUniform:
         )
         with pytest.raises(ValueError, match="uniform"):
             closed_rate_uniform(model, 1.0, 0.0)
+
+
+class TestConjugateRates:
+    def test_per_pair_routes_and_levels(self, gaussian_model):
+        # the pairs share each level's dual, yet read the per-pair routes' bits
+        pairs = [(l1, l1 * r) for l1 in (0.0, -1.0, 1.0, 2.0, 3.0)
+                 for r in (-2 / 3, 0.0, 1.0, 9.0)]
+        rates, levels = conjugate_rates(gaussian_model, pairs)
+        assert rates == [[legendre_rate(gaussian_model, *p), closed_rate_uniform(gaussian_model, *p)]
+                         for p in pairs]
+        rng = tilted_mean_range(gaussian_model)
+        assert levels == len({l2 / l1 for l1, l2 in pairs if l1 > 0 and rng.v0 < l2 / l1 < rng.v1})
+        assert levels >= 3 and rates[0] == [math.inf, math.inf]
+
+    def test_requires_uniform_kernel(self):
+        model = RateModel(
+            WeightDensity.gaussian(), IdentityIndex(), ExpDecayKernel(), IdentityScaling()
+        )
+        with pytest.raises(ValueError, match="uniform"):
+            conjugate_rates(model, [(1.0, 0.0)])
 
 
 class TestStationaryPoint:
