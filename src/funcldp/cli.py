@@ -197,7 +197,6 @@ def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
                         [0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0])
     lam1_values = _field(cfg, "lambda1_values", numbers, np.linspace(0.25, 4.0, 7).tolist())
     ratio_values = _field(cfg, "ratio_values", numbers, np.linspace(-2.0, 2.0, 7).tolist())
-    r_true = ratefn.tilted_mean(model, 0.0)
     started = time.perf_counter()
     sweep = []
     for lam in lam_values:
@@ -205,7 +204,7 @@ def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
             g1, g2 = ratefn.ratio_rate_derivatives(model, lam)
         except (ratefn.NumericError, ratefn.RateDomainError):  # the cells read nan
             g1 = g2 = math.nan
-        beta = ratefn.two_sided_rate(model, r_true, lam) if lam > 0 else math.nan
+        beta = ratefn.two_sided_rate(model, lam) if lam > 0 else math.nan
         sweep.append((lam, ratefn.ratio_rate_closed(model, lam), g1, g2, beta))
     swept = time.perf_counter()
     pairs = [(l1, l1 * r) for l1 in lam1_values for r in ratio_values]

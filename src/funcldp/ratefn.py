@@ -11,8 +11,8 @@ All response-side integrals are dot products with the model's moment
 rows: the trapezoid weights of a truncated weight density times 1, l and
 l^2 over the nodes where the weight is positive.  Exponential tilts are
 stabilized by shifting the largest exponent.  All kernel-side integrals
-use one fixed Gauss rule for the scaling measure dtau on [0, 1]
-(``_kernel_rule``).  Every minimiser and inverse is a damped Newton
+use one fixed Gauss rule for the scaling measure dtau on [0, 1], built
+with the model.  Every minimiser and inverse is a damped Newton
 descent on a convex function (``_newton_minimize``): the inverse of the
 tilted mean is the minimiser of the dual log M(s) - y s, where M is the
 tilted mass.  A NaN level raises ``RateDomainError`` rather than reading
@@ -139,10 +139,12 @@ class RateModel:
     """Weight density, index function, kernel and small-ball scaling profile.
 
     Construction builds the read-only moment rows [q, q l, q l^2], where q
-    is the trapezoid weight times w over the nodes with w > 0, certifies
-    numerically that the exponential moments used by every formula are
+    is the trapezoid weight times w over the nodes with w > 0, and the Gauss
+    rule for dtau: kernel values k, weights w_k (one node of weight 1 for a
+    flat kernel, else the scaling profile's 32) and rows [w_k k, w_k k^2].
+    It certifies that the exponential moments used by every formula are
     finite over the probe tilt range [-20, 20], and probes the reachable
-    tilted-mean range once.
+    tilted-mean range and the untilted mean m, the estimator's limit, once.
     """
 
     weight: WeightDensity
@@ -161,7 +163,14 @@ class RateModel:
         q = (w.grid.trapezoid_weights() * w.w)[support]
         l_support = lvals[support]
         rows = np.vstack([q, q * l_support, q * l_support**2])
-        for arr, name in ((l_support, "_l_support"), (rows, "_rows")):
+        if isinstance(self.kernel, UniformKernel):
+            k, k_weights = np.array([self.kernel.scale]), np.array([1.0])
+        else:
+            u, k_weights = self.scaling.gauss_rule()
+            k = np.asarray(self.kernel.k(u), dtype=float)
+        k_rows = np.vstack([k_weights * k, k_weights * k**2])
+        for arr, name in ((l_support, "_l_support"), (rows, "_rows"), (k, "_k"),
+                          (k_weights, "_k_weights"), (k_rows, "_k_rows")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         for t in (-20.0, 20.0):
@@ -173,6 +182,7 @@ class RateModel:
         if not (v0 <= mid + 1e-12 and mid <= v1 + 1e-12):
             raise NumericError(f"tilted mean probes are not monotone: {v0}, {mid}, {v1}")
         object.__setattr__(self, "_tilt_range", TiltRange(v0, v1))
+        object.__setattr__(self, "_mean", mid)
 
 
 def gaussian_identity_model(nodes: int = WEIGHT_NODES,
@@ -277,32 +287,19 @@ def tilted_mean_inverse(model: RateModel, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_rule(model: RateModel) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel values at the nodes of the Gauss rule for dtau, and the rule's weights.
-
-    An integral of f(K(u)) against dtau(u) on [0, 1] is ``weights . f(k)``.
-    A flat kernel needs one node of weight tau(1) = 1; any other kernel
-    takes the scaling profile's 32-node Gauss rule.
-    """
-    if isinstance(model.kernel, UniformKernel):
-        return np.array([model.kernel.scale]), np.array([1.0])
-    u, weights = model.scaling.gauss_rule()
-    return np.asarray(model.kernel.k(u), dtype=float), weights
-
-
 class _TiltOps:
     """The limit log-MGF and its derivatives from one kernel-major table per instance.
 
     Phi(t) = integral G(theta(v)) w(v) dv with theta = t1 + t2 l(v) and
     G(theta) = integral_0^1 (exp(theta K(u)) - 1) dtau(u).  Each instance
     owns one theta vector and one table exp(K(u_j) theta(v_i)), a row per
-    node of ``_kernel_rule`` and a column per node where w > 0 (so an
+    node of the model's Gauss rule and a column per node where w > 0 (so an
     overflow on a zero-weight node never meets 0 * inf), and refills both
     in place at every ``local`` call.  G, G' and G'' are the table's dot
     products with the rule's weights; on the response side Phi is one dot
     with the first moment row, the gradient one with the first two and the
-    Hessian one with all three.  An instance is one rate solve's scratch
-    and is never shared between threads.  The rule's nodes lie in u, where
+    Hessian one with all three.  An instance is one call's scratch, shared by
+    its solves and never between threads.  The rule's nodes lie in u, where
     the kernels are smooth; a 32-node Gauss-Legendre rule in omega = tau(u)
     is off by up to 4e-4 relative for alpha > 1, since k(omega**(1/alpha))
     is not smooth at 0.  On the exp-decay and affine kernels, for alpha in
@@ -312,27 +309,25 @@ class _TiltOps:
     """
 
     def __init__(self, model: RateModel):
-        self.rows = model._rows
-        self.lvals = model._l_support
-        self.k, self.weights = _kernel_rule(model)
-        self.wk = np.vstack([self.weights * self.k, self.weights * self.k**2])
-        self.theta, self.table = np.empty(self.lvals.size), np.empty((self.k.size, self.lvals.size))
+        self.model, self.theta = model, np.empty(model._l_support.size)
+        self.table = np.empty((model._k.size, model._l_support.size))
 
     def local(self, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Phi, its gradient and its Hessian at ``t``, all from one table.
 
         Overflow gives the +inf sentinel; a NaN raises ``NumericError``.
         """
-        theta = np.multiply(self.lvals, t[1], out=self.theta)
+        model = self.model
+        theta = np.multiply(model._l_support, t[1], out=self.theta)
         theta += t[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            table = np.multiply(self.k[:, np.newaxis], theta, out=self.table)
+            table = np.multiply(model._k[:, np.newaxis], theta, out=self.table)
             np.exp(table, out=table)
-            g = self.wk.dot(table)
-            grad = self.rows[:2].dot(g[0])
-            h00, h01, h11 = self.rows.dot(g[1])
+            g = model._k_rows.dot(table)
+            grad = model._rows[:2].dot(g[0])
+            h00, h01, h11 = model._rows.dot(g[1])
             table -= 1.0
-            value = float(self.rows[0].dot(self.weights.dot(table)))
+            value = float(model._rows[0].dot(model._k_weights.dot(table)))
         if math.isnan(value):
             raise NumericError(f"NaN in log-MGF quadrature at t=({t[0]}, {t[1]})")
         return value, grad, np.array([[h00, h01], [h01, h11]])
@@ -435,16 +430,15 @@ def _conjugate_level(model: RateModel, lam1: float, lam2: float) -> float | None
     return lam2 / lam1 if _level(lam1) > 0 and _inside_range(model, lam2 / lam1) else None
 
 
-def _legendre_ascent(model: RateModel, lam1: float, lam2: float, dual: tuple) -> float:
-    """``legendre_rate`` at a finite rate, from the uniform-kernel dual (s, D) at its level."""
-    ops = _TiltOps(model)
+def _legendre_ascent(ops: _TiltOps, lam1: float, lam2: float, dual: tuple) -> float:
+    """``legendre_rate`` at a finite rate on ``ops``, from the uniform-kernel dual (s, D)."""
     lam = np.array([lam1, lam2], dtype=float)
 
     def local(t):
         value, grad, hess = ops.local(t)
         return value - float(lam @ t), grad - lam, hess
 
-    (s, d), y, k_max = dual, lam2 / lam1, float(ops.k.max())
+    (s, d), y, k_max = dual, lam2 / lam1, float(ops.model._k.max())
     t0 = np.array([math.log(lam1 / k_max) - d - y * s, s]) / k_max
     return 0.0 - _newton_minimize(local, t0, f"the conjugate at lam=({lam1}, {lam2})")[1]
 
@@ -466,7 +460,8 @@ def legendre_rate(model: RateModel, lam1: float, lam2: float) -> float:
     a check on ``closed_rate_uniform`` that is independent of its formula.
     """
     y = _conjugate_level(model, lam1, lam2)
-    return math.inf if y is None else _legendre_ascent(model, lam1, lam2, _tilt_dual(model, y))
+    return math.inf if y is None else _legendre_ascent(
+        _TiltOps(model), lam1, lam2, _tilt_dual(model, y))
 
 
 def _is_plain_uniform(model: RateModel) -> bool:
@@ -503,7 +498,7 @@ def conjugate_rates(model: RateModel, pairs: Sequence[tuple[float, float]]) -> t
     leaves both rates nan at its level's pairs, a failed ascent its own rate.
     """
     _require_plain_uniform(model, "the closed conjugate rate")
-    rates, levels = [], {}
+    ops, rates, levels = _TiltOps(model), [], {}
     for i, pair in enumerate(pairs):
         y = _conjugate_level(model, *pair)
         if y is not None:
@@ -515,7 +510,7 @@ def conjugate_rates(model: RateModel, pairs: Sequence[tuple[float, float]]) -> t
             for i in rows:
                 rates[i][1] = _closed_rate(model, pairs[i][0], dual)
                 with contextlib.suppress(NumericError, RateDomainError):
-                    rates[i][0] = _legendre_ascent(model, *pairs[i], dual)
+                    rates[i][0] = _legendre_ascent(ops, *pairs[i], dual)
     return rates, len(levels)
 
 
@@ -527,7 +522,7 @@ def _kernel_dual(model: RateModel, y: float) -> tuple[float, float]:
     K^2 exp(t K) dtau, all from the Gauss rule for dtau.  Newton starts at the root of the
     log-linear model of the moment at t = 0, which is exact for a flat kernel.
     """
-    k, weights = _kernel_rule(model)
+    k, weights = model._k, model._k_weights
     m1, m2 = weights.dot(k), weights.dot(k * k)
 
     def local(t):
@@ -593,7 +588,7 @@ def ratio_rate(model: RateModel, lam: float) -> float:
         value, grad, hess = ops.local(s[0] * d)
         return value, np.array([grad @ d]), np.array([[d @ hess @ d]])
 
-    s0 = np.array([_tilt_dual(model, lam)[0] / ops.k.max()])
+    s0 = np.array([_tilt_dual(model, lam)[0] / model._k.max()])
     # f(0) = 0 caps the minimum, so a minimum that rounds above 0 (a start
     # at the zero off by rounding) reads as the rate +0.0, never below it
     return max(0.0, -_newton_minimize(local, s0, f"the ratio rate at {lam}")[1])
@@ -634,9 +629,9 @@ def ratio_rate_quadratic(model: RateModel, lam: float) -> float:
     Requires a centered index (mean zero under the normalized weight);
     returns lam^2 * mass / (2 E l^2).
     """
-    mean0 = tilted_mean(model, 0.0)
-    if abs(mean0) >= 1e-10:
-        raise ValueError(f"quadratic approximation needs a centered index, mean {mean0:.3e}")
+    if abs(model._mean) >= 1e-10:
+        raise ValueError(
+            f"quadratic approximation needs a centered index, mean {model._mean:.3e}")
     second = float(np.sum(model._rows[2])) / model.weight.mass
     return lam * lam * model.weight.mass / (2.0 * second)
 
@@ -646,27 +641,25 @@ def ratio_rate_quadratic(model: RateModel, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def two_sided_rate(model: RateModel, r_true: float, lam: float) -> float:
-    """Rate of a two-sided deviation of width ``lam`` around ``r_true``.
+def two_sided_rate(model: RateModel, lam: float) -> float:
+    """Rate of a deviation of width ``lam`` on either side of the model's limit m.
 
+    m is the untilted mean of the index, the zero of the ratio rate.
     Every sublevel set of the ratio rate is the image of a convex set
     under the perspective map, so the rate is quasi-convex: nonincreasing
-    left of its zero, the untilted mean m, and nondecreasing right of it.
-    Its infimum over each ray therefore sits at the ray's point nearest m:
-    exactly 0 when m lies on a ray, and otherwise the smaller of the rates
-    at r_true - lam and r_true + lam, by the closed form under the unit
-    uniform kernel and by ``ratio_rate`` otherwise.
+    left of m and nondecreasing right of it.  Its infimum over each ray
+    therefore sits at the ray's end: the rate is the smaller of the rates
+    at m - lam and m + lam, by the closed form under the unit uniform
+    kernel and by ``ratio_rate`` otherwise.
     """
     if not lam > 0:
         raise ValueError(f"deviation width must be positive, got {lam}")
-    if not _level(r_true) - lam < tilted_mean(model, 0.0) < r_true + lam:
-        return 0.0
     gamma = ratio_rate_closed if _is_plain_uniform(model) else ratio_rate
-    return min(gamma(model, r_true - lam), gamma(model, r_true + lam))
+    return min(gamma(model, model._mean - lam), gamma(model, model._mean + lam))
 
 
-def class_rate(entries: Sequence[tuple[RateModel, float]], lam: float) -> float:
-    """Smallest two-sided deviation rate over a finite class of centers."""
-    if not entries:
-        raise ValueError("class rate needs at least one (model, r_true) entry")
-    return min(two_sided_rate(m, r, lam) for m, r in entries)
+def class_rate(models: Sequence[RateModel], lam: float) -> float:
+    """Smallest two-sided deviation rate over a finite class of centers, one model each."""
+    if not models:
+        raise ValueError("class rate needs at least one model")
+    return min(two_sided_rate(model, lam) for model in models)

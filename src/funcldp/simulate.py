@@ -328,6 +328,8 @@ def small_ball_probe(
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
+    if not replicates >= 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     rng = np.random.default_rng(seed)
     c = x.integral() - v * model.signal_integral
     eps = rng.standard_normal(replicates)
@@ -501,10 +503,9 @@ def _run_ladder(
         ratefn.RateModel(induced_weight(model, x), index, UniformKernel(), IdentityScaling())
         for x in class_grid
     ]
-    entries = [(rm, ratefn.tilted_mean(rm, 0.0)) for rm in rate_models]
-    theoretical_rate = ratefn.class_rate(entries, cfg.lam)
+    theoretical_rate = ratefn.class_rate(rate_models, cfg.lam)
     centers = np.array([x.integral() for x in class_grid])
-    r_true = np.array([r for _, r in entries])
+    r_true = np.array([ratefn.tilted_mean(rm, 0.0) for rm in rate_models])
     records = []
     for n, reps in zip(cfg.n_values, cfg.replicates):
         started = time.perf_counter()

@@ -44,8 +44,7 @@ def tau_inverse(profile, w):
 
 def tilted_kernel_moment(model, t: float) -> float:
     """Kernel exponential moment integral_0^1 K(u) exp(t K(u)) dtau(u), by the Gauss rule."""
-    k, weights = ratefn._kernel_rule(model)
-    return float((weights * k).dot(np.exp(t * k)))
+    return float((model._k_weights * model._k).dot(np.exp(t * model._k)))
 
 
 def conjugate_stationary_point(model, lam1: float, lam2: float) -> tuple[float, float]:

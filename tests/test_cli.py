@@ -173,6 +173,16 @@ class TestExitCodes:
             ({"command": "rate", "ratio_values": []}, "ratio_values"),
             (_cover_config(ladder={**_COVER_LADDER, "n_values": []}), "n_values"),
             (_sim_config(alpha=1.0), "alpha"),
+            (_estimate_config(x0={"csv": "bump.csv"}), "x0"),
+            (_sim_config(command="uniform", centers=[{"csv": "bump.csv"}]), "centers"),
+            (_estimate_config(model={"signal_csv": "bump.csv", "noise_csv": "fine.csv"}),
+             "model"),
+            (_cover_config(**{"class": {"shift": {"base_csv": "zero.csv", "t_lo": -0.1,
+                                                  "t_hi": 0.1, "count": 8}}}), "class"),
+            (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"],
+                                                  "base_csv": "decreasing.csv"}}}), "base_csv"),
+            (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"],
+                                                  "base_csv": "one-row.csv"}}}), "base_csv"),
         ],
         ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
              "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
@@ -190,7 +200,9 @@ class TestExitCodes:
              "base-csv-missing", "base-csv-nan-node", "index-unrecognized", "metric-unrecognized",
              "y-law-unrecognized", "centers-unrecognized", "explicit-two-grids",
              "empty-h-values", "empty-radii", "empty-lambda-values", "empty-lambda1-values",
-             "empty-ratio-values", "empty-cover-ladder", "alpha-one"],
+             "empty-ratio-values", "empty-cover-ladder", "alpha-one", "x0-csv-off-grid",
+             "centers-csv-off-grid", "model-csvs-two-grids", "shift-base-all-zero",
+             "base-csv-decreasing-nodes", "base-csv-one-row"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)
@@ -198,6 +210,9 @@ class TestExitCodes:
         (tmp_path / "nan.csv").write_text("t,value\n0.0,0.0\nnan,1.0\n1.0,0.0\n")
         (tmp_path / "fine.csv").write_text(
             "t,value\n0.0,0.0\n0.25,0.5\n0.5,1.0\n0.75,0.5\n1.0,0.0\n")
+        (tmp_path / "zero.csv").write_text("t,value\n0.0,0.0\n0.5,0.0\n1.0,0.0\n")
+        (tmp_path / "decreasing.csv").write_text("t,value\n1.0,0.0\n0.5,1.0\n0.0,0.0\n")
+        (tmp_path / "one-row.csv").write_text("t,value\n0.0,1.0\n")
         code = main(["--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
@@ -293,6 +308,15 @@ class TestRateCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["phases"]["conjugate"]["levels"] == 13  # 49 rows, 7 ratios
         assert len(levels) == len(set(levels)) == 13
+
+    def test_default_run_builds_one_tilt_table(self, tmp_path, monkeypatch):
+        # the sweep's closed forms need no log-MGF table; the conjugate grid shares one
+        built = []
+        init = ratefn._TiltOps.__init__
+        monkeypatch.setattr(ratefn._TiltOps, "__init__",
+                            lambda ops, model: (built.append(model), init(ops, model))[1])
+        run({"command": "rate"}, str(tmp_path / "out"))
+        assert len(built) == 1
 
     @pytest.mark.parametrize("error", [ratefn.NumericError, ratefn.RateDomainError])
     @pytest.mark.parametrize("failing", ["_tilt_dual", "_legendre_ascent"])

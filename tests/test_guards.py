@@ -1,5 +1,6 @@
 """Positivity and lower-bound guards reject NaN like any other out-of-range value,
-and a NaN level raises in the rate layer instead of reading as a rate."""
+a NaN level raises in the rate layer instead of reading as a rate, and malformed
+library input that no CLI config reaches raises a ValueError that names the fault."""
 
 import math
 
@@ -40,11 +41,13 @@ ENTRY_POINTS = {
         UniformKernel(), IntegralDifference(), 0.1, NAN),
     "finite_n_log_mgf.replicates": _log_mgf_replicates_nan,
     "WeightDensity.gaussian.sd": lambda: ratefn.WeightDensity.gaussian(0.0, NAN),
-    "two_sided_rate.lam": lambda: ratefn.two_sided_rate(MODEL, 0.0, NAN),
+    "two_sided_rate.lam": lambda: ratefn.two_sided_rate(MODEL, NAN),
     "NormalLaw.sd": lambda: simulate.NormalLaw(0.0, NAN),
     "sample_dataset.n": lambda: simulate.sample_dataset(simulate.default_model(11), NAN, 0),
     "small_ball_probe.radius": lambda: simulate.small_ball_probe(
         simulate.default_model(11), Curve.constant(GRID, 0.0), 0.0, NAN, 10, 0),
+    "small_ball_probe.replicates": lambda: simulate.small_ball_probe(
+        simulate.default_model(11), Curve.constant(GRID, 0.0), 0.0, 0.1, NAN, 0),
     "bandwidth_schedule.n": lambda: simulate.bandwidth_schedule(NAN, 1.0, 1.5),
     "bandwidth_schedule.a": lambda: simulate.bandwidth_schedule(200, NAN, 1.5),
     "bandwidth_schedule.alpha": lambda: simulate.bandwidth_schedule(200, 1.0, NAN),
@@ -58,8 +61,6 @@ ENTRY_POINTS = {
     "Dataset.factors": lambda: estimator.Dataset(
         GRID, funcdata.FactorRows(np.array([[NAN, 1.0]]), np.ones((2, GRID.points))), [0.0]),
     "FunctionClass.width": lambda: covering.FunctionClass(GRID, np.zeros((2, GRID.points + 1))),
-    "two_sided_rate.r_true": lambda: ratefn.two_sided_rate(MODEL, NAN, 1.0),
-    "class_rate.r_true": lambda: ratefn.class_rate([(MODEL, NAN)], 1.0),
     "ratio_rate.lam": lambda: ratefn.ratio_rate(MODEL, NAN),
     "ratio_rate_closed.lam": lambda: ratefn.ratio_rate_closed(MODEL, NAN),
     "legendre_rate.lam2": lambda: ratefn.legendre_rate(MODEL, 1.0, NAN),
@@ -73,4 +74,39 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_nan_raises_value_error(call):
     with pytest.raises(ValueError):
+        call()
+
+
+OTHER_GRID = Grid(0.0, 1.0, 5)
+WIDE_GRID = Grid(0.0, 10.0, 3)
+STEP_DATA = estimator.Dataset(GRID, np.zeros((2, GRID.points)), [0.0, 1.0])
+STEP_CFG = estimator.EstimatorConfig(UniformKernel(), IntegralDifference(), 0.1, 0.2)
+MALFORMED = {
+    "shift_class.count": (lambda: covering.shift_class(Curve.constant(GRID, 1.0), 0.0, 0.1, 1),
+                          "at least 2 members"),
+    "Dataset.y": (lambda: estimator.Dataset(GRID, np.zeros((2, GRID.points)), [0.0]),
+                  "y must have length 2"),
+    "z_n.x": (lambda: estimator.z_n(Curve.constant(OTHER_GRID, 0.0), STEP_DATA,
+                                    estimator.IdentityIndex(), [STEP_CFG]), "different grids"),
+    "WeightDensity.mass": (lambda: ratefn.WeightDensity(0.0, 1.0, np.zeros(5)),
+                           "positive mass"),
+    "RateModel.index.inf": (lambda: ratefn.RateModel(
+        MODEL.weight, lambda v: np.full(v.shape, math.inf), UniformKernel(),
+        funcdata.IdentityScaling()), "finite values"),
+    "RateModel.index.shape": (lambda: ratefn.RateModel(
+        MODEL.weight, lambda v: v[1:], UniformKernel(), funcdata.IdentityScaling()),
+        "finite values"),
+    # finite values whose trapezoid integral over a width-10 window overflows
+    "LinearFactorModel.signal_integral": (lambda: simulate.LinearFactorModel(
+        Curve(WIDE_GRID, np.full(3, 1e308)), Curve.constant(WIDE_GRID, 1.0),
+        simulate.NormalLaw(0.0, 1.0)), "signal curve integral"),
+    "uniform_ladder.class_grid": (lambda: simulate.uniform_ladder(
+        simulate.default_model(11), [], estimator.IdentityIndex(),
+        simulate.LadderConfig((200,), 1.5, 1.0, 1000, 0)), "nonempty class grid"),
+}
+
+
+@pytest.mark.parametrize("call, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
         call()

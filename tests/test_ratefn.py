@@ -251,7 +251,7 @@ def integral_log_mgf(model: RateModel, t1: float, t2: float) -> float:
     Zero-weight nodes are masked after the kernel side, so their overflow
     never reaches the sum; overflow elsewhere gives +inf.
     """
-    k, weights = ratefn._kernel_rule(model)
+    k, weights = model._k, model._k_weights
     theta = t1 + t2 * model.index(model.weight.nodes)
     w = model.weight.w
     with np.errstate(over="ignore", invalid="ignore"):
@@ -775,7 +775,7 @@ class TestTiltOpsBuffers:
         ops = ratefn._TiltOps(model)
         t = np.array([0.3, -0.2])
         ops.local(t)
-        table_bytes = ops.k.size * ops.lvals.size * np.dtype(float).itemsize
+        table_bytes = model._k.size * model._l_support.size * np.dtype(float).itemsize
         # numpy reports its data buffers to tracemalloc
         tracemalloc.start()
         try:
@@ -1158,27 +1158,38 @@ class TestRatioRateQuadratic:
 
 class TestTwoSidedRate:
     def test_symmetric_gaussian(self, gaussian_model):
-        assert two_sided_rate(gaussian_model, 0.0, 1.0) == pytest.approx(
+        assert two_sided_rate(gaussian_model, 1.0) == pytest.approx(
             gaussian_ratio_rate(1.0), abs=1e-8
         )
 
     def test_vanishes_with_width(self, gaussian_model):
-        assert two_sided_rate(gaussian_model, 0.0, 1e-4) < 1e-6
+        assert two_sided_rate(gaussian_model, 1e-4) < 1e-6
 
     def test_width_beyond_both_rays(self, gaussian_model):
-        assert two_sided_rate(gaussian_model, 0.0, 9.0) == math.inf
+        assert two_sided_rate(gaussian_model, 9.0) == math.inf
 
-    def test_asymmetric_center_picks_smaller_side(self, gaussian_model):
-        r = 0.4
-        expected = min(
-            ratio_rate_closed(gaussian_model, r - 1.0),
-            ratio_rate_closed(gaussian_model, r + 1.0),
-        )
-        assert two_sided_rate(gaussian_model, r, 1.0) == pytest.approx(expected, abs=1e-12)
+    @pytest.mark.parametrize("lam", [1e-9, 0.1, 0.5, 1.0, 1.5, 9.0])
+    def test_centred_at_the_untilted_mean(self, gaussian_model, lam):
+        m = tilted_mean(gaussian_model, 0.0)
+        expected = min(ratio_rate_closed(gaussian_model, m - lam),
+                       ratio_rate_closed(gaussian_model, m + lam))
+        assert two_sided_rate(gaussian_model, lam) == expected
+
+    def test_asymmetric_center_picks_smaller_side(self):
+        # on the half-line indicator m is near 1/2 and the weight is shifted
+        # off the set, so the two sides of m have different rates
+        model = RateModel(WeightDensity.gaussian(0.3, 1.0, nodes=801),
+                          IntervalIndicator(((0.0, math.inf),)), UniformKernel(),
+                          IdentityScaling())
+        m = tilted_mean(model, 0.0)
+        for lam in (0.1, 0.3):
+            below, above = ratio_rate_closed(model, m - lam), ratio_rate_closed(model, m + lam)
+            assert abs(below - above) > 1e-3
+            assert two_sided_rate(model, lam) == min(below, above)
 
     def test_positive_width_required(self, gaussian_model):
         with pytest.raises(ValueError):
-            two_sided_rate(gaussian_model, 0.0, 0.0)
+            two_sided_rate(gaussian_model, 0.0)
 
     def test_general_kernel_scan_matches_endpoint_route(self):
         # no closed route off the uniform kernel; scanning the ratio rate
@@ -1191,11 +1202,11 @@ class TestTwoSidedRate:
             )
             rng = tilted_mean_range(model)
             m = tilted_mean(model, 0.0)
-            for r, lam in ((0.0, 0.8), (0.6, 1.0), (-1.5, 0.7)):
-                left = np.linspace(rng.v0 + 2e-6, min(r - lam, m), 25)
-                right = np.linspace(max(r + lam, m), rng.v1 - 2e-6, 25)
+            for lam in (0.8, 1.0, 0.7):
+                left = np.linspace(rng.v0 + 2e-6, m - lam, 25)
+                right = np.linspace(m + lam, rng.v1 - 2e-6, 25)
                 scan = [ratio_rate(model, float(y)) for y in np.concatenate([left, right])]
-                assert two_sided_rate(model, r, lam) == min(scan)
+                assert two_sided_rate(model, lam) == min(scan)
 
     def test_found_case_is_fast_and_quiet(self):
         # exp-decay kernel, 101-node weight: the two ray scans took 114 s
@@ -1207,17 +1218,13 @@ class TestTwoSidedRate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             started = time.perf_counter()
-            value = two_sided_rate(model, 0.0, 1.0)
+            value = two_sided_rate(model, 1.0)
             elapsed = time.perf_counter() - started
         assert elapsed < 1.0
         assert value == pytest.approx(
             min(closed_inner_ratio_rate(model, -1.0), closed_inner_ratio_rate(model, 1.0)),
             abs=1e-10,
         )
-
-    def test_zero_when_mean_lies_on_a_ray(self, gaussian_model):
-        assert two_sided_rate(gaussian_model, 3.0, 1.0) == 0.0
-        assert two_sided_rate(gaussian_model, 5.0, 1.0) == 0.0
 
     def test_no_negative_rates(self, gaussian_model):
         # at the untilted mean the trapezoid mass and the moment-row dual
@@ -1228,29 +1235,22 @@ class TestTwoSidedRate:
             assert ratio_rate_closed(gaussian_model, lam) >= 0.0
             assert ratio_rate(gaussian_model, lam) >= 0.0
             assert closed_rate_uniform(gaussian_model, 1.0, lam) >= 0.0
-            assert two_sided_rate(gaussian_model, lam, 1e-9) >= 0.0
+        for lam in (1e-300, 1e-17, 1e-9):
+            assert two_sided_rate(gaussian_model, lam) >= 0.0
 
 
 class TestClassRate:
-    def _entry(self, center):
-        model = RateModel(
-            WeightDensity.gaussian(center, 1.0), IdentityIndex(), UniformKernel(),
-            IdentityScaling(),
-        )
-        return model, tilted_mean(model, 0.0)
-
     def test_singleton(self, gaussian_model):
-        entry = (gaussian_model, tilted_mean(gaussian_model, 0.0))
-        assert class_rate([entry], 1.0) == two_sided_rate(gaussian_model, entry[1], 1.0)
+        assert class_rate([gaussian_model], 1.0) == two_sided_rate(gaussian_model, 1.0)
 
     def test_duplicates_match_singleton(self, gaussian_model):
-        entry = (gaussian_model, tilted_mean(gaussian_model, 0.0))
-        assert class_rate([entry, entry], 1.0) == class_rate([entry], 1.0)
+        assert class_rate([gaussian_model] * 2, 1.0) == class_rate([gaussian_model], 1.0)
 
     def test_nine_center_enumeration(self):
-        entries = [self._entry(c) for c in np.linspace(-2.0, 2.0, 9)]
-        betas = [two_sided_rate(m, r, 1.0) for m, r in entries]
-        assert class_rate(entries, 1.0) == min(betas)
+        models = [RateModel(WeightDensity.gaussian(c, 1.0), IdentityIndex(), UniformKernel(),
+                            IdentityScaling()) for c in np.linspace(-2.0, 2.0, 9)]
+        betas = [two_sided_rate(m, 1.0) for m in models]
+        assert class_rate(models, 1.0) == min(betas)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

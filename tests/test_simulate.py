@@ -309,6 +309,10 @@ class TestSmallBallProbe:
                                      replicates=200_000, seed=int(10 + v))
             assert 0.9 <= probe.mc / probe.analytic <= 1.1
 
+    def test_zero_replicates_rejected(self, factor_model, zero_curve):
+        with pytest.raises(ValueError, match="replicates"):
+            small_ball_probe(factor_model, zero_curve, v=0.0, radius=0.01, replicates=0, seed=1)
+
 
 class TestBandwidthSchedule:
     def test_hand_values_at_sixteen(self):
@@ -485,9 +489,7 @@ class TestUniformLadder:
         models = [_rate_model(factor_model, x) for x in centers]
         cfg = LadderConfig((200,), 1.5, 1.0, 1000, seed=1)
         records = uniform_ladder(factor_model, centers, IdentityIndex(), cfg)
-        betas = [
-            ratefn.two_sided_rate(m, ratefn.tilted_mean(m, 0.0), 1.0) for m in models
-        ]
+        betas = [ratefn.two_sided_rate(m, 1.0) for m in models]
         assert records[0].theoretical_rate == pytest.approx(min(betas), abs=1e-12)
 
     def test_indicator_index_pairs_theory_and_sampler(self, factor_model):
@@ -497,11 +499,11 @@ class TestUniformLadder:
         n, reps, lam, seed = 500, 3000, 0.3, 8112
         cfg = LadderConfig((n,), 1.5, lam, reps, seed=seed)
         record = uniform_ladder(factor_model, centers, index, cfg)[0]
-        entries = [(m, ratefn.tilted_mean(m, 0.0))
-                   for m in (_rate_model(factor_model, x, index) for x in centers)]
-        assert record.theoretical_rate == ratefn.class_rate(entries, lam)
+        models = [_rate_model(factor_model, x, index) for x in centers]
+        assert record.theoretical_rate == ratefn.class_rate(models, lam)
         worst, _ = sampler_rung(factor_model, index, [x.integral() for x in centers],
-                                [r for _, r in entries], n, record.h, seed, reps)
+                                [ratefn.tilted_mean(m, 0.0) for m in models], n, record.h,
+                                seed, reps)
         assert record.hits == int(np.count_nonzero(worst > lam)) > 0
 
 
