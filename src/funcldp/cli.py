@@ -100,10 +100,18 @@ def _integer(value, least: int = 0) -> int:
     return int(value)
 
 
-def _object(value) -> dict:
+def _object(value, keys: tuple[str, ...] | None = None) -> dict:
+    """A JSON object; given ``keys``, one that holds no other key."""
     if not isinstance(value, dict):
         raise TypeError(f"expected an object, got {value!r}")
+    if keys is not None and not value.keys() <= set(keys):
+        raise ValueError(f"unrecognized keys {sorted(set(value) - set(keys))}; reads {list(keys)}")
     return value
+
+
+def _object_of(*keys: str):
+    """Converter of an object that holds no key outside ``keys``."""
+    return lambda value: _object(value, keys)
 
 
 def _list_of(convert):
@@ -135,7 +143,7 @@ def _interval(pair) -> tuple[float, float]:
 def _index(spec) -> IdentityIndex | IntervalIndicator:
     if spec in (None, "identity"):
         return IdentityIndex()
-    if isinstance(spec, dict) and "indicator" in spec:
+    if isinstance(spec, dict) and spec.keys() == {"indicator"}:
         return IntervalIndicator(tuple(_list_of(_interval)(spec["indicator"])))
     raise ValueError(f"unrecognized spec {spec!r}")
 
@@ -143,23 +151,25 @@ def _index(spec) -> IdentityIndex | IntervalIndicator:
 def _metric(spec):
     if spec in (None, "integral_diff"):
         return IntegralDifference()
-    if isinstance(spec, dict) and "lp" in spec:
+    if isinstance(spec, dict) and spec.keys() == {"lp"}:
         return LpDistance(_number(spec["lp"]))
     raise ValueError(f"unrecognized spec {spec!r}")
 
 
 def _law(spec):
     if "uniform" in _object(spec):
-        params = _field(spec, "uniform", _object)
+        params = _field(_object(spec, ("uniform",)), "uniform", _object_of("lo", "hi"))
         return simulate.UniformLaw(_field(params, "lo", _number), _field(params, "hi", _number))
-    params = _field(spec, "normal", _object)
+    params = _field(_object(spec, ("normal",)), "normal", _object_of("mean", "sd"))
     return simulate.NormalLaw(_field(params, "mean", _number, 0.0),
                               _field(params, "sd", _number, 1.0))
 
 
 def _model(spec) -> simulate.LinearFactorModel:
     if _object(spec).get("default"):
+        _object(spec, ("default", "points"))
         return simulate.default_model(_field(spec, "points", _integer, 101))
+    _object(spec, ("default", "signal_csv", "noise_csv", "y_law"))
     return simulate.LinearFactorModel(_field(spec, "signal_csv", _curve_csv),
                                       _field(spec, "noise_csv", _curve_csv),
                                       _field(spec, "y_law", _law, {"normal": {}}))
@@ -168,9 +178,9 @@ def _model(spec) -> simulate.LinearFactorModel:
 def _curve_on(grid: Grid):
     """Converter of a ``constant`` or ``csv`` curve spec on ``grid``."""
     def convert(spec) -> Curve:
-        if isinstance(spec, dict) and "constant" in spec:
+        if isinstance(spec, dict) and spec.keys() == {"constant"}:
             return Curve.constant(grid, _number(spec["constant"]))
-        if isinstance(spec, dict) and "csv" in spec:
+        if isinstance(spec, dict) and spec.keys() == {"csv"}:
             curve = _curve_csv(spec["csv"])
             if curve.grid != grid:
                 raise ValueError("curve does not share the model grid")
@@ -180,12 +190,10 @@ def _curve_on(grid: Grid):
 
 
 def _weight(spec) -> ratefn.WeightDensity:
-    params = _field(_object(spec), "gaussian", _object)
+    params = _field(_object(spec, ("gaussian", "nodes")), "gaussian", _object_of("mean", "sd"))
     return ratefn.WeightDensity.gaussian(
         _field(params, "mean", _number, 0.0), _field(params, "sd", _number, 1.0),
-        _field(spec, "half_width", _number, ratefn.WEIGHT_HALF_WIDTH),
-        _field(spec, "nodes", _integer, ratefn.WEIGHT_NODES),
-    )
+        nodes=_field(spec, "nodes", _integer, ratefn.WEIGHT_NODES))
 
 
 def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
@@ -289,12 +297,12 @@ def _class(spec) -> covering.FunctionClass:
                 "shift": (covering.shift_class, "t_lo", "t_hi")}
     for tag, (build, lo, hi) in families.items():
         if tag in _object(spec):
-            params = _field(spec, tag, _object)
+            params = _field(_object(spec, (tag,)), tag, _object_of("base_csv", lo, hi, "count"))
             return build(_field(params, "base_csv", _curve_csv), _field(params, lo, _number),
                          _field(params, hi, _number),
                          _field(params, "count", lambda count: _integer(count, 2)))
     if "explicit" in spec:
-        curves = _field(spec, "explicit", _list_of(_curve_csv))
+        curves = _field(_object(spec, ("explicit",)), "explicit", _list_of(_curve_csv))
         if len({curve.grid for curve in curves}) > 1:
             raise ValueError("an explicit class needs all its curves on one grid")
         return covering.FunctionClass(curves[0].grid, [curve.values for curve in curves])
@@ -303,7 +311,7 @@ def _class(spec) -> covering.FunctionClass:
 
 def _cover_ladder(params) -> list[tuple[int, float, float]]:
     """(n, h, phi_h) rows of the optional entropy ladder of a cover run."""
-    n_values = _field(_object(params), "n_values", _list_of(_integer))
+    n_values = _field(_object(params, ("n_values", "a", "alpha")), "n_values", _list_of(_integer))
     a, alpha = _field(params, "a", _number), _field(params, "alpha", _number)
     return _checked(("n_values", "a", "alpha"),
                     lambda: [(n, *simulate.bandwidth_schedule(n, a, alpha)) for n in n_values])

@@ -35,9 +35,9 @@ from .funcdata import (Grid, IdentityScaling, Kernel, ScalingProfile, UniformKer
 PROBE_T = 50.0
 DOMAIN_MARGIN = 1e-6
 _TAIL_FACTOR = 1e-12
-# Default response grid of a weight density: its nodes, and a Gaussian weight's
-# window half-width in sd.  At 8 sd the density is exp(-32), about 1.3e-14 of
-# its peak, so the window's edge values pass the _TAIL_FACTOR check.
+# Response grid of a weight density: its default node count, and the window
+# half-width in sd of every Gaussian weight.  At 8 sd the density is exp(-32),
+# about 1.3e-14 of its peak, so the window's edge values pass _TAIL_FACTOR.
 WEIGHT_NODES = 4001
 WEIGHT_HALF_WIDTH = 8.0
 _NEWTON_ITERATIONS = 200
@@ -65,10 +65,6 @@ class TiltRange:
 
 class RateDomainError(ValueError):
     """Argument outside the finiteness domain of a rate-function formula."""
-
-    def __init__(self, message: str, tilt_range: TiltRange | None = None):
-        super().__init__(message)
-        self.tilt_range = tilt_range
 
 
 def normal_pdf(v, mean: float, sd: float):
@@ -116,22 +112,19 @@ class WeightDensity:
             raise ValueError("weight density must have positive mass")
         object.__setattr__(self, "mass", mass)
 
-    def integral(self, values: np.ndarray) -> float:
-        return quadrature(values, self.grid)
-
     @classmethod
     def from_function(cls, fn, v_lo: float, v_hi: float,
                       nodes: int = WEIGHT_NODES) -> "WeightDensity":
         return cls(v_lo, v_hi, fn(Grid(v_lo, v_hi, nodes).nodes()))
 
     @classmethod
-    def gaussian(cls, mean: float = 0.0, sd: float = 1.0, half_width: float = WEIGHT_HALF_WIDTH,
+    def gaussian(cls, mean: float = 0.0, sd: float = 1.0, *,
                  nodes: int = WEIGHT_NODES) -> "WeightDensity":
-        """Gaussian-shaped weight truncated at mean +- half_width * sd."""
+        """Gaussian-shaped weight truncated at mean +- WEIGHT_HALF_WIDTH * sd."""
         if not sd > 0:
             raise ValueError(f"gaussian weight needs sd > 0, got {sd}")
-        return cls.from_function(lambda v: normal_pdf(v, mean, sd),
-                                 mean - half_width * sd, mean + half_width * sd, nodes)
+        lo, hi = mean - WEIGHT_HALF_WIDTH * sd, mean + WEIGHT_HALF_WIDTH * sd
+        return cls.from_function(lambda v: normal_pdf(v, mean, sd), lo, hi, nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,14 +136,16 @@ class RateModel:
     rule for dtau: kernel values k, weights w_k (one node of weight 1 for a
     flat kernel, else the scaling profile's 32) and rows [w_k k, w_k k^2].
     It certifies that the exponential moments used by every formula are
-    finite over the probe tilt range [-20, 20], and probes the reachable
-    tilted-mean range and the untilted mean m, the estimator's limit, once.
+    finite over the probe tilt range [-20, 20], and probes once the reachable
+    tilted-mean range and the untilted mean m, the estimator's limit, kept as
+    the read-only ``mean``.
     """
 
     weight: WeightDensity
     index: IndexFunction
     kernel: Kernel
     scaling: ScalingProfile
+    mean: float = field(init=False, repr=False)
 
     def __post_init__(self):
         lvals = np.asarray(self.index(self.weight.nodes), dtype=float)
@@ -182,18 +177,12 @@ class RateModel:
         if not (v0 <= mid + 1e-12 and mid <= v1 + 1e-12):
             raise NumericError(f"tilted mean probes are not monotone: {v0}, {mid}, {v1}")
         object.__setattr__(self, "_tilt_range", TiltRange(v0, v1))
-        object.__setattr__(self, "_mean", mid)
+        object.__setattr__(self, "mean", mid)
 
 
-def gaussian_identity_model(nodes: int = WEIGHT_NODES,
-                            half_width: float = WEIGHT_HALF_WIDTH) -> RateModel:
+def gaussian_identity_model() -> RateModel:
     """Standard-normal weight with the identity index and the uniform kernel."""
-    return RateModel(
-        weight=WeightDensity.gaussian(0.0, 1.0, half_width, nodes),
-        index=IdentityIndex(),
-        kernel=UniformKernel(),
-        scaling=IdentityScaling(),
-    )
+    return RateModel(WeightDensity.gaussian(), IdentityIndex(), UniformKernel(), IdentityScaling())
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +266,7 @@ def tilted_mean_inverse(model: RateModel, y: float) -> float:
     rng = model._tilt_range
     if not rng.v0 < y < rng.v1:
         raise RateDomainError(
-            f"level {y} outside the reachable tilted-mean range ({rng.v0}, {rng.v1})", rng
-        )
+            f"level {y} outside the reachable tilted-mean range ({rng.v0}, {rng.v1})")
     return _tilt_dual(model, y, polish=True)[0]
 
 
@@ -616,7 +604,7 @@ def ratio_rate_derivatives(model: RateModel, lam: float) -> tuple[float, float]:
     _require_plain_uniform(model, "ratio-rate derivatives")
     if not _inside_range(model, lam):
         rng = model._tilt_range
-        raise RateDomainError(f"level {lam} outside ({rng.v0}, {rng.v1})", rng)
+        raise RateDomainError(f"level {lam} outside ({rng.v0}, {rng.v1})")
     s = tilted_mean_inverse(model, lam)
     log_mass, _, var = _tilted_moments(model, s)
     amplitude = math.exp(-lam * s + log_mass)
@@ -629,9 +617,9 @@ def ratio_rate_quadratic(model: RateModel, lam: float) -> float:
     Requires a centered index (mean zero under the normalized weight);
     returns lam^2 * mass / (2 E l^2).
     """
-    if abs(model._mean) >= 1e-10:
+    if abs(model.mean) >= 1e-10:
         raise ValueError(
-            f"quadratic approximation needs a centered index, mean {model._mean:.3e}")
+            f"quadratic approximation needs a centered index, mean {model.mean:.3e}")
     second = float(np.sum(model._rows[2])) / model.weight.mass
     return lam * lam * model.weight.mass / (2.0 * second)
 
@@ -655,7 +643,7 @@ def two_sided_rate(model: RateModel, lam: float) -> float:
     if not lam > 0:
         raise ValueError(f"deviation width must be positive, got {lam}")
     gamma = ratio_rate_closed if _is_plain_uniform(model) else ratio_rate
-    return min(gamma(model, model._mean - lam), gamma(model, model._mean + lam))
+    return min(gamma(model, model.mean - lam), gamma(model, model.mean + lam))
 
 
 def class_rate(models: Sequence[RateModel], lam: float) -> float:

@@ -307,10 +307,6 @@ class SmallBallProbe:
     analytic: float
     hits: int
 
-    @property
-    def zero_hits(self) -> bool:
-        return self.hits == 0
-
 
 def small_ball_probe(
     model: LinearFactorModel,
@@ -505,7 +501,7 @@ def _run_ladder(
     ]
     theoretical_rate = ratefn.class_rate(rate_models, cfg.lam)
     centers = np.array([x.integral() for x in class_grid])
-    r_true = np.array([ratefn.tilted_mean(rm, 0.0) for rm in rate_models])
+    r_true = np.array([rm.mean for rm in rate_models])
     records = []
     for n, reps in zip(cfg.n_values, cfg.replicates):
         started = time.perf_counter()

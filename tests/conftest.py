@@ -21,7 +21,7 @@ def halfline_indicator_model() -> ratefn.RateModel:
     midway between two grid nodes; the trapezoid mass of each half is then
     accurate to a few 1e-10, which the tight closed-form checks need.
     """
-    weight = ratefn.WeightDensity.gaussian(0.0, 1.0, 8.0, 4000)
+    weight = ratefn.WeightDensity.gaussian(0.0, 1.0, nodes=4000)
     return ratefn.RateModel(
         weight, IntervalIndicator(((0.0, math.inf),)), UniformKernel(), IdentityScaling()
     )

@@ -183,6 +183,26 @@ class TestExitCodes:
                                                   "base_csv": "decreasing.csv"}}}), "base_csv"),
             (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"],
                                                   "base_csv": "one-row.csv"}}}), "base_csv"),
+            ({"command": "rate", "weight": {"gaussian": {}, "half_width": 10.0}}, "weight"),
+            ({"command": "rate", "weight": {"gaussian": {"mean": 0, "sdd": 2}}}, "gaussian"),
+            (_estimate_config(model={"default": True, "pionts": 51}), "model"),
+            (_estimate_config(model={**_CSV_MODEL, "ylaw": {"normal": {}}}), "model"),
+            (_estimate_config(model={**_CSV_MODEL, "y_law": {"normal": {}, "uniform": {
+                "lo": 0, "hi": 1}}}), "y_law"),
+            (_estimate_config(model={**_CSV_MODEL, "y_law": {"normal": {"sdd": 2}}}), "normal"),
+            (_estimate_config(model={**_CSV_MODEL, "y_law": {"uniform": {
+                "lo": 0, "hi": 1, "mid": 0.5}}}), "uniform"),
+            (_estimate_config(x0={"constant": 0.0, "csv": "bump.csv"}), "x0"),
+            (_sim_config(command="uniform", centers=[{"constant": 0.0, "scale": 2}]), "centers"),
+            ({"command": "rate", "index": {"indicator": [[0, None]], "negate": True}}, "index"),
+            (_estimate_config(metric={"lp": 2, "p": 1}), "metric"),
+            (_cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"], "cuont": 4}}}),
+             "scale"),
+            (_cover_config(**{"class": {"shift": {"base_csv": "bump.csv", "t_lo": -1e-4,
+                                                  "t_hi": 1e-4, "count": 2, "a_lo": 1}}}),
+             "shift"),
+            (_cover_config(**{"class": {"explicit": ["bump.csv"], "count": 8}}), "class"),
+            (_cover_config(ladder={**_COVER_LADDER, "lambda": 1.0}), "ladder"),
         ],
         ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
              "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
@@ -202,7 +222,11 @@ class TestExitCodes:
              "empty-h-values", "empty-radii", "empty-lambda-values", "empty-lambda1-values",
              "empty-ratio-values", "empty-cover-ladder", "alpha-one", "x0-csv-off-grid",
              "centers-csv-off-grid", "model-csvs-two-grids", "shift-base-all-zero",
-             "base-csv-decreasing-nodes", "base-csv-one-row"],
+             "base-csv-decreasing-nodes", "base-csv-one-row", "weight-half-width",
+             "gaussian-misspelt", "default-model-misspelt", "csv-model-misspelt",
+             "y-law-two-laws", "normal-law-misspelt", "uniform-law-misspelt",
+             "x0-two-kinds", "centers-misspelt", "index-misspelt", "metric-misspelt",
+             "scale-misspelt", "shift-misspelt", "explicit-misspelt", "cover-ladder-misspelt"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)
@@ -297,6 +321,16 @@ class TestRateCommand:
             lam1, lam2 = float(row["lambda1"]), float(row["lambda2"])
             assert float(row["gamma_legendre"]) == ratefn.legendre_rate(model, lam1, lam2)
             assert float(row["gamma_closed"]) == ratefn.closed_rate_uniform(model, lam1, lam2)
+
+    def test_even_nodes_keep_the_indicator_jump_off_the_grid(self, tmp_path):
+        # with 4000 nodes the jump at 0 falls midway between two nodes, so each half of the
+        # weight carries mass 1/2 and gamma is the two-atom closed form
+        cfg = {"command": "rate", "weight": {"gaussian": {}, "nodes": 4000},
+               "index": {"indicator": [[0, None]]}, "lambda_values": [0.7]}
+        run(cfg, str(tmp_path / "out"))
+        row = next(csv.DictReader(open(tmp_path / "out" / "rate_sweep.csv")))
+        closed = 1.0 - (0.5 / 0.3) ** 0.3 * (0.5 / 0.7) ** 0.7
+        assert float(row["gamma"]) == pytest.approx(closed, rel=1e-12)
 
     def test_conjugate_phase_solves_one_dual_per_level(self, tmp_path, monkeypatch):
         # a sweep level beyond the reachable range solves no dual, so every count is the grid's
@@ -674,3 +708,16 @@ class TestConfigFuzz:
                 assert re.search(r"fields? '\w+'", stderr.getvalue()), (cfg, stderr.getvalue())
 
         check()
+
+
+def test_readme_configs_run(tmp_path, monkeypatch):
+    # every JSON config in the README is a run that the CLI accepts
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", fh.read(), re.S)]
+    assert sorted(cfg["command"] for cfg in blocks) == ["cover", "estimate", "rate", "simulate"]
+    monkeypatch.chdir(tmp_path)
+    grid = Grid(0.0, 1.0, 201)
+    write_curve_csv(Curve(grid, np.exp(-0.5 * ((grid.nodes() - 0.5) / 0.08) ** 2)), "bump.csv")
+    for i, cfg in enumerate(blocks):
+        assert run(cfg, str(tmp_path / f"out{i}"))

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from funcldp import covering, estimator, funcdata, ratefn, simulate
-from funcldp.funcdata import Curve, Grid, IntegralDifference, LpDistance, UniformKernel
+from funcldp.funcdata import (Curve, Grid, IdentityScaling, IntegralDifference, LpDistance,
+                              UniformKernel)
 
 NAN = math.nan
 GRID = Grid(0.0, 1.0, 11)
-MODEL = ratefn.gaussian_identity_model(nodes=401)
+MODEL = ratefn.RateModel(ratefn.WeightDensity.gaussian(nodes=401), estimator.IdentityIndex(),
+                         UniformKernel(), IdentityScaling())
 
 
 def _cover_nan():

@@ -18,6 +18,7 @@ from funcldp.funcdata import (
     IdentityScaling,
     PowerScaling,
     UniformKernel,
+    quadrature,
 )
 from funcldp.ratefn import (
     NumericError,
@@ -99,7 +100,7 @@ def closed_inner_ratio_rate(model: RateModel, lam: float, g=None) -> float:
     w = model.weight
 
     def line(s):
-        return w.integral(w.w * g(s * (model.index(model.weight.nodes) - lam)))
+        return quadrature(w.w * g(s * (model.index(model.weight.nodes) - lam)), w.grid)
 
     start = 0.1 if lam >= 0 else -0.1
     return -float(optimize.minimize_scalar(line, bracket=(0.0, start), tol=1e-12).fun)
@@ -153,7 +154,7 @@ def _trapezoid_log_mgf(model: RateModel, t1: float, t2: float, inner_values, u_n
         for start in range(0, theta.shape[0], chunk):
             block = theta[start : start + chunk, np.newaxis]
             g[start : start + chunk] = integrate.trapezoid(inner_values(block, x), dx=x[1], axis=1)
-        value = model.weight.integral(np.where(w > 0, g * w, 0.0))
+        value = quadrature(np.where(w > 0, g * w, 0.0), model.weight.grid)
     if math.isnan(value):
         raise NumericError(f"NaN in log-MGF quadrature at t=({t1}, {t2})")
     return value
@@ -207,7 +208,7 @@ def quad_inner_integral(model: RateModel):
 def quad_log_mgf(model: RateModel, t1: float, t2: float) -> float:
     """Limit log-MGF with each kernel-side integral by adaptive quadrature."""
     g = quad_inner_integral(model)(t1 + t2 * model.index(model.weight.nodes))
-    return model.weight.integral(g * model.weight.w)
+    return quadrature(g * model.weight.w, model.weight.grid)
 
 
 def bisection_inverse(fn, y: float, tol: float = 1e-10) -> float:
@@ -240,7 +241,7 @@ def integral_moments(model: RateModel, s: float) -> tuple[float, float, float]:
     e = np.where(w > 0, s * l, -np.inf)
     shift = float(np.max(e))
     tilted = np.exp(e - shift) * w
-    t0, t1, t2 = (model.weight.integral(tilted * l**j) for j in range(3))
+    t0, t1, t2 = (quadrature(tilted * l**j, model.weight.grid) for j in range(3))
     mean = t1 / t0
     return shift + math.log(t0), mean, max(t2 / t0 - mean**2, 0.0)
 
@@ -256,7 +257,7 @@ def integral_log_mgf(model: RateModel, t1: float, t2: float) -> float:
     w = model.weight.w
     with np.errstate(over="ignore", invalid="ignore"):
         g = (np.exp(theta[:, np.newaxis] * k) - 1.0).dot(weights)
-        return model.weight.integral(np.where(w > 0, g * w, 0.0))
+        return quadrature(np.where(w > 0, g * w, 0.0), model.weight.grid)
 
 
 # Gaussian weights on 801 nodes: the contraction oracle runs a Newton
@@ -284,7 +285,7 @@ START_MODELS = {
            ("uniform_scale3", UniformKernel(3.0), IdentityScaling()),
            ("exp_decay_scale5", ExpDecayKernel(5.0), IdentityScaling()),
        )},
-    "halfline_exp_decay": RateModel(WeightDensity.gaussian(0.0, 1.0, 8.0, 800),
+    "halfline_exp_decay": RateModel(WeightDensity.gaussian(0.0, 1.0, nodes=800),
                                     IntervalIndicator(((0.0, math.inf),)), ExpDecayKernel(),
                                     IdentityScaling()),
 }
@@ -318,7 +319,7 @@ def local_calls(monkeypatch):
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 # The session fixtures' models; hypothesis tests take no function-scoped fixtures.
 GAUSSIAN_MODEL = gaussian_identity_model()
-HALFLINE_MODEL = RateModel(WeightDensity.gaussian(0.0, 1.0, 8.0, 4000),
+HALFLINE_MODEL = RateModel(WeightDensity.gaussian(0.0, 1.0, nodes=4000),
                            IntervalIndicator(((0.0, math.inf),)), UniformKernel(),
                            IdentityScaling())
 DUAL_MODELS = {"gaussian": GAUSSIAN_MODEL, "halfline": HALFLINE_MODEL}
@@ -334,7 +335,7 @@ class TestWeightDensity:
 
     def test_tail_validation(self):
         with pytest.raises(ValueError, match="tails"):
-            WeightDensity.gaussian(half_width=3.0)
+            WeightDensity.from_function(lambda v: ratefn.normal_pdf(v, 0.0, 1.0), -3.0, 3.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -344,6 +345,15 @@ class TestWeightDensity:
 class TestTiltedMean:
     def test_untilted_is_plain_mean(self, gaussian_model):
         assert tilted_mean(gaussian_model, 0.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_mean_is_the_untilted_mean(self, gaussian_model, halfline_indicator_model):
+        # the limit m that the model keeps is the tilted mean at tilt 0, bitwise, and read-only
+        shifted = RateModel(WeightDensity.gaussian(0.3, 1.3, nodes=801), IdentityIndex(),
+                            ExpDecayKernel(), IdentityScaling())
+        for model in (gaussian_model, halfline_indicator_model, shifted):
+            assert model.mean == tilted_mean(model, 0.0)
+        with pytest.raises(AttributeError):
+            gaussian_model.mean = 1.0
 
     def test_gaussian_tilt_identity(self, gaussian_model):
         # for a standard normal weight the tilted mean equals the tilt
@@ -383,7 +393,8 @@ class TestTiltedMeanInverse:
     def test_indicator_out_of_range(self, halfline_indicator_model):
         with pytest.raises(RateDomainError) as err:
             tilted_mean_inverse(halfline_indicator_model, 1.5)
-        assert err.value.tilt_range.v1 <= 1.0
+        rng = tilted_mean_range(halfline_indicator_model)
+        assert rng.v1 <= 1.0 and f"range ({rng.v0}, {rng.v1})" in str(err.value)
 
 
 class TestNewtonDuals:
@@ -429,7 +440,7 @@ class TestNewtonDuals:
                           PROPERTY_MODELS[kernel].kernel, IdentityScaling())
         lam2 = u * lam1
         w = model.weight
-        mass_on = w.integral(model.index(model.weight.nodes) * w.w)
+        mass_on = quadrature(model.index(model.weight.nodes) * w.w, w.grid)
         mass_off = w.mass - mass_on
         t_on = bisection_inverse(lambda t: tilted_kernel_moment(model, t), lam2 / mass_on)
         t_off = bisection_inverse(lambda t: tilted_kernel_moment(model, t),
@@ -659,7 +670,7 @@ class TestLogMgfLimit:
         w = gaussian_model.weight
         lvals = gaussian_model.index(w.nodes)
         for t1, t2 in ((0.2, 0.1), (-0.4, 0.3), (1.0, -0.5)):
-            direct = w.integral((np.exp(t1 + t2 * lvals) - 1.0) * w.w)
+            direct = quadrature((np.exp(t1 + t2 * lvals) - 1.0) * w.w, w.grid)
             for route in LOG_MGF_ROUTES:
                 assert route(gaussian_model, t1, t2) == pytest.approx(direct, abs=1e-10)
 
@@ -730,7 +741,7 @@ class TestLogMgfLimit:
         model = RateModel(gaussian_model.weight, IdentityIndex(), UniformKernel(scale=2.0),
                           PowerScaling(3.0))
         w = model.weight
-        direct = w.integral((np.exp(2.0 * (0.2 - 0.3 * model.index(w.nodes))) - 1.0) * w.w)
+        direct = quadrature((np.exp(2.0 * (0.2 - 0.3 * model.index(w.nodes))) - 1.0) * w.w, w.grid)
         for route in LOG_MGF_ROUTES:
             assert route(model, 0.2, -0.3) == pytest.approx(direct, rel=1e-10)
 
@@ -811,7 +822,7 @@ class TestLegendreRate:
         # growing as t1 -> -inf because Phi is bounded below.
         t1 = np.linspace(-40.0, 0.0, 81)
         w = gaussian_model.weight
-        phi = np.array([w.integral((np.exp(t) - 1.0) * w.w) for t in t1])
+        phi = np.array([quadrature((np.exp(t) - 1.0) * w.w, w.grid) for t in t1])
         q = -0.5 * t1 - phi
         assert np.all(np.diff(q) < 0)
         assert legendre_rate(gaussian_model, -0.5, 0.0) == math.inf
@@ -947,7 +958,7 @@ class TestStationaryPoint:
 
     def test_mean_vector_maps_to_origin(self, gaussian_model):
         w = gaussian_model.weight
-        mean = w.integral(gaussian_model.index(w.nodes) * w.w)
+        mean = quadrature(gaussian_model.index(w.nodes) * w.w, w.grid)
         t1, t2 = conjugate_stationary_point(gaussian_model, w.mass, mean)
         assert abs(t1) < 1e-9 and abs(t2) < 1e-9
 
@@ -1142,7 +1153,7 @@ class TestRatioRateQuadratic:
             IdentityScaling(),
         )
         w = model.weight
-        second = w.integral(model.index(w.nodes) ** 2 * w.w) / w.mass
+        second = quadrature(model.index(w.nodes) ** 2 * w.w, w.grid) / w.mass
         lam = 0.05 * math.sqrt(second)
         ratio = ratio_rate_closed(model, lam) / ratio_rate_quadratic(model, lam)
         assert 0.9 <= ratio <= 1.1
@@ -1197,7 +1208,7 @@ class TestTwoSidedRate:
         # zero, since the rate is quasi-convex around it
         for kernel in (ExpDecayKernel(), AffineKernel()):
             model = RateModel(
-                WeightDensity.gaussian(0.0, 1.0, 8.0, 301), IdentityIndex(), kernel,
+                WeightDensity.gaussian(0.0, 1.0, nodes=301), IdentityIndex(), kernel,
                 IdentityScaling(),
             )
             rng = tilted_mean_range(model)

@@ -301,7 +301,7 @@ class TestSmallBallProbe:
         x = Curve.constant(factor_model.grid, 50.0)
         probe = small_ball_probe(factor_model, x, v=0.0, radius=0.01,
                                  replicates=10_000, seed=1)
-        assert probe.zero_hits and probe.mc == 0.0 and probe.analytic < 1e-100
+        assert probe.hits == 0 and probe.mc == 0.0 and probe.analytic < 1e-100
 
     def test_ratio_near_one(self, factor_model, zero_curve):
         for v in (-1.0, 0.0, 1.0):
@@ -491,6 +491,17 @@ class TestUniformLadder:
         records = uniform_ladder(factor_model, centers, IdentityIndex(), cfg)
         betas = [ratefn.two_sided_rate(m, 1.0) for m in models]
         assert records[0].theoretical_rate == pytest.approx(min(betas), abs=1e-12)
+
+    def test_ladder_reads_each_model_limit(self, factor_model, monkeypatch):
+        # each rate model probes three tilted means when it is built; the ladder adds none
+        calls = []
+        tilted_mean = ratefn.tilted_mean
+        monkeypatch.setattr(ratefn, "tilted_mean",
+                            lambda model, t: (calls.append(t), tilted_mean(model, t))[1])
+        centers = [Curve.constant(factor_model.grid, c) for c in (-1.0, 0.0, 1.0)]
+        uniform_ladder(factor_model, centers, IdentityIndex(),
+                       LadderConfig((200,), 1.5, 1.0, 1000, seed=1))
+        assert len(calls) == 9
 
     def test_indicator_index_pairs_theory_and_sampler(self, factor_model):
         # both halves of the ladder see the half-line indicator at every center
