@@ -237,7 +237,10 @@ def entropy_diagnostics(
     for report in reports:
         for n, h, phi_h in ladder:
             speed = n * phi_h
-            bound = n * h / math.exp(a_const * speed)
+            try:
+                bound = n * h / math.exp(a_const * speed)
+            except (OverflowError, ZeroDivisionError):  # e^(A speed) past the float range
+                bound = 0.0 if a_const > 0 else math.inf
             rows.append({
                 "nu": report.nu,
                 "n_cover": report.n_cover,

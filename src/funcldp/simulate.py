@@ -22,12 +22,13 @@ P-line into cells; one multinomial draw over (cell masses, rest) gives
 each replicate's cell counts; each in-cell P is drawn from its law
 truncated to the cell, and then Y from its law given P.  The law's
 ``cells`` returns the cell masses and that sampler, whose constants it
-computes once per rung.  Per-center sums and counts follow from a
-cell-by-center incidence matrix.  A rung draws
-from one stream, ``SeedSequence((seed, n))``, in blocks of replicates
-sized by a fixed budget of in-window draws, so its outcome depends only
-on the seed and its memory follows the budget, not n or the replicate
-count.
+computes once per rung.  A cell-by-center incidence matrix sums the cells
+into each center's window: S1 counts the in-window observations, S2 sums
+their index values.  A ladder takes S2 / S1, and a finite-n log-MGF
+replicate's exponent is t1 S1 + t2 S2.  A rung draws from one stream,
+``SeedSequence((seed, n))``, in blocks of replicates sized by a fixed
+budget of in-window draws, so its outcome depends only on the seed and
+its memory follows the budget, not n or the replicate count.
 """
 
 from __future__ import annotations
@@ -377,6 +378,8 @@ class LadderConfig:
         n_values = _whole_numbers(self.n_values, "n_values")
         if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be a nonempty strictly increasing sequence")
+        if n_values[-1] > np.iinfo(np.int64).max:  # the multinomial draw's limit
+            raise ValueError(f"n_values must fit in a 64-bit integer, got {n_values[-1]}")
         for n in n_values:
             bandwidth_schedule(n, 1.0, self.alpha)
         reps = self.replicates
@@ -438,7 +441,7 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _rung_estimates(
+def _window_sums(
     model: LinearFactorModel,
     index: IndexFunction,
     centers: np.ndarray,
@@ -447,11 +450,10 @@ def _rung_estimates(
     reps: int,
     rng: np.random.Generator,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """In-window counts and estimates at each center, one block of replicates at a time.
+    """In-window sums at each center, one block of replicates at a time.
 
-    Yields two (block, centers) arrays and the block's number of draws.
-    Only the observations whose projection lands within h of some center
-    are drawn; an empty window gives the estimate 0.
+    Yields two (block, centers) arrays, S1 the count and S2 the index sum of the
+    observations within h of the center, and the block's number of draws.
     """
     a, b = model.signal_integral, model.noise_integral
     edges = np.unique(np.concatenate([centers - h, centers + h]))
@@ -470,11 +472,7 @@ def _rung_estimates(
         slot = np.repeat(np.arange(size * cells), counts.ravel())  # replicate * cells + cell
         _, y = draw(rng, slot % cells)
         sums = np.bincount(slot, weights=index(y), minlength=size * cells)
-        window_counts = counts @ incidence
-        window_sums = sums.reshape(size, cells) @ incidence
-        r_hat = np.divide(window_sums, window_counts, out=np.zeros_like(window_sums),
-                          where=window_counts > 0)
-        yield window_counts, r_hat, slot.size
+        yield counts @ incidence, sums.reshape(size, cells) @ incidence, slot.size
 
 
 def _run_ladder(
@@ -510,7 +508,8 @@ def _run_ladder(
         phi_h = model.small_ball_scale(h)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, n)))
         hits = draws = 0
-        for _, r_hat, block_draws in _rung_estimates(model, index, centers, n, h, reps, rng):
+        for s1, s2, block_draws in _window_sums(model, index, centers, n, h, reps, rng):
+            r_hat = np.divide(s2, s1, out=np.zeros_like(s2), where=s1 > 0)
             worst = np.max(np.abs(r_hat - r_true), axis=1)
             hits += int(np.count_nonzero(worst > cfg.lam))
             draws += block_draws

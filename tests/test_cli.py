@@ -203,6 +203,7 @@ class TestExitCodes:
              "shift"),
             (_cover_config(**{"class": {"explicit": ["bump.csv"], "count": 8}}), "class"),
             (_cover_config(ladder={**_COVER_LADDER, "lambda": 1.0}), "ladder"),
+            (_sim_config(n_values=[200, 1e19]), "n_values"),
         ],
         ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
              "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
@@ -226,7 +227,8 @@ class TestExitCodes:
              "gaussian-misspelt", "default-model-misspelt", "csv-model-misspelt",
              "y-law-two-laws", "normal-law-misspelt", "uniform-law-misspelt",
              "x0-two-kinds", "centers-misspelt", "index-misspelt", "metric-misspelt",
-             "scale-misspelt", "shift-misspelt", "explicit-misspelt", "cover-ladder-misspelt"],
+             "scale-misspelt", "shift-misspelt", "explicit-misspelt", "cover-ladder-misspelt",
+             "ladder-n-past-int64"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)
@@ -626,6 +628,25 @@ class TestCoverCommand:
         run(cfg, str(tmp_path / "out"))
         lines = (tmp_path / "out" / "cover_report.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in lines[1:]] == [["0.5", "3"], ["0.1", "3"]]
+
+    @pytest.mark.parametrize("a_const, flag", [(400.0, "false"), (-400.0, "true")])
+    def test_entropy_bound_past_float_range(self, tmp_path, a_const, flag):
+        # A * n * phi_h is about +-1300 at n = 200, so e^(A n phi_h) leaves the float
+        # range; the bound n h / e^(A n phi_h) takes its limit, 0 or +inf
+        grid = Grid(0.0, 1.0, 201)
+        bump_path = tmp_path / "bump.csv"
+        write_curve_csv(Curve(grid, np.exp(-0.5 * ((grid.nodes() - 0.5) / 0.08) ** 2)),
+                        bump_path)
+        cfg = _cover_config(**{"class": {"scale": {**_BUMP_CLASS["scale"],
+                                                   "base_csv": str(bump_path), "count": 64}}},
+                            nu_values=[0.2, 0.1, 0.05, 0.025], metric={"lp": 1},
+                            ladder=_COVER_LADDER, A=a_const)
+        code = main(["--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
+        lines = (tmp_path / "o" / "cover_report.csv").read_text().splitlines()[1:]
+        entropy = (tmp_path / "o" / "entropy_diagnostics.csv").read_text().splitlines()[1:]
+        assert len(lines) == 4 and len(entropy) == 8
+        assert all(line.endswith("," + flag) for line in lines + entropy)
 
     def test_cover_requires_radii_or_ladder(self, tmp_path):
         cfg = {"command": "cover", "class": {"explicit": []}}

@@ -69,13 +69,14 @@ def oracle_rung(model, index, centers, r_true, n, h, seed, reps):
 
 
 def sampler_rung(model, index, centers, r_true, n, h, seed, reps):
-    """The same two outputs from the ladders' sufficient-statistic sampler."""
+    """The same two outputs, from the window sums of the ladders' exact sampler."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    blocks = list(simulate._rung_estimates(
+    blocks = list(simulate._window_sums(
         model, index, np.asarray(centers, dtype=float), n, h, reps, rng
     ))
-    counts = np.vstack([c for c, _, _ in blocks])
-    r_hat = np.vstack([r for _, r, _ in blocks])
+    counts = np.vstack([s1 for s1, _, _ in blocks])
+    sums = np.vstack([s2 for _, s2, _ in blocks])
+    r_hat = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     return np.max(np.abs(r_hat - np.asarray(r_true)), axis=1), counts
 
 
