@@ -29,7 +29,7 @@ import scipy
 from . import __version__, covering, ratefn, simulate
 from .estimator import EstimatorConfig, IdentityIndex, IntervalIndicator, z_n
 from .funcdata import (Curve, Grid, IdentityScaling, IntegralDifference, LpDistance,
-                       UniformKernel, read_curve_csv)
+                       UniformKernel, integer, read_curve_csv)
 
 _STOCHASTIC = ("estimate", "simulate", "uniform")
 _REQUIRED = object()  # default of a field that the config must give
@@ -94,10 +94,10 @@ def _number(value) -> float:
 
 
 def _integer(value, least: int = 0) -> int:
-    """An integral number no smaller than ``least``."""
-    if not _number(value).is_integer() or value < least:
-        raise ValueError(f"expected an integer >= {least}, got {value!r}")
-    return int(value)
+    """A JSON integer, or an integral float such as 500.0, that passes ``funcdata.integer``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return integer(value, "the value", least)
 
 
 def _object(value, keys: tuple[str, ...] | None = None) -> dict:
@@ -199,7 +199,8 @@ def _weight(spec) -> ratefn.WeightDensity:
 def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     weight = _field(cfg, "weight", _weight, {"gaussian": {}})
     index = _field(cfg, "index", _index, None)
-    model = ratefn.RateModel(weight, index, UniformKernel(), IdentityScaling())
+    model = _checked(("weight", "index"), ratefn.RateModel, weight, index, UniformKernel(),
+                     IdentityScaling())
     numbers = _list_of(_number)
     lam_values = _field(cfg, "lambda_values", numbers,
                         [0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0])
@@ -246,7 +247,7 @@ def _run_estimate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
         return EstimatorConfig(UniformKernel(), metric, h, model.small_ball_scale(h))
 
     configs = _field(cfg, "h_values", _list_of(estimator_config))
-    data = simulate.sample_dataset(model, n, seed)
+    data = _checked(("n",), simulate.sample_dataset, model, n, seed)
     rows = [(c.bandwidth, c.phi_of_h, z.r_n1, z.r_n2, z.r_hat, z.active_count)
             for c, z in zip(configs, z_n(x0, data, index, configs))]
     return [_write_csv(out, "estimate.csv",
@@ -279,7 +280,8 @@ def _run_simulate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     x0 = _field(cfg, "x0", _curve_on(model.grid))
     index = _field(cfg, "index", _index, None)
     rungs = []
-    records = simulate.pointwise_ladder(model, x0, index, _ladder_config(cfg, seed), rungs)
+    records = _checked(("model", "x0", "index"), simulate.pointwise_ladder, model, x0, index,
+                       _ladder_config(cfg, seed), rungs)
     return _ladder_outputs(out, "ladder.csv", records, rungs)
 
 
@@ -288,7 +290,8 @@ def _run_uniform(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     centers = _field(cfg, "centers", _list_of(_curve_on(model.grid)))
     index = _field(cfg, "index", _index, None)
     rungs = []
-    records = simulate.uniform_ladder(model, centers, index, _ladder_config(cfg, seed), rungs)
+    records = _checked(("model", "centers", "index"), simulate.uniform_ladder, model, centers,
+                       index, _ladder_config(cfg, seed), rungs)
     return _ladder_outputs(out, "uniform_ladder.csv", records, rungs)
 
 

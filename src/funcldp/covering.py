@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcdata import Curve, Grid, SemiMetric, frozen_array, quadrature
+from .funcdata import Curve, Grid, SemiMetric, frozen_array, integer, quadrature
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +48,7 @@ def scale_class(base: Curve, a_lo: float, a_hi: float, count: int) -> FunctionCl
     argument scaling outruns the base curve's own resolution flags the
     class as undersampled.
     """
-    if not count >= 2:
-        raise ValueError(f"scale class needs at least 2 members, got {count}")
-    a_values = np.linspace(a_lo, a_hi, count)
+    a_values = np.linspace(a_lo, a_hi, integer(count, "count", 2))
     if np.any(a_values == 0.0):
         raise ValueError("the scale parameter grid must exclude zero")
     t = base.grid.nodes()
@@ -101,8 +99,7 @@ def shift_class(base: Curve, t_lo: float, t_hi: float, count: int) -> FunctionCl
     structure.  The clipped mass grows with |t|, so the two end shifts
     bound it.
     """
-    if not count >= 2:
-        raise ValueError(f"shift class needs at least 2 members, got {count}")
+    count = integer(count, "count", 2)
     grid = base.grid
     magnitude = np.abs(base.values)
     total = quadrature(magnitude, grid)

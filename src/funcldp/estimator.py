@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .funcdata import (Curve, FactorRows, Grid, GridMismatchError, Kernel, Rows, SemiMetric,
-                       frozen_array, row_blocks)
+                       frozen_array, integer, row_blocks)
 
 _INTERVAL = tuple[float, float]
 
@@ -218,8 +218,7 @@ def finite_n_log_mgf(
     deterministic and overflow-safe.  A replicate whose exponent is itself
     non-finite flags the estimate and yields an infinite value.
     """
-    if not replicates >= 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    replicates = integer(replicates, "replicates", 1)
     exponents = np.empty(replicates)
     n = None
     for rep in range(replicates):

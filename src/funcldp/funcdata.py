@@ -33,8 +33,7 @@ class Grid:
     points: int
 
     def __post_init__(self):
-        if not self.points >= 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.points}")
+        object.__setattr__(self, "points", integer(self.points, "points", 2))
         if not self.t_min < self.t_max:
             raise ValueError(f"grid requires t_min < t_max, got [{self.t_min}, {self.t_max}]")
 
@@ -50,6 +49,17 @@ class Grid:
         weights = np.full(self.points, self.spacing)
         weights[[0, -1]] *= 0.5
         return weights
+
+
+def integer(value, name: str, least: int) -> int:
+    """``int(value)`` for a Python or NumPy integer, not a bool, of at least ``least``.
+
+    The one rule for every count the library takes: sizes, replicate
+    counts and grid points.  Anything else raises a ValueError naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def frozen_array(values, ndim: int, points: int) -> np.ndarray:
@@ -284,15 +294,6 @@ def _power_gauss_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class IdentityScaling:
-    """Small-ball scaling profile tau(u) = u."""
-
-    def gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the Gauss rule for dtau = du: Gauss-Legendre on [0, 1]."""
-        return _power_gauss_rule(1.0)
-
-
-@dataclass(frozen=True)
 class PowerScaling:
     """Small-ball scaling profile tau(u) = u**alpha, alpha > 0."""
 
@@ -307,7 +308,9 @@ class PowerScaling:
         return _power_gauss_rule(float(self.alpha))
 
 
-ScalingProfile = IdentityScaling | PowerScaling
+def IdentityScaling() -> PowerScaling:
+    """Small-ball scaling profile tau(u) = u: the power profile at alpha = 1 (Gauss-Legendre)."""
+    return PowerScaling(1.0)
 
 
 def write_curve_csv(curve: Curve, path) -> None:

@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimator import IdentityIndex, IndexFunction, IntervalIndicator
-from .funcdata import (Grid, IdentityScaling, Kernel, ScalingProfile, UniformKernel,
-                       frozen_array, quadrature)
+from .funcdata import (Grid, IdentityScaling, Kernel, PowerScaling, UniformKernel, frozen_array,
+                       quadrature)
 
 PROBE_T = 50.0
 DOMAIN_MARGIN = 1e-6
@@ -135,16 +135,16 @@ class RateModel:
     is the trapezoid weight times w over the nodes with w > 0, and the Gauss
     rule for dtau: kernel values k, weights w_k (one node of weight 1 for a
     flat kernel, else the scaling profile's 32) and rows [w_k k, w_k k^2].
-    It certifies that the exponential moments used by every formula are
-    finite over the probe tilt range [-20, 20], and probes once the reachable
-    tilted-mean range and the untilted mean m, the estimator's limit, kept as
-    the read-only ``mean``.
+    It certifies that the rows' sums, and the exponential moments used by
+    every formula over the probe tilt range [-20, 20], are finite; it
+    probes once the reachable tilted-mean range and the untilted mean m,
+    the estimator's limit, kept as the read-only ``mean``.
     """
 
     weight: WeightDensity
     index: IndexFunction
     kernel: Kernel
-    scaling: ScalingProfile
+    scaling: PowerScaling
     mean: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -157,7 +157,11 @@ class RateModel:
         support = w.w > 0
         q = (w.grid.trapezoid_weights() * w.w)[support]
         l_support = lvals[support]
-        rows = np.vstack([q, q * l_support, q * l_support**2])
+        with np.errstate(over="ignore", invalid="ignore"):  # finite sums imply finite rows
+            rows = np.vstack([q, q * l_support, q * l_support**2])
+            if not np.all(np.isfinite(rows.sum(axis=1))):
+                raise ValueError("moment rows [q, q l, q l^2] must have finite sums; the index "
+                                 "values on the weight's window are too large")
         if isinstance(self.kernel, UniformKernel):
             k, k_weights = np.array([self.kernel.scale]), np.array([1.0])
         else:

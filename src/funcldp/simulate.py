@@ -43,7 +43,8 @@ from scipy.special import ndtr, ndtri
 
 from . import ratefn
 from .estimator import Dataset, IndexFunction
-from .funcdata import Curve, FactorRows, Grid, GridMismatchError, IdentityScaling, UniformKernel
+from .funcdata import (Curve, FactorRows, Grid, GridMismatchError, IdentityScaling, UniformKernel,
+                       integer)
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 # In-window draws per block of ladder replicates; bounds a rung's memory.
@@ -257,8 +258,7 @@ def sample_dataset(model: LinearFactorModel, n: int, seed: int) -> Dataset:
     by column in memory, and the two curves.  No n x points matrix is made;
     the distances read the factors, and ``x_values`` builds it on first read.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = integer(n, "n", 1)
     rng = np.random.default_rng(seed)
     y = model.y_law.sample(rng, n)
     eps = rng.standard_normal(n)
@@ -325,8 +325,7 @@ def small_ball_probe(
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if not replicates >= 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    replicates = integer(replicates, "replicates", 1)
     rng = np.random.default_rng(seed)
     c = x.integral() - v * model.signal_integral
     eps = rng.standard_normal(replicates)
@@ -353,14 +352,6 @@ def bandwidth_schedule(n: int, a: float, alpha: float) -> tuple[float, float]:
     return ratio ** (1.0 / alpha), a * ratio
 
 
-def _whole_numbers(values, name: str) -> tuple[int, ...]:
-    """The values as ints; ValueError names the first one that is not a whole number."""
-    for v in values:
-        if not float(v).is_integer():
-            raise ValueError(f"{name} must be whole numbers, got {v!r}")
-    return tuple(int(v) for v in values)
-
-
 @dataclass(frozen=True, eq=False)
 class LadderConfig:
     """Sample sizes, bandwidth exponent, deviation width and Monte-Carlo sizes.
@@ -375,25 +366,19 @@ class LadderConfig:
     seed: int
 
     def __post_init__(self):
-        n_values = _whole_numbers(self.n_values, "n_values")
+        n_values = tuple(integer(n, "n_values", 1) for n in self.n_values)
         if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be a nonempty strictly increasing sequence")
         if n_values[-1] > np.iinfo(np.int64).max:  # the multinomial draw's limit
             raise ValueError(f"n_values must fit in a 64-bit integer, got {n_values[-1]}")
         for n in n_values:
             bandwidth_schedule(n, 1.0, self.alpha)
-        reps = self.replicates
-        if np.ndim(reps) == 0:
-            reps = (reps,) * len(n_values)
-        reps = _whole_numbers(reps, "replicates")
+        reps = self.replicates if np.ndim(self.replicates) else (self.replicates,) * len(n_values)
+        reps = tuple(integer(r, "replicates", 1) for r in reps)
         if len(reps) != len(n_values):
             raise ValueError("replicates must be a single int or one per sample size")
-        if not reps[0] >= 1000:
-            raise ValueError(
-                f"need at least 1000 replicates at the smallest n, got {reps[0]}"
-            )
-        if not min(reps) >= 1:
-            raise ValueError(f"need at least 1 replicate at every n, got {list(reps)}")
+        if reps[0] < 1000:
+            raise ValueError(f"need at least 1000 replicates at the smallest n, got {reps[0]}")
         if not self.lam > 0:
             raise ValueError(f"deviation width must be positive, got {self.lam}")
         object.__setattr__(self, "n_values", n_values)
@@ -429,8 +414,7 @@ class RungStats:
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if not trials >= 1:
-        raise ValueError("wilson interval needs at least one trial")
+    trials = integer(trials, "trials", 1)
     z = _WILSON_Z
     p = hits / trials
     denom = 1.0 + z * z / trials

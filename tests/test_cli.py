@@ -204,6 +204,12 @@ class TestExitCodes:
             (_cover_config(**{"class": {"explicit": ["bump.csv"], "count": 8}}), "class"),
             (_cover_config(ladder={**_COVER_LADDER, "lambda": 1.0}), "ladder"),
             (_sim_config(n_values=[200, 1e19]), "n_values"),
+            ({"command": "rate", "weight": {"gaussian": {"sd": 1e200}}}, "weight"),
+            ({"command": "rate", "weight": {"gaussian": {"sd": 2e153}}}, "weight"),
+            (_estimate_config(n=1e19), "n"),
+            (_sim_config(x0={"constant": 1e300}), "x0"),
+            (_sim_config(command="uniform", centers=[{"constant": 0.0}, {"constant": 1e300}]),
+             "centers"),
         ],
         ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
              "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
@@ -228,7 +234,8 @@ class TestExitCodes:
              "y-law-two-laws", "normal-law-misspelt", "uniform-law-misspelt",
              "x0-two-kinds", "centers-misspelt", "index-misspelt", "metric-misspelt",
              "scale-misspelt", "shift-misspelt", "explicit-misspelt", "cover-ladder-misspelt",
-             "ladder-n-past-int64"],
+             "ladder-n-past-int64", "weight-sd-1e200", "weight-sd-2e153", "estimate-n-1e19",
+             "x0-1e300", "centers-1e300"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)
@@ -405,6 +412,13 @@ class TestSimulateCommand:
             "n,h,phi_h,replicates,hits,p_hat,wilson_low,wilson_high,empirical_rate,"
             "theoretical_rate,flag"
         )
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        run(_sim_config(), str(tmp_path / "ints"))
+        run(_sim_config(n_values=[200.0, 500.0], replicates=1500.0, seed=11.0),
+            str(tmp_path / "floats"))
+        assert ((tmp_path / "ints" / "ladder.csv").read_bytes()
+                == (tmp_path / "floats" / "ladder.csv").read_bytes())
 
     def test_manifest_reproducibility_fields(self, tmp_path):
         cfg = _sim_config(n_values=[200], replicates=1000)

@@ -1,6 +1,7 @@
 """Positivity and lower-bound guards reject NaN like any other out-of-range value,
-a NaN level raises in the rate layer instead of reading as a rate, and malformed
-library input that no CLI config reaches raises a ValueError that names the fault."""
+a NaN level raises in the rate layer instead of reading as a rate, every count the
+library takes passes the one rule of ``funcdata.integer``, and malformed library
+input that no CLI config reaches raises a ValueError that names the fault."""
 
 import math
 
@@ -79,13 +80,67 @@ def test_nan_raises_value_error(call):
         call()
 
 
+def _log_mgf(replicates):
+    cfg = estimator.EstimatorConfig(UniformKernel(), IntegralDifference(), 0.1, 0.2)
+    model = simulate.default_model(GRID.points)
+    return estimator.finite_n_log_mgf(
+        Curve.constant(GRID, 0.0), lambda rng: simulate.sample_dataset(model, 20, rng),
+        estimator.IdentityIndex(), cfg, 0.1, 0.1, replicates, 0)
+
+
+BUMP = Curve(GRID, np.maximum(0.0, 1.0 - np.abs(GRID.nodes() - 0.5) / 0.2))
+# Every count the library takes: (call with the count, parameter name, least value, a
+# value that passes).
+COUNTS = {
+    "Grid.points": (lambda v: Grid(0.0, 1.0, v), "points", 2, 2),
+    "sample_dataset.n": (lambda v: simulate.sample_dataset(simulate.default_model(11), v, 0),
+                         "n", 1, 3),
+    "small_ball_probe.replicates": (lambda v: simulate.small_ball_probe(
+        simulate.default_model(11), Curve.constant(GRID, 0.0), 0.0, 0.1, v, 0),
+        "replicates", 1, 10),
+    "LadderConfig.n_values": (lambda v: simulate.LadderConfig((v, 500), 1.5, 1.0, 1000, 0),
+                              "n_values", 1, 200),
+    "LadderConfig.replicates": (lambda v: simulate.LadderConfig(
+        (200, 500), 1.5, 1.0, (1000, v), 0), "replicates", 1, 1),
+    "wilson_interval.trials": (lambda v: simulate.wilson_interval(1, v), "trials", 1, 2),
+    "scale_class.count": (lambda v: covering.scale_class(BUMP, 1.0, 2.0, v), "count", 2, 2),
+    "shift_class.count": (lambda v: covering.shift_class(BUMP, 0.0, 0.1, v), "count", 2, 3),
+    "finite_n_log_mgf.replicates": (_log_mgf, "replicates", 1, 2),
+}
+# Only Python and NumPy integers, bools excepted, pass; an integral float does not.
+NOT_COUNTS = {"fraction": lambda least: 2.5, "bool": lambda least: True,
+              "string": lambda least: "3", "nan": lambda least: NAN,
+              "none": lambda least: None, "below-least": lambda least: least - 1,
+              "integral-float": lambda least: float(least)}
+
+
+@pytest.mark.parametrize("bad", NOT_COUNTS.values(), ids=NOT_COUNTS.keys())
+@pytest.mark.parametrize("call, name, least, _", COUNTS.values(), ids=COUNTS.keys())
+def test_count_rule_rejects_non_integers(call, name, least, _, bad):
+    value = bad(least)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got ") as exc:
+        call(value)
+    assert str(exc.value).endswith(repr(value))
+
+
+@pytest.mark.parametrize("call, _, __, valid", COUNTS.values(), ids=COUNTS.keys())
+def test_count_rule_accepts_numpy_integers(call, _, __, valid):
+    call(np.int64(valid))
+
+
+def test_counts_are_stored_as_ints():
+    assert type(Grid(0.0, 1.0, np.int64(5)).points) is int
+    cfg = simulate.LadderConfig((np.int64(200), np.int32(500)), 1.5, 1.0, np.int64(1000), 0)
+    assert [type(v) for v in cfg.n_values + cfg.replicates] == [int] * 4
+
+
 OTHER_GRID = Grid(0.0, 1.0, 5)
 WIDE_GRID = Grid(0.0, 10.0, 3)
 STEP_DATA = estimator.Dataset(GRID, np.zeros((2, GRID.points)), [0.0, 1.0])
 STEP_CFG = estimator.EstimatorConfig(UniformKernel(), IntegralDifference(), 0.1, 0.2)
 MALFORMED = {
     "shift_class.count": (lambda: covering.shift_class(Curve.constant(GRID, 1.0), 0.0, 0.1, 1),
-                          "at least 2 members"),
+                          "count must be an integer >= 2"),
     "Dataset.y": (lambda: estimator.Dataset(GRID, np.zeros((2, GRID.points)), [0.0]),
                   "y must have length 2"),
     "z_n.x": (lambda: estimator.z_n(Curve.constant(OTHER_GRID, 0.0), STEP_DATA,
@@ -98,6 +153,16 @@ MALFORMED = {
     "RateModel.index.shape": (lambda: ratefn.RateModel(
         MODEL.weight, lambda v: v[1:], UniformKernel(), funcdata.IdentityScaling()),
         "finite values"),
+    # an sd of 1e200 squares l past the float range in the third moment row
+    "RateModel.moment_rows": (lambda: ratefn.RateModel(
+        ratefn.WeightDensity.gaussian(0.0, 1e200), estimator.IdentityIndex(), UniformKernel(),
+        IdentityScaling()), "finite sums"),
+    # every entry of q l^2 is finite, but their sum over a mass-2 weight is not
+    "RateModel.moment_row_sum": (lambda: ratefn.RateModel(
+        ratefn.WeightDensity.from_function(lambda v: 2.0 * ratefn.normal_pdf(v, 0.0, 1.0),
+                                           -8.0, 8.0),
+        estimator.LipschitzIndex(lambda v: np.full_like(v, 1.3e154)), UniformKernel(),
+        IdentityScaling()), "finite sums"),
     # finite values whose trapezoid integral over a width-10 window overflows
     "LinearFactorModel.signal_integral": (lambda: simulate.LinearFactorModel(
         Curve(WIDE_GRID, np.full(3, 1e308)), Curve.constant(WIDE_GRID, 1.0),
