@@ -14,6 +14,7 @@ stay inside the declared output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -209,12 +210,14 @@ def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     started = time.perf_counter()
     sweep = []
     for lam in lam_values:
-        try:
+        gamma = g1 = g2 = beta = math.nan  # a cell that fails numerically reads nan
+        with contextlib.suppress(ratefn.NumericError, ratefn.RateDomainError):
             g1, g2 = ratefn.ratio_rate_derivatives(model, lam)
-        except (ratefn.NumericError, ratefn.RateDomainError):  # the cells read nan
-            g1 = g2 = math.nan
-        beta = ratefn.two_sided_rate(model, lam) if lam > 0 else math.nan
-        sweep.append((lam, ratefn.ratio_rate_closed(model, lam), g1, g2, beta))
+        with contextlib.suppress(ratefn.NumericError):
+            beta = ratefn.two_sided_rate(model, lam) if lam > 0 else math.nan
+        with contextlib.suppress(ratefn.NumericError):
+            gamma = ratefn.ratio_rate_closed(model, lam)
+        sweep.append((lam, gamma, g1, g2, beta))
     swept = time.perf_counter()
     pairs = [(l1, l1 * r) for l1 in lam1_values for r in ratio_values]
     rates, levels = ratefn.conjugate_rates(model, pairs)
@@ -267,32 +270,32 @@ def _ladder_config(cfg: dict, seed: int) -> simulate.LadderConfig:
     )
 
 
-def _ladder_outputs(out: str, name: str, records, rungs) -> tuple[list[str], dict]:
-    """The ladder CSV, and the manifest's ``rungs``: each rung's stats and replicates per second."""
-    path = _write_csv(out, name, [f.name for f in dataclasses.fields(simulate.ExperimentRecord)],
-                      [dataclasses.astuple(r) for r in records])
-    stats = [{**dataclasses.asdict(r), "replicates_per_s": r.replicates / r.seconds} for r in rungs]
-    return [path], {"rungs": stats}
+def _ladder_outputs(out: str, name: str, records) -> tuple[list[str], dict]:
+    """The ladder CSV, and the manifest's ``rungs``: each record's draws, time and throughput."""
+    columns = [f.name for f in dataclasses.fields(simulate.ExperimentRecord)
+               if f.name not in ("in_window_draws", "seconds")]
+    path = _write_csv(out, name, columns, [[getattr(r, c) for c in columns] for r in records])
+    rungs = [{"n": r.n, "replicates": r.replicates, "in_window_draws": r.in_window_draws,
+              "seconds": r.seconds, "replicates_per_s": r.replicates / r.seconds} for r in records]
+    return [path], {"rungs": rungs}
 
 
 def _run_simulate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     model = _field(cfg, "model", _model)
     x0 = _field(cfg, "x0", _curve_on(model.grid))
     index = _field(cfg, "index", _index, None)
-    rungs = []
     records = _checked(("model", "x0", "index"), simulate.pointwise_ladder, model, x0, index,
-                       _ladder_config(cfg, seed), rungs)
-    return _ladder_outputs(out, "ladder.csv", records, rungs)
+                       _ladder_config(cfg, seed))
+    return _ladder_outputs(out, "ladder.csv", records)
 
 
 def _run_uniform(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     model = _field(cfg, "model", _model)
     centers = _field(cfg, "centers", _list_of(_curve_on(model.grid)))
     index = _field(cfg, "index", _index, None)
-    rungs = []
     records = _checked(("model", "centers", "index"), simulate.uniform_ladder, model, centers,
-                       index, _ladder_config(cfg, seed), rungs)
-    return _ladder_outputs(out, "uniform_ladder.csv", records, rungs)
+                       index, _ladder_config(cfg, seed))
+    return _ladder_outputs(out, "uniform_ladder.csv", records)
 
 
 def _class(spec) -> covering.FunctionClass:
@@ -418,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ratefn.NumericError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 1
     for path in outputs:

@@ -34,8 +34,9 @@ class Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "points", integer(self.points, "points", 2))
-        if not self.t_min < self.t_max:
-            raise ValueError(f"grid requires t_min < t_max, got [{self.t_min}, {self.t_max}]")
+        if not 0 < float(self.t_max) - float(self.t_min) < np.inf:
+            raise ValueError("grid needs t_min < t_max, finite and a finite width apart, "
+                             f"got t_min={self.t_min}, t_max={self.t_max}")
 
     @property
     def spacing(self) -> float:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -387,7 +387,7 @@ class LadderConfig:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One rung of a rare-event ladder."""
+    """One rung of a rare-event ladder; its wall time ``seconds`` is left out of ``==``."""
 
     n: int
     h: float
@@ -400,21 +400,15 @@ class ExperimentRecord:
     empirical_rate: float
     theoretical_rate: float
     flag: str
-
-
-@dataclass(frozen=True)
-class RungStats:
-    """What one ladder rung did: its replicates, its in-window draws and its wall time."""
-
-    n: int
-    replicates: int
     in_window_draws: int
-    seconds: float
+    seconds: float = field(compare=False)
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    trials = integer(trials, "trials", 1)
+    trials, hits = integer(trials, "trials", 1), integer(hits, "hits", 0)
+    if hits > trials:
+        raise ValueError(f"hits must not exceed trials, got hits={hits}, trials={trials}")
     z = _WILSON_Z
     p = hits / trials
     denom = 1.0 + z * z / trials
@@ -464,14 +458,12 @@ def _run_ladder(
     class_grid: Sequence[Curve],
     index: IndexFunction,
     cfg: LadderConfig,
-    rungs: list[RungStats] | None,
 ) -> list[ExperimentRecord]:
     """Ladder records for the worst deviation over the centers in ``class_grid``.
 
     The theory column is the class rate of the estimator that the rungs
     simulate: at each center the rate model pairs the induced weight with
     ``index``, the uniform kernel and the identity small-ball scaling.
-    Each rung's ``RungStats`` is appended to ``rungs`` when it is a list.
     A center off the model's grid raises ``GridMismatchError``.
     """
     for x in class_grid:
@@ -497,8 +489,7 @@ def _run_ladder(
             worst = np.max(np.abs(r_hat - r_true), axis=1)
             hits += int(np.count_nonzero(worst > cfg.lam))
             draws += block_draws
-        if rungs is not None:
-            rungs.append(RungStats(n, reps, draws, time.perf_counter() - started))
+        seconds = time.perf_counter() - started
         p_hat = hits / reps
         lo, hi = wilson_interval(hits, reps)
         if hits >= 1:
@@ -509,7 +500,7 @@ def _run_ladder(
             flag = "zero_hits"
         records.append(
             ExperimentRecord(n, h, phi_h, reps, hits, p_hat, lo, hi, rate,
-                             theoretical_rate, flag)
+                             theoretical_rate, flag, draws, seconds)
         )
     return records
 
@@ -519,7 +510,6 @@ def pointwise_ladder(
     x0: Curve,
     index: IndexFunction,
     cfg: LadderConfig,
-    rungs: list[RungStats] | None = None,
 ) -> list[ExperimentRecord]:
     """Rare-event ladder for the deviation of the estimate at the curve ``x0``.
 
@@ -527,10 +517,9 @@ def pointwise_ladder(
     estimate uses the uniform kernel, and the decay is normalized by the
     generative model's own small-ball scale at that bandwidth.  The
     theoretical column is the two-sided deviation rate of that estimator
-    at ``x0``.  When ``rungs`` is a list, each rung appends its
-    ``RungStats`` to it.
+    at ``x0``.
     """
-    return _run_ladder(model, [x0], index, cfg, rungs)
+    return _run_ladder(model, [x0], index, cfg)
 
 
 def uniform_ladder(
@@ -538,14 +527,12 @@ def uniform_ladder(
     class_grid: Sequence[Curve],
     index: IndexFunction,
     cfg: LadderConfig,
-    rungs: list[RungStats] | None = None,
 ) -> list[ExperimentRecord]:
     """Ladder for the worst deviation over a finite grid of centers.
 
     The hit event takes the maximum deviation across the class grid; the
     theoretical column is the smallest two-sided rate over the centers.
-    ``rungs`` collects each rung's ``RungStats`` as in ``pointwise_ladder``.
     """
     if not class_grid:
         raise ValueError("uniform ladder needs a nonempty class grid")
-    return _run_ladder(model, class_grid, index, cfg, rungs)
+    return _run_ladder(model, class_grid, index, cfg)

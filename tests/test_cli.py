@@ -265,6 +265,17 @@ class TestExitCodes:
         assert code == 1
         assert "run error" in capsys.readouterr().err
 
+    def test_numeric_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a solver failure inside a ladder run is a run error, not a traceback
+        def fail(*args):
+            raise ratefn.NumericError("injected")
+
+        monkeypatch.setattr(ratefn, "class_rate", fail)
+        code = main(["--config", _write_config(tmp_path, _sim_config()),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "run error: injected" in capsys.readouterr().err
+
     def test_console_entry_point(self, tmp_path):
         cfg_path = _write_config(tmp_path, {"command": "rate", "lambda_values": [1.0]})
         out = tmp_path / "rate_out"
@@ -390,6 +401,33 @@ class TestRateCommand:
                 assert after == before
         assert len(failed) == len(plain) == 7
 
+    def test_failed_sweep_cell_reads_nan(self, tmp_path, monkeypatch):
+        # the closed form failing at lambda = 1 blanks that row's gamma and the beta that
+        # reads it; its derivatives, the other rows and the conjugate grid stay as they were
+        config = _write_config(tmp_path, {"command": "rate"})
+        assert main(["--config", config, "--out", str(tmp_path / "plain")]) == 0
+        closed = ratefn.ratio_rate_closed
+
+        def fail_at_one(model, lam):
+            if lam == 1.0:
+                raise ratefn.NumericError("injected")
+            return closed(model, lam)
+
+        monkeypatch.setattr(ratefn, "ratio_rate_closed", fail_at_one)
+        assert main(["--config", config, "--out", str(tmp_path / "failed")]) == 0
+        plain, failed = ({name: (tmp_path / d / name).read_text().splitlines()
+                          for name in ("rate_sweep.csv", "rate_conjugate.csv")}
+                         for d in ("plain", "failed"))
+        assert failed["rate_conjugate.csv"] == plain["rate_conjugate.csv"]
+        assert len(failed["rate_sweep.csv"]) == len(plain["rate_sweep.csv"]) == 10
+        for before, after in zip(plain["rate_sweep.csv"], failed["rate_sweep.csv"]):
+            if before.startswith("1.0,"):
+                lam, _, g1, g2, _ = before.split(",")
+                assert after.split(",") == [lam, "nan", g1, g2, "nan"]
+                assert "nan" not in before
+            else:
+                assert after == before
+
     def test_wall_time_ignores_clock_jumps(self, tmp_path, monkeypatch):
         # the system clock set back an hour during the run does not reach the manifest
         clock = iter([1e9])
@@ -450,13 +488,12 @@ class TestSimulateCommand:
         # the draws are the ones the library counts on the same stream
         model = simulate.default_model()
         ladder_cfg = simulate.LadderConfig((200, 500), 1.5, 1.0, (1000, 500), seed=11)
-        library = []
         if command == "simulate":
-            simulate.pointwise_ladder(model, Curve.constant(model.grid, 0.0), IdentityIndex(),
-                                      ladder_cfg, library)
+            library = simulate.pointwise_ladder(model, Curve.constant(model.grid, 0.0),
+                                                IdentityIndex(), ladder_cfg)
         else:
             centers = [Curve.constant(model.grid, c) for c in (-0.5, 0.5)]
-            simulate.uniform_ladder(model, centers, IdentityIndex(), ladder_cfg, library)
+            library = simulate.uniform_ladder(model, centers, IdentityIndex(), ladder_cfg)
         assert [r["in_window_draws"] for r in rungs] == [r.in_window_draws for r in library]
 
     def test_outputs_stay_inside_out_dir(self, tmp_path, monkeypatch):
@@ -745,10 +782,12 @@ class TestConfigFuzz:
         check()
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def test_readme_configs_run(tmp_path, monkeypatch):
     # every JSON config in the README is a run that the CLI accepts
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
+    with open(README) as fh:
         blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", fh.read(), re.S)]
     assert sorted(cfg["command"] for cfg in blocks) == ["cover", "estimate", "rate", "simulate"]
     monkeypatch.chdir(tmp_path)
@@ -756,3 +795,14 @@ def test_readme_configs_run(tmp_path, monkeypatch):
     write_curve_csv(Curve(grid, np.exp(-0.5 * ((grid.nodes() - 0.5) / 0.08) ** 2)), "bump.csv")
     for i, cfg in enumerate(blocks):
         assert run(cfg, str(tmp_path / f"out{i}"))
+
+
+def test_readme_python_runs(tmp_path, monkeypatch, capsys):
+    # every Python block of the README runs as written, in process
+    with open(README) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out

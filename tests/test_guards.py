@@ -103,6 +103,7 @@ COUNTS = {
     "LadderConfig.replicates": (lambda v: simulate.LadderConfig(
         (200, 500), 1.5, 1.0, (1000, v), 0), "replicates", 1, 1),
     "wilson_interval.trials": (lambda v: simulate.wilson_interval(1, v), "trials", 1, 2),
+    "wilson_interval.hits": (lambda v: simulate.wilson_interval(v, 10), "hits", 0, 3),
     "scale_class.count": (lambda v: covering.scale_class(BUMP, 1.0, 2.0, v), "count", 2, 2),
     "shift_class.count": (lambda v: covering.shift_class(BUMP, 0.0, 0.1, v), "count", 2, 3),
     "finite_n_log_mgf.replicates": (_log_mgf, "replicates", 1, 2),
@@ -138,7 +139,18 @@ OTHER_GRID = Grid(0.0, 1.0, 5)
 WIDE_GRID = Grid(0.0, 10.0, 3)
 STEP_DATA = estimator.Dataset(GRID, np.zeros((2, GRID.points)), [0.0, 1.0])
 STEP_CFG = estimator.EstimatorConfig(UniformKernel(), IntegralDifference(), 0.1, 0.2)
+GRID_ENDS = "grid needs t_min < t_max, finite and a finite width apart"
 MALFORMED = {
+    "Grid.t_max.inf": (lambda: Grid(0.0, math.inf, 3), GRID_ENDS),
+    "Grid.t_min.inf": (lambda: Grid(-math.inf, 0.0, 3), GRID_ENDS),
+    # finite ends whose width overflows the float range
+    "Grid.width": (lambda: Grid(-1e308, 1e308, 3), GRID_ENDS),
+    "Curve.integral.inf_grid": (lambda: Curve.constant(Grid(0.0, math.inf, 3), 1.0).integral(),
+                                GRID_ENDS),
+    "WeightDensity.width": (lambda: ratefn.WeightDensity(-1e308, 1e308, [0.0, 1.0, 0.0]),
+                            GRID_ENDS),
+    "wilson_interval.hits_above_trials": (lambda: simulate.wilson_interval(12, 10),
+                                          "hits must not exceed trials, got hits=12, trials=10"),
     "shift_class.count": (lambda: covering.shift_class(Curve.constant(GRID, 1.0), 0.0, 0.1, 1),
                           "count must be an integer >= 2"),
     "Dataset.y": (lambda: estimator.Dataset(GRID, np.zeros((2, GRID.points)), [0.0]),

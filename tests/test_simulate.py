@@ -708,15 +708,14 @@ class TestSufficientStatisticSampler:
         # the window counts of the rung's stream
         n_values, reps, seed = (200, 500), (2000, 1000), 8114
         cfg = LadderConfig(n_values, 1.5, 1.0, reps, seed=seed)
-        rungs = []
-        records = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg, rungs)
+        records = pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
         assert records == pointwise_ladder(factor_model, zero_curve, IdentityIndex(), cfg)
-        assert [(r.n, r.replicates) for r in rungs] == list(zip(n_values, reps))
-        for rung, record in zip(rungs, records):
-            _, counts = sampler_rung(factor_model, IdentityIndex(), [0.0], [0.0], rung.n,
-                                     record.h, seed, rung.replicates)
-            assert rung.in_window_draws == int(counts.sum()) > 0
-            assert rung.seconds > 0.0
+        assert [(r.n, r.replicates) for r in records] == list(zip(n_values, reps))
+        for record in records:
+            _, counts = sampler_rung(factor_model, IdentityIndex(), [0.0], [0.0], record.n,
+                                     record.h, seed, record.replicates)
+            assert record.in_window_draws == int(counts.sum()) > 0
+            assert record.seconds > 0.0
 
     def test_million_observation_rung(self, factor_model, zero_curve):
         n, reps = 10**6, 2000
