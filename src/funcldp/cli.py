@@ -30,7 +30,7 @@ import scipy
 from . import __version__, covering, ratefn, simulate
 from .estimator import EstimatorConfig, IdentityIndex, IntervalIndicator, z_n
 from .funcdata import (Curve, Grid, IdentityScaling, IntegralDifference, LpDistance,
-                       UniformKernel, integer, read_curve_csv)
+                       UniformKernel, integer, read_curve_csv, real)
 
 _STOCHASTIC = ("estimate", "simulate", "uniform")
 _REQUIRED = object()  # default of a field that the config must give
@@ -88,10 +88,8 @@ def _write_csv(out: str, name: str, header, rows) -> str:
 
 
 def _number(value) -> float:
-    """A finite number; bools and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
+    """A JSON number that passes ``funcdata.real``; bools and strings are not numbers."""
+    return real(value, "the value")
 
 
 def _integer(value, least: int = 0) -> int:
@@ -180,7 +178,7 @@ def _curve_on(grid: Grid):
     """Converter of a ``constant`` or ``csv`` curve spec on ``grid``."""
     def convert(spec) -> Curve:
         if isinstance(spec, dict) and spec.keys() == {"constant"}:
-            return Curve.constant(grid, _number(spec["constant"]))
+            return Curve.constant(grid, spec["constant"])
         if isinstance(spec, dict) and spec.keys() == {"csv"}:
             curve = _curve_csv(spec["csv"])
             if curve.grid != grid:

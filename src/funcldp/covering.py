@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcdata import Curve, Grid, SemiMetric, frozen_array, integer, quadrature
+from .funcdata import Curve, Grid, SemiMetric, frozen_array, integer, quadrature, real
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +48,7 @@ def scale_class(base: Curve, a_lo: float, a_hi: float, count: int) -> FunctionCl
     argument scaling outruns the base curve's own resolution flags the
     class as undersampled.
     """
-    a_values = np.linspace(a_lo, a_hi, integer(count, "count", 2))
+    a_values = np.linspace(real(a_lo, "a_lo"), real(a_hi, "a_hi"), integer(count, "count", 2))
     if np.any(a_values == 0.0):
         raise ValueError("the scale parameter grid must exclude zero")
     t = base.grid.nodes()
@@ -105,7 +105,7 @@ def shift_class(base: Curve, t_lo: float, t_hi: float, count: int) -> FunctionCl
     total = quadrature(magnitude, grid)
     if not total > 0:
         raise ValueError("shift class needs a base curve with nonempty support")
-    for t in (t_lo, t_hi):
+    for t in (real(t_lo, "t_lo"), real(t_hi, "t_hi")):
         clipped = _clipped_mass(magnitude, grid, t) / total
         if not clipped <= _CLIP_TOLERANCE:
             raise ValueError(
@@ -174,8 +174,7 @@ def greedy_cover(cls: FunctionClass, nu: float, metric: SemiMetric) -> CoverRepo
     distance, which ``np.minimum`` keeps and no radius covers, raises
     ValueError naming its member.
     """
-    if not nu > 0:
-        raise ValueError(f"cover radius must be positive, got {nu}")
+    nu = real(nu, "nu", 0)
     rows = cls.rows
     allowance = _pivot_allowance(rows, cls.grid)
     centers = [0]
@@ -199,7 +198,7 @@ def greedy_cover(cls: FunctionClass, nu: float, metric: SemiMetric) -> CoverRepo
         min_dist[members] = np.minimum(min_dist[members], dist)
         evaluated += dist.size
     return CoverReport(
-        nu=float(nu),
+        nu=nu,
         n_cover=len(centers),
         centers=tuple(centers),
         nu_log_n=float(nu * math.log(len(centers))),
@@ -227,6 +226,7 @@ def entropy_diagnostics(
     nu * log N, log N / (n phi_h), and the admissibility flag
     nu < n h / exp(a_const * n * phi_h).
     """
+    a_const = real(a_const, "a_const")
     radii = [r.nu for r in reports]
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("cover reports must come with strictly decreasing radii")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .funcdata import (Curve, FactorRows, Grid, GridMismatchError, Kernel, Rows, SemiMetric,
-                       frozen_array, integer, row_blocks)
+                       frozen_array, integer, real, row_blocks)
 
 _INTERVAL = tuple[float, float]
 
@@ -123,10 +123,7 @@ class EstimatorConfig:
     phi_of_h: float
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if not self.phi_of_h > 0:
-            raise ValueError(f"phi_of_h must be positive, got {self.phi_of_h}")
+        real(self.bandwidth, "bandwidth", 0), real(self.phi_of_h, "phi_of_h", 0)
 
 
 @dataclass(frozen=True)
@@ -211,14 +208,15 @@ def finite_n_log_mgf(
 ) -> LogMgfEstimate:
     """Estimate (1/(n phi(h))) log E exp{sum_i (t1 + t2 l(Y_i)) Delta_i(x)}.
 
-    Each replicate draws an independent dataset from ``data_law`` with its
-    own RNG stream, and its distances read the dataset's ``rows``: for a
-    ``sample_dataset`` draw the factors, with no curve matrix.  The
-    replicate exponents are combined by log-sum-exp, so the reduction is
-    deterministic and overflow-safe.  A replicate whose exponent is itself
-    non-finite flags the estimate and yields an infinite value.
+    Each replicate draws an independent dataset from ``data_law`` with its own RNG stream, and
+    its distances read the dataset's ``rows``: for a ``sample_dataset`` draw the factors, with
+    no curve matrix.  The replicate exponents are combined by log-sum-exp, so the reduction is
+    deterministic and overflow-safe.  A replicate whose exponent is itself non-finite flags the
+    estimate and yields an infinite value; a tilt may be infinite, but not NaN.
     """
     replicates = integer(replicates, "replicates", 1)
+    if math.isnan(t1) or math.isnan(t2):
+        raise ValueError(f"tilts t1 and t2 must not be NaN, got t1={t1!r}, t2={t2!r}")
     exponents = np.empty(replicates)
     n = None
     for rep in range(replicates):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,7 +35,7 @@ class Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "points", integer(self.points, "points", 2))
-        if not 0 < float(self.t_max) - float(self.t_min) < np.inf:
+        if not 0 < real(self.t_max, "t_max") - real(self.t_min, "t_min") < np.inf:
             raise ValueError("grid needs t_min < t_max, finite and a finite width apart, "
                              f"got t_min={self.t_min}, t_max={self.t_max}")
 
@@ -55,12 +56,28 @@ class Grid:
 def integer(value, name: str, least: int) -> int:
     """``int(value)`` for a Python or NumPy integer, not a bool, of at least ``least``.
 
-    The one rule for every count the library takes: sizes, replicate
-    counts and grid points.  Anything else raises a ValueError naming ``name``.
+    The one rule for every count the library takes, up to NumPy's 64-bit limit: sizes,
+    replicate counts, grid points and seeds.  Anything else raises a ValueError naming ``name``.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must fit in a 64-bit integer, got {value!r}")
     return int(value)
+
+
+def real(value, name: str, above: float | None = None) -> float:
+    """``float(value)`` for a finite Python or NumPy real, not a bool, above ``above`` if given.
+
+    The one rule for every real parameter; anything else raises a ValueError naming ``name``.
+    """
+    finite = (isinstance(value, (float, np.floating)) and np.isfinite(value)  # casts no float32
+              or isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+              and -sys.float_info.max <= value <= sys.float_info.max)  # exact, even for 10**400
+    if not finite or above is not None and not value > above:
+        bound = "" if above is None else f" > {above}"
+        raise ValueError(f"{name} must be a finite real{bound}, got {value!r}")
+    return float(value)
 
 
 def frozen_array(values, ndim: int, points: int) -> np.ndarray:
@@ -90,7 +107,7 @@ class Curve:
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "Curve":
-        return cls(grid, np.full(grid.points, float(value)))
+        return cls(grid, np.full(grid.points, real(value, "value")))
 
     def integral(self) -> float:
         """Trapezoid integral of the curve over its domain."""
@@ -210,7 +227,7 @@ class LpDistance:
     p: float = 2.0
 
     def __post_init__(self):
-        if not self.p >= 1:
+        if not real(self.p, "p") >= 1:
             raise ValueError(f"L_p distance needs p >= 1, got {self.p}")
 
     def distance_to_rows(self, x_values: np.ndarray, rows: Rows, grid: Grid) -> np.ndarray:
@@ -244,8 +261,7 @@ class _KernelBase:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"kernel scale must be positive, got {self.scale}")
+        real(self.scale, "scale", 0)
 
 
 @dataclass(frozen=True)
@@ -301,8 +317,7 @@ class PowerScaling:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"power scaling needs alpha > 0, got {self.alpha}")
+        real(self.alpha, "alpha", 0)
 
     def gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the Gauss rule for dtau = alpha u**(alpha - 1) du."""

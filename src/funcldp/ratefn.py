@@ -30,7 +30,7 @@ import numpy as np
 
 from .estimator import IdentityIndex, IndexFunction, IntervalIndicator
 from .funcdata import (Grid, IdentityScaling, Kernel, PowerScaling, UniformKernel, frozen_array,
-                       quadrature)
+                       quadrature, real)
 
 PROBE_T = 50.0
 DOMAIN_MARGIN = 1e-6
@@ -121,8 +121,7 @@ class WeightDensity:
     def gaussian(cls, mean: float = 0.0, sd: float = 1.0, *,
                  nodes: int = WEIGHT_NODES) -> "WeightDensity":
         """Gaussian-shaped weight truncated at mean +- WEIGHT_HALF_WIDTH * sd."""
-        if not sd > 0:
-            raise ValueError(f"gaussian weight needs sd > 0, got {sd}")
+        mean, sd = real(mean, "mean"), real(sd, "sd", 0)
         lo, hi = mean - WEIGHT_HALF_WIDTH * sd, mean + WEIGHT_HALF_WIDTH * sd
         return cls.from_function(lambda v: normal_pdf(v, mean, sd), lo, hi, nodes)
 
@@ -644,8 +643,7 @@ def two_sided_rate(model: RateModel, lam: float) -> float:
     at m - lam and m + lam, by the closed form under the unit uniform
     kernel and by ``ratio_rate`` otherwise.
     """
-    if not lam > 0:
-        raise ValueError(f"deviation width must be positive, got {lam}")
+    lam = real(lam, "lam", 0)
     gamma = ratio_rate_closed if _is_plain_uniform(model) else ratio_rate
     return min(gamma(model, model.mean - lam), gamma(model, model.mean + lam))
 

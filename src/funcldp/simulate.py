@@ -44,7 +44,7 @@ from scipy.special import ndtr, ndtri
 from . import ratefn
 from .estimator import Dataset, IndexFunction
 from .funcdata import (Curve, FactorRows, Grid, GridMismatchError, IdentityScaling, UniformKernel,
-                       integer)
+                       integer, real)
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 # In-window draws per block of ladder replicates; bounds a rung's memory.
@@ -98,8 +98,7 @@ class NormalLaw:
     sd: float = 1.0
 
     def __post_init__(self):
-        if not self.sd > 0:
-            raise ValueError(f"normal law needs sd > 0, got {self.sd}")
+        real(self.mean, "mean"), real(self.sd, "sd", 0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mean, self.sd, size=n)
@@ -136,7 +135,7 @@ class UniformLaw:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
+        if not real(self.lo, "lo") < real(self.hi, "hi"):
             raise ValueError(f"uniform law needs lo < hi, got [{self.lo}, {self.hi}]")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -323,8 +322,7 @@ def small_ball_probe(
     resampled; the analytic value is the small-ball scale times the local
     density.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    v, radius = real(v, "v"), real(radius, "radius", 0)
     replicates = integer(replicates, "replicates", 1)
     rng = np.random.default_rng(seed)
     c = x.integral() - v * model.signal_integral
@@ -342,12 +340,7 @@ def bandwidth_schedule(n: int, a: float, alpha: float) -> tuple[float, float]:
     The ladders read only h and take phi(h) from the model; phi_h is the
     ``cover`` command's entropy speed.
     """
-    if not n >= 16:
-        raise ValueError(f"schedule needs n >= 16, got {n}")
-    if not a > 0:
-        raise ValueError(f"schedule needs a > 0, got {a}")
-    if not alpha > 1:
-        raise ValueError(f"schedule needs alpha > 1, got {alpha}")
+    n, a, alpha = integer(n, "n", 16), real(a, "a", 0), real(alpha, "alpha", 1)
     ratio = math.log(math.log(n)) / n
     return ratio ** (1.0 / alpha), a * ratio
 
@@ -369,8 +362,6 @@ class LadderConfig:
         n_values = tuple(integer(n, "n_values", 1) for n in self.n_values)
         if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be a nonempty strictly increasing sequence")
-        if n_values[-1] > np.iinfo(np.int64).max:  # the multinomial draw's limit
-            raise ValueError(f"n_values must fit in a 64-bit integer, got {n_values[-1]}")
         for n in n_values:
             bandwidth_schedule(n, 1.0, self.alpha)
         reps = self.replicates if np.ndim(self.replicates) else (self.replicates,) * len(n_values)
@@ -379,10 +370,10 @@ class LadderConfig:
             raise ValueError("replicates must be a single int or one per sample size")
         if reps[0] < 1000:
             raise ValueError(f"need at least 1000 replicates at the smallest n, got {reps[0]}")
-        if not self.lam > 0:
-            raise ValueError(f"deviation width must be positive, got {self.lam}")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "replicates", reps)
+        real(self.lam, "lam", 0)
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)

@@ -388,9 +388,12 @@ class TestLadderConfig:
         with pytest.raises(ValueError, match=re.escape(bad)):
             LadderConfig(n_values, 1.5, 1.0, replicates, 0)
 
-    @pytest.mark.parametrize("n_values,alpha", [((8, 200), 1.5), ((200,), 1.0)])
-    def test_schedule_checked_at_construction(self, n_values, alpha):
-        with pytest.raises(ValueError, match="schedule needs"):
+    @pytest.mark.parametrize("n_values,alpha,message", [
+        ((8, 200), 1.5, "^n must be an integer >= 16, got 8$"),
+        ((200,), 1.0, "^alpha must be a finite real > 1, got 1.0$"),
+    ], ids=["n_values0-1.5", "n_values1-1.0"])
+    def test_schedule_checked_at_construction(self, n_values, alpha, message):
+        with pytest.raises(ValueError, match=message):
             LadderConfig(n_values, alpha, 1.0, 1000, 0)
 
     def test_replicates_broadcast(self):
