@@ -83,17 +83,17 @@ class Dataset:
     def __init__(self, grid: Grid, x_values: Rows, y: np.ndarray):
         factored = isinstance(x_values, FactorRows)
         rows = x_values if factored else np.asarray(x_values, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if len(rows.shape) != 2 or rows.shape[1] != grid.points:
-            raise ValueError(f"x_values must be (n, {grid.points}), got {rows.shape}")
-        if y.shape != (rows.shape[0],):
-            raise ValueError(f"y must have length {rows.shape[0]}, got {y.shape}")
-        if rows.shape[0] < 1:
+        y, shape = np.asarray(y, dtype=float), rows.shape
+        if len(shape) != 2 or shape[1] != grid.points:
+            raise ValueError(f"x_values must be (n, {grid.points}), got {shape}")
+        if y.shape != shape[:1]:
+            raise ValueError(f"y must have length {shape[0]}, got {y.shape}")
+        if shape[0] < 1:
             raise ValueError("dataset needs at least one pair")
         try:  # the shapes are checked, so frozen_array can reject only a value
             if not factored:
                 self.x_values = rows = frozen_array(rows, 2, grid.points)  # its own x_values
-            y = frozen_array(y, 1, rows.shape[0])
+            y = frozen_array(y, 1, shape[0])
         except ValueError:
             raise ValueError("dataset values must all be finite") from None
         if factored and not math.isfinite(rows.bound()):
@@ -152,11 +152,12 @@ def _kernel_weights(distances: np.ndarray,
                     cfg: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
     """Kernel weights K(d/h) of the distances and the window u = d/h <= 1.
 
-    The window is closed at u = 1; a row outside it gets weight 0.
+    The window is closed at u = 1; a row outside it gets weight 0.  Distances are
+    >= 0 or NaN, so only the top of the support needs a clip.
     """
     u = distances / cfg.bandwidth
     active = u <= 1.0
-    w = np.where(active, cfg.kernel.k(np.clip(u, 0.0, 1.0)), 0.0)
+    w = np.where(active, cfg.kernel.k(np.minimum(u, 1.0)), 0.0)
     return w, active
 
 
@@ -214,7 +215,7 @@ def finite_n_log_mgf(
     deterministic and overflow-safe.  A replicate whose exponent is itself non-finite flags the
     estimate and yields an infinite value; a tilt may be infinite, but not NaN.
     """
-    replicates = integer(replicates, "replicates", 1)
+    replicates, seed = integer(replicates, "replicates", 1), integer(seed, "seed", 0)
     if math.isnan(t1) or math.isnan(t2):
         raise ValueError(f"tilts t1 and t2 must not be NaN, got t1={t1!r}, t2={t2!r}")
     exponents = np.empty(replicates)

@@ -3,10 +3,10 @@
 Everything here is immutable after construction and safe to share.  All
 integrals over a uniform grid use the composite trapezoid rule, which is
 exact for affine integrands: one ``einsum`` of the rows with the grid's
-trapezoid weights (``_integrate_rows``); ``FactorRows`` integrate their
-basis.  A scalar integral or distance is the one-row case of the batched
-one on a matrix, so the two agree bitwise.  Each scaling profile carries
-one fixed Gauss rule for its measure dtau on the kernel support [0, 1].
+trapezoid weights, built once per grid and read-only (``_integrate_rows``);
+``FactorRows`` integrate their basis.  A scalar integral or distance is the
+one-row case of the batched one on a matrix, so the two agree bitwise.  Each
+scaling profile carries one fixed Gauss rule for dtau on the support [0, 1].
 """
 
 from __future__ import annotations
@@ -48,8 +48,13 @@ class Grid:
 
     def trapezoid_weights(self) -> np.ndarray:
         """Composite trapezoid weights: the spacing inside, half of it at both ends."""
+        return self._trapezoid_weights
+
+    @functools.cached_property
+    def _trapezoid_weights(self) -> np.ndarray:  # built on the first call, then shared
         weights = np.full(self.points, self.spacing)
         weights[[0, -1]] *= 0.5
+        weights.flags.writeable = False
         return weights
 
 
@@ -61,7 +66,7 @@ def integer(value, name: str, least: int) -> int:
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    if value > np.iinfo(np.int64).max:
+    if value > 2**63 - 1:  # NumPy's int64 limit
         raise ValueError(f"{name} must fit in a 64-bit integer, got {value!r}")
     return int(value)
 
@@ -89,7 +94,7 @@ def frozen_array(values, ndim: int, points: int) -> np.ndarray:
     if arr.ndim != ndim or arr.size == 0 or arr.shape[-1] != points:
         raise ValueError(f"expected a nonempty {ndim}-D array of {points} values per row, "
                          f"got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("values must all be finite")
     arr.flags.writeable = False
     return arr
@@ -180,8 +185,8 @@ class FactorRows:
 
     def bound(self) -> float:
         """sum_k max|coeffs[:, k]| * max|basis[k]|; when finite, every row is finite."""
-        return sum(float(c) * float(b) for c, b in zip(np.max(np.abs(self.coeffs), axis=0),
-                                                       np.max(np.abs(self.basis), axis=1)))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is the answer
+            return float((abs(self.coeffs).max(axis=0) * abs(self.basis).max(axis=1)).sum())
 
 
 Rows = np.ndarray | FactorRows  # an (n, points) matrix, or its factors
@@ -191,15 +196,21 @@ def _row_integrals(x_values: np.ndarray, rows: Rows, grid: Grid, p: float | None
     """Trapezoid integral of each ``row - x``, or of ``|row - x|**p`` when p is given.
 
     Walks the rows through ``row_blocks``, leaving a matrix unchanged and building
-    factor rows block by block; their plain integrals need no block.
+    factor rows block by block; their plain integrals need no block.  x is tiled
+    once per call into the shape of a block, so each block subtracts a contiguous tile.
     """
     weights = grid.trapezoid_weights()
     if p is None and isinstance(rows, FactorRows):
-        integrals = sum(c * i for c, i in zip(rows.coeffs.T, _integrate_rows(rows.basis, weights)))
+        basis_integrals = _integrate_rows(rows.basis, weights)
+        integrals = rows.coeffs[:, 0] * basis_integrals[0]
+        for k in range(1, len(basis_integrals)):  # one product per term, added in order of k
+            integrals += rows.coeffs[:, k] * basis_integrals[k]
         return integrals - quadrature(x_values, grid)
-    out = np.empty(rows.shape[0])
+    out, tile = np.empty(rows.shape[0]), None
     for block_rows, block in row_blocks(rows.shape[0], grid.points):
-        np.subtract(rows[block_rows], x_values, out=block)
+        if tile is None:  # the first block is the largest
+            tile = x_values[np.newaxis].repeat(len(block), axis=0)
+        np.subtract(rows[block_rows], tile[: len(block)], out=block)
         if p is not None:
             np.abs(block, out=block)
             if p != 1:

@@ -44,7 +44,7 @@ from scipy.special import ndtr, ndtri
 from . import ratefn
 from .estimator import Dataset, IndexFunction
 from .funcdata import (Curve, FactorRows, Grid, GridMismatchError, IdentityScaling, UniformKernel,
-                       integer, real)
+                       frozen_array, integer, real)
 
 _WILSON_Z = 1.959963984540054  # 95% normal quantile
 # In-window draws per block of ladder replicates; bounds a rung's memory.
@@ -225,6 +225,8 @@ class LinearFactorModel:
             )
         object.__setattr__(self, "signal_integral", signal_integral)
         object.__setattr__(self, "noise_integral", noise_integral)
+        object.__setattr__(self, "basis", frozen_array(  # the two curves of the factor rows
+            [self.signal_curve.values, self.noise_curve.values], 2, self.grid.points))
 
     @property
     def grid(self) -> Grid:
@@ -261,8 +263,7 @@ def sample_dataset(model: LinearFactorModel, n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     y = model.y_law.sample(rng, n)
     eps = rng.standard_normal(n)
-    basis = np.stack([model.signal_curve.values, model.noise_curve.values])
-    return Dataset(model.grid, FactorRows(np.array([y, eps]).T, basis), y)
+    return Dataset(model.grid, FactorRows(np.array([y, eps]).T, model.basis), y)
 
 
 def conditional_density(model: LinearFactorModel, x: Curve, v):
@@ -323,7 +324,7 @@ def small_ball_probe(
     density.
     """
     v, radius = real(v, "v"), real(radius, "radius", 0)
-    replicates = integer(replicates, "replicates", 1)
+    replicates, seed = integer(replicates, "replicates", 1), integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     c = x.integral() - v * model.signal_integral
     eps = rng.standard_normal(replicates)

@@ -23,6 +23,7 @@ from funcldp.funcdata import (
     Grid,
     IntegralDifference,
     LpDistance,
+    distance,
     write_curve_csv,
 )
 from funcldp.simulate import bandwidth_schedule
@@ -286,6 +287,16 @@ class TestCenterByCenterGreedy:
             assert report.centers == matrix_greedy_centers(cls, nu, metric)
             assert report.n_cover == len(report.centers)
             assert float(np.max(coverage_radii(cls, report, metric))) <= nu
+
+    @pytest.mark.parametrize("metric", [L1, LpDistance(2.0), IntegralDifference()], ids=repr)
+    def test_coverage_radii_are_one_row_distances(self, large_scale_class, metric):
+        # seven row blocks, each less the tiled center: bitwise the least one-row distance
+        cls = large_scale_class
+        report = greedy_cover(cls, 0.1, metric)
+        members = [Curve(cls.grid, row) for row in cls.rows]
+        expected = [min(distance(members[c], member, metric) for c in report.centers)
+                    for member in members]
+        np.testing.assert_array_equal(coverage_radii(cls, report, metric), expected)
 
     def test_overflowing_distances_never_skip_a_member(self):
         # |x - y|**2 overflows to inf between curves near 1e200, so a pivot

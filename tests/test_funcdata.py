@@ -70,6 +70,16 @@ class TestQuadrature:
         np.testing.assert_array_equal(weights[1:-1], grid.spacing)
         assert weights.sum() == pytest.approx(3.0, abs=1e-15)
 
+    def test_trapezoid_weights_built_once_and_read_only(self):
+        grid = Grid(0.0, 1.0, 101)
+        weights = grid.trapezoid_weights()
+        assert grid.trapezoid_weights() is weights
+        assert weights[0] == weights[-1] == 0.5 * grid.spacing
+        np.testing.assert_array_equal(weights[1:-1], grid.spacing)
+        with pytest.raises(ValueError):
+            weights[1] = 0.0
+        assert Grid(0.0, 1.0, 101) == grid  # the cached weights are not a field
+
     @pytest.mark.parametrize("points", [2, 3, 101, 40_000])
     def test_matches_numpy_trapezoid(self, points):
         grid = Grid(-1.0, 2.0, points)
@@ -113,6 +123,19 @@ class TestQuadrature:
         np.testing.assert_array_equal([Curve(grid, row).integral() for row in rows], batched)
         np.testing.assert_array_equal([quadrature(row, grid) for row in rows.T.copy().T],
                                       batched)
+
+    @pytest.mark.parametrize("terms", [1, 2, 3])
+    def test_factor_row_integrals_keep_the_sum_of_products(self, terms):
+        # one product per basis integral, added in order of k: bitwise the sum formula
+        grid = Grid(-1.0, 2.0, 51)
+        rng = np.random.default_rng(terms)
+        coeffs, basis = rng.normal(size=(300, terms)), rng.normal(size=(terms, grid.points))
+        x_values = rng.normal(size=grid.points)
+        basis_integrals = funcdata._integrate_rows(basis, grid.trapezoid_weights())
+        expected = (sum(c * i for c, i in zip(coeffs.T, basis_integrals))
+                    - quadrature(x_values, grid))
+        got = funcdata._row_integrals(x_values, funcdata.FactorRows(coeffs, basis), grid, None)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestDistance:

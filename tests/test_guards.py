@@ -82,12 +82,17 @@ def test_nan_raises_value_error(call):
         call()
 
 
-def _log_mgf(replicates):
+def _log_mgf(replicates, seed=0):
     cfg = estimator.EstimatorConfig(UniformKernel(), IntegralDifference(), 0.1, 0.2)
     model = simulate.default_model(GRID.points)
     return estimator.finite_n_log_mgf(
         Curve.constant(GRID, 0.0), lambda rng: simulate.sample_dataset(model, 20, rng),
-        estimator.IdentityIndex(), cfg, 0.1, 0.1, replicates, 0)
+        estimator.IdentityIndex(), cfg, 0.1, 0.1, replicates, seed)
+
+
+def _probe(seed):
+    return simulate.small_ball_probe(simulate.default_model(11), Curve.constant(GRID, 0.0),
+                                     0.0, 0.1, 10, seed)
 
 
 BUMP = Curve(GRID, np.maximum(0.0, 1.0 - np.abs(GRID.nodes() - 0.5) / 0.2))
@@ -112,6 +117,8 @@ COUNTS = {
     "bandwidth_schedule.n": (lambda v: simulate.bandwidth_schedule(v, 1.0, 1.5), "n", 16, 200),
     "LadderConfig.seed": (lambda v: simulate.LadderConfig((200,), 1.5, 1.0, 1000, v),
                           "seed", 0, 7),
+    "finite_n_log_mgf.seed": (lambda v: _log_mgf(2, v), "seed", 0, 3),
+    "small_ball_probe.seed": (_probe, "seed", 0, 7),
 }
 # Only Python and NumPy integers, bools excepted, pass; an integral float does not.
 NOT_COUNTS = {"fraction": lambda least: 2.5, "bool": lambda least: True,
@@ -132,6 +139,11 @@ def test_count_rule_rejects_non_integers(call, name, least, _, bad):
 @pytest.mark.parametrize("call, _, __, valid", COUNTS.values(), ids=COUNTS.keys())
 def test_count_rule_accepts_numpy_integers(call, _, __, valid):
     call(np.int64(valid))
+
+
+@pytest.mark.parametrize("call", [lambda v: _log_mgf(2, v), _probe], ids=["log_mgf", "probe"])
+def test_numpy_seed_keeps_the_stream(call):
+    assert call(np.int64(3)) == call(3)
 
 
 def test_counts_are_stored_as_ints():
