@@ -5,7 +5,7 @@ library, which returns records, and writes them as plot-ready CSV
 artifacts through ``_write_csv``, plus a ``manifest.json`` that echoes
 the config, seed, versions and CPU count so the run can be reproduced
 exactly, for a ladder run each rung's draws and time, for a cover run
-the member distances each radius evaluated and whether the class is
+the member distances and time each radius took and whether the class is
 undersampled, and for a rate run the rows and time of its level sweep
 and its conjugate grid, and the grid's distinct levels.  All outputs
 stay inside the declared output directory.
@@ -99,6 +99,13 @@ def _integer(value, least: int = 0) -> int:
     return integer(value, "the value", least)
 
 
+def _bool(value) -> bool:
+    """A JSON true or false."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _object(value, keys: tuple[str, ...] | None = None) -> dict:
     """A JSON object; given ``keys``, one that holds no other key."""
     if not isinstance(value, dict):
@@ -165,7 +172,7 @@ def _law(spec):
 
 
 def _model(spec) -> simulate.LinearFactorModel:
-    if _object(spec).get("default"):
+    if _field(_object(spec), "default", _bool, False):
         _object(spec, ("default", "points"))
         return simulate.default_model(_field(spec, "points", _integer, 101))
     _object(spec, ("default", "signal_csv", "noise_csv", "y_law"))
@@ -350,14 +357,14 @@ def _run_cover(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     if ladder:
         paths.append(_write_csv(out, "entropy_diagnostics.csv", _ENTROPY_FIELDS,
                                 [[row[f] for f in _ENTROPY_FIELDS] for row in entropy]))
-    covers = [{"nu": r.nu, "n_cover": r.n_cover, "distance_rows": r.distance_rows}
-              for r in reports]
+    covers = [{"nu": r.nu, "n_cover": r.n_cover, "distance_rows": r.distance_rows,
+               "seconds": r.seconds} for r in reports]
     return paths, {"covers": covers, "undersampled": cls.undersampled}
 
 
 # Each runner returns the artifact paths it wrote and the fields it adds
 # to the manifest (the ladders' per-rung stats, the cover command's
-# per-radius counters, the rate command's per-phase counters and times).
+# per-radius counters and times, the rate command's per-phase counters and times).
 _RUNNERS = {"rate": _run_rate, "estimate": _run_estimate, "simulate": _run_simulate,
             "uniform": _run_uniform, "cover": _run_cover}
 COMMANDS = tuple(_RUNNERS)

@@ -2,21 +2,22 @@
 
 A class of curves is represented by a finite sample of members on one
 shared grid.  Covering numbers of the sample are upper-bounded by a
-deterministic farthest-point greedy construction (Gonzalez 1985), built
-center by center into a running minimum, so a cover of k members never
+deterministic farthest-point greedy construction (Gonzalez 1985).  The
+greedy and ``coverage_radii``, the check of a cover, share one fold: each
+center's distances go into a running minimum, so a cover of k members never
 holds a k x k distance matrix, and triangle-inequality bounds from two
-pivot centers (LAESA; Mico, Oncina & Vidal 1994) skip most member
-distances.  ``coverage_radii`` recomputes every member's distance to every
-center without the bounds, a check of a cover that does not rest on them.
-The entropy diagnostics track whether nu * log N(nu) trends to zero and
-whether the coupling of nu to the sample-size schedule stays admissible.
+pivot centers (LAESA; Mico, Oncina & Vidal 1994) skip the member distances
+that could not lower it, bitwise the full traversal's minimum in any center
+order.  The entropy diagnostics track whether nu * log N(nu) trends to zero
+and whether the coupling of nu to the sample-size schedule stays admissible.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -122,7 +123,8 @@ def shift_class(base: Curve, t_lo: float, t_hi: float, count: int) -> FunctionCl
 class CoverReport:
     """A greedy cover of a class sample at radius nu.
 
-    ``distance_rows`` counts the member distances the greedy evaluated.
+    ``distance_rows`` counts the member distances the greedy evaluated; its
+    wall time ``seconds`` is left out of ``==``.
     """
 
     nu: float
@@ -130,6 +132,7 @@ class CoverReport:
     centers: tuple[int, ...]
     nu_log_n: float
     distance_rows: int
+    seconds: float = field(compare=False)
 
 
 def _pivot_allowance(rows: np.ndarray, grid: Grid) -> float:
@@ -151,68 +154,94 @@ def _pivot_allowance(rows: np.ndarray, grid: Grid) -> float:
     return 4.0 * error
 
 
+class _NearestCenter:
+    """Each member's distance to its nearest center, folded in one center at a time.
+
+    The first two centers' distance rows are pivots.  For a later center
+    c, member j's distance is at least max over the pivots p of
+    |d(p, c) - d(p, j)| (L_p and the integral difference are seminorms
+    under the trapezoid weights); ``add`` evaluates d(c, j) only where that
+    bound, less ``_pivot_allowance``, does not exceed j's running minimum
+    ``nearest``, and a bound that is not finite never skips a member.  A
+    skipped distance would not have lowered the minimum, and a row's
+    distance does not depend on the rows passed with it, so ``nearest`` is
+    bitwise the full traversal's for any order of centers, repeats
+    included.  ``evaluated`` counts the member distances evaluated.
+    """
+
+    def __init__(self, cls: FunctionClass, metric: SemiMetric):
+        self.cls, self.metric = cls, metric
+        self.allowance = _pivot_allowance(cls.rows, cls.grid)
+        self.nearest = np.full(cls.rows.shape[0], np.inf)
+        self.pivots: list[np.ndarray] = []
+        self.evaluated = 0
+
+    def add(self, center: int) -> None:
+        rows = self.cls.rows
+        if len(self.pivots) < 2:
+            members = slice(None)
+        else:
+            with np.errstate(invalid="ignore"):
+                bound = np.maximum(*(np.abs(row - row[center]) for row in self.pivots))
+                members = np.flatnonzero(~(bound - self.allowance > self.nearest))
+        dist = self.metric.distance_to_rows(rows[center], rows[members], self.cls.grid)
+        if len(self.pivots) < 2:
+            self.pivots.append(dist)
+        self.nearest[members] = np.minimum(self.nearest[members], dist)
+        self.evaluated += dist.size
+
+
 def greedy_cover(cls: FunctionClass, nu: float, metric: SemiMetric) -> CoverReport:
     """Farthest-point greedy cover of the sample at radius nu.
 
     Starts from the first member; repeatedly adds the member farthest
     from the current centers (ties to the lowest index) until every
-    member sits within nu of some center.  Each new center's distances
-    are folded into a running minimum, so memory stays linear in the
-    sample size.  Deterministic, and an upper bound on the covering
-    number of the sample.
-
-    The first two centers' distance rows are pivots.  For a later center
-    c, member j's distance is at least max over the pivots p of
-    |d(p, c) - d(p, j)| (L_p and the integral difference are seminorms
-    under the trapezoid weights); the greedy evaluates d(c, j) only where
-    that bound, less ``_pivot_allowance``, does not exceed j's running
-    minimum, and a bound that is not finite never skips a member.  A
-    row's distance does not depend on the rows passed with it, so the
-    running minimum, and with it the centers, are bitwise those of the
+    member sits within nu of some center.  Each new center goes into the
+    pivot-bounded running minimum of ``_NearestCenter``, so memory stays
+    linear in the sample size and the centers are bitwise those of the
     full traversal; a running minimum is always a distance that was
-    evaluated, so the stopping test certifies the cover either way.  A NaN
+    evaluated, so the stopping test certifies the cover.  Deterministic,
+    and an upper bound on the covering number of the sample.  A NaN
     distance, which ``np.minimum`` keeps and no radius covers, raises
     ValueError naming its member.
     """
     nu = real(nu, "nu", 0)
-    rows = cls.rows
-    allowance = _pivot_allowance(rows, cls.grid)
+    started = time.perf_counter()
+    fold = _NearestCenter(cls, metric)
     centers = [0]
-    min_dist = metric.distance_to_rows(rows[0], rows, cls.grid)
-    pivots = [min_dist.copy()]
-    evaluated = min_dist.size
-    while not float(np.max(min_dist)) <= nu:
-        nxt = int(np.argmax(min_dist))  # the first NaN, if there is one
-        if math.isnan(min_dist[nxt]):
+    fold.add(0)
+    while not float(np.max(fold.nearest)) <= nu:
+        nxt = int(np.argmax(fold.nearest))  # the first NaN, if there is one
+        if math.isnan(fold.nearest[nxt]):
             raise ValueError(f"member {nxt} lies at a NaN distance from a center under {metric!r}")
         centers.append(nxt)
-        if len(pivots) < 2:
-            members = slice(None)
-        else:
-            with np.errstate(invalid="ignore"):
-                bound = np.maximum(*(np.abs(row - row[nxt]) for row in pivots))
-                members = np.flatnonzero(~(bound - allowance > min_dist))
-        dist = metric.distance_to_rows(rows[nxt], rows[members], cls.grid)
-        if len(pivots) < 2:
-            pivots.append(dist)
-        min_dist[members] = np.minimum(min_dist[members], dist)
-        evaluated += dist.size
+        fold.add(nxt)
     return CoverReport(
         nu=nu,
         n_cover=len(centers),
         centers=tuple(centers),
         nu_log_n=float(nu * math.log(len(centers))),
-        distance_rows=evaluated,
+        distance_rows=fold.evaluated,
+        seconds=time.perf_counter() - started,
     )
 
 
 def coverage_radii(cls: FunctionClass, report: CoverReport, metric: SemiMetric) -> np.ndarray:
-    """Distance of each member to its nearest center; all must be <= nu."""
-    rows = cls.rows
-    nearest = np.full(rows.shape[0], np.inf)
-    for c in report.centers:
-        np.minimum(nearest, metric.distance_to_rows(rows[c], rows, cls.grid), out=nearest)
-    return nearest
+    """Distance of each member to its nearest center; all must be <= nu.
+
+    The report's centers go into the greedy's fold in their order, so on a
+    greedy report the check evaluates the distances the greedy did.  A
+    center that is not a member index (an integer >= 0 below the member
+    count) raises ValueError naming ``centers``.
+    """
+    members = cls.rows.shape[0]
+    centers = [integer(c, "centers", 0) for c in report.centers]
+    if any(c >= members for c in centers):
+        raise ValueError(f"centers must be below the member count {members}, got {max(centers)}")
+    fold = _NearestCenter(cls, metric)
+    for c in centers:
+        fold.add(c)
+    return fold.nearest
 
 
 def entropy_diagnostics(

@@ -84,6 +84,20 @@ class TestValidation:
     def test_rate_needs_no_seed(self, tmp_path):
         assert run({"command": "rate"}, str(tmp_path))
 
+    def test_default_false_reads_the_csv_model(self, tmp_path):
+        grid = Grid(0.0, 1.0, 51)
+        t = grid.nodes()
+        write_curve_csv(Curve(grid, 1.0 + 0.5 * t), tmp_path / "signal.csv")
+        write_curve_csv(Curve(grid, 1.0 - 0.25 * t), tmp_path / "noise.csv")
+        model = {"signal_csv": str(tmp_path / "signal.csv"),
+                 "noise_csv": str(tmp_path / "noise.csv")}
+        tables = []
+        for name, spec in (("absent", model), ("false", {"default": False, **model}),
+                           ("default", {"default": True})):
+            run(_estimate_config(model=spec), str(tmp_path / name))
+            tables.append((tmp_path / name / "estimate.csv").read_bytes())
+        assert tables[0] == tables[1] != tables[2]
+
 
 class TestExitCodes:
     def test_missing_field_exits_two(self, tmp_path, capsys):
@@ -210,6 +224,10 @@ class TestExitCodes:
             (_sim_config(x0={"constant": 1e300}), "x0"),
             (_sim_config(command="uniform", centers=[{"constant": 0.0}, {"constant": 1e300}]),
              "centers"),
+            (_estimate_config(model={"default": "x"}), "default"),
+            (_estimate_config(model={"default": -1}), "default"),
+            (_estimate_config(model={"default": 1}), "default"),
+            (_estimate_config(model={"default": [None]}), "default"),
         ],
         ids=["empty-centers", "replicates-not-int", "cover-without-a_hi", "weight-string",
              "duplicate-radii", "zero-radius", "negative-radius", "radius-not-float",
@@ -235,7 +253,8 @@ class TestExitCodes:
              "x0-two-kinds", "centers-misspelt", "index-misspelt", "metric-misspelt",
              "scale-misspelt", "shift-misspelt", "explicit-misspelt", "cover-ladder-misspelt",
              "ladder-n-past-int64", "weight-sd-1e200", "weight-sd-2e153", "estimate-n-1e19",
-             "x0-1e300", "centers-1e300"],
+             "x0-1e300", "centers-1e300", "default-string", "default-minus-one",
+             "default-one", "default-list"],
     )
     def test_malformed_field_exits_two(self, tmp_path, monkeypatch, capsys, cfg, field):
         monkeypatch.chdir(tmp_path)
@@ -635,6 +654,7 @@ class TestCoverCommand:
         assert len(rows) == sum(c["n_cover"] for c in covers)
         assert sum(c["distance_rows"] for c in covers) == sum(rows)
         assert all(64 <= c["distance_rows"] <= 64 * c["n_cover"] for c in covers)
+        assert all(c["seconds"] > 0.0 for c in covers)
         assert manifest["undersampled"] is False
 
     def test_manifest_records_undersampled(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -64,6 +65,20 @@ def matrix_greedy_centers(cls: FunctionClass, nu: float, metric) -> tuple[int, .
         centers.append(nxt)
         np.minimum(min_dist, dist[nxt], out=min_dist)
     return tuple(centers)
+
+
+def full_coverage_radii(cls: FunctionClass, report: CoverReport, metric) -> np.ndarray:
+    """Each member's distance to its nearest center, every center against every member (oracle)."""
+    rows = cls.rows
+    nearest = np.full(rows.shape[0], np.inf)
+    for c in report.centers:
+        np.minimum(nearest, metric.distance_to_rows(rows[c], rows, cls.grid), out=nearest)
+    return nearest
+
+
+def with_centers(report: CoverReport, centers) -> CoverReport:
+    """``report`` with its centers replaced, as a hand-built report would be."""
+    return dataclasses.replace(report, centers=tuple(centers))
 
 
 def brute_force_cover_size(cls: FunctionClass, nu: float, metric) -> int:
@@ -201,6 +216,8 @@ class TestGreedyCover:
         a = greedy_cover(bump_scale_class, 0.05, L1)
         b = greedy_cover(bump_scale_class, 0.05, L1)
         assert a.centers == b.centers
+        # the wall time is a measurement, not part of the cover
+        assert a.seconds > 0.0 and a == dataclasses.replace(b, seconds=b.seconds + 1.0)
 
     def test_positive_radius_required(self, bump_scale_class):
         with pytest.raises(ValueError):
@@ -286,7 +303,42 @@ class TestCenterByCenterGreedy:
             report = greedy_cover(cls, nu, metric)
             assert report.centers == matrix_greedy_centers(cls, nu, metric)
             assert report.n_cover == len(report.centers)
-            assert float(np.max(coverage_radii(cls, report, metric))) <= nu
+            radii = coverage_radii(cls, report, metric)
+            np.testing.assert_array_equal(radii, full_coverage_radii(cls, report, metric))
+            assert float(np.max(radii)) <= nu
+
+    @pytest.mark.parametrize("metric", [L1, LpDistance(2.0), IntegralDifference()], ids=repr)
+    @pytest.mark.parametrize("tag", ["scale", "shift", "random", "cancel"])
+    def test_coverage_radii_in_any_center_order(self, tag, metric):
+        # the pivot bound skips only distances above the running minimum,
+        # whatever the order; the first two centers of a shuffled list, or a
+        # repeated one, become the pivots
+        cls = _family(tag, 300)
+        spread = float(np.max(metric.distance_to_rows(cls.rows[0], cls.rows, cls.grid)))
+        report = greedy_cover(cls, 0.05 * spread or 0.1, metric)
+        centers = list(report.centers)
+        orders = [centers[::-1], np.random.default_rng(5).permutation(centers).tolist(),
+                  [centers[-1]] + centers, centers[:1] * 2 + centers[1:], [centers[-1]], [7]]
+        for order in orders:
+            hand_built = with_centers(report, order)
+            np.testing.assert_array_equal(coverage_radii(cls, hand_built, metric),
+                                          full_coverage_radii(cls, hand_built, metric))
+
+    def test_coverage_radii_evaluate_the_greedys_distances(self, large_scale_class):
+        k = large_scale_class.rows.shape[0]
+        report = greedy_cover(large_scale_class, 0.001, L1)
+        metric = CountingMetric(L1, k)
+        coverage_radii(large_scale_class, report, metric)
+        assert (metric.calls, metric.rows) == (report.n_cover, report.distance_rows)
+
+    @pytest.mark.parametrize("center, shown", [(-1, "-1"), (300, "300"), (2.0, "2.0"),
+                                               (True, "True")])
+    def test_coverage_radii_reject_a_center_that_is_not_a_member(self, center, shown):
+        # a negative index would read a member from the end, silently
+        cls = _family("random", 300)
+        report = with_centers(greedy_cover(cls, 1e9, L1), [0, center])
+        with pytest.raises(ValueError, match=rf"centers .*{shown}"):
+            coverage_radii(cls, report, L1)
 
     @pytest.mark.parametrize("metric", [L1, LpDistance(2.0), IntegralDifference()], ids=repr)
     def test_coverage_radii_are_one_row_distances(self, large_scale_class, metric):
@@ -308,6 +360,10 @@ class TestCenterByCenterGreedy:
         with np.errstate(over="ignore"):
             report = greedy_cover(cls, 1.0, CountingMetric(metric, len(rows)))
             assert report.centers == matrix_greedy_centers(cls, 1.0, metric)
+            for centers in (report.centers, report.centers[::-1]):
+                hand_built = with_centers(report, centers)
+                np.testing.assert_array_equal(coverage_radii(cls, hand_built, metric),
+                                              full_coverage_radii(cls, hand_built, metric))
 
     def test_nan_distance_raises(self):
         # rows of +-1e308 alternating along the grid, each the negative of
