@@ -7,8 +7,14 @@ the config, seed, versions and CPU count so the run can be reproduced
 exactly, for a ladder run each rung's draws and time, for a cover run
 the member distances and time each radius took and whether the class is
 undersampled, and for a rate run the rows and time of its level sweep
-and its conjugate grid, and the grid's distinct levels.  All outputs
-stay inside the declared output directory.
+and its conjugate grid, the grid's distinct levels, and the model's
+reachable range and limit.  Every manifest counts each artifact's rows.
+All outputs stay inside the declared output directory.
+
+The module imports no scipy: uniform-kernel ``rate``, ``estimate`` and
+``cover`` runs never load it, and the library loads ``scipy.special`` at
+the first call that needs it (the ladders' sampler, ``finite_n_log_mgf``
+and a non-uniform kernel's Gauss rule).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -25,7 +32,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__, covering, ratefn, simulate
 from .estimator import EstimatorConfig, IdentityIndex, IntervalIndicator, z_n
@@ -77,14 +83,23 @@ def _cell(value):
     return value
 
 
-def _write_csv(out: str, name: str, header, rows) -> str:
-    """Write ``header`` and ``rows`` to ``out/name``; the only artifact writer."""
+def _write_csv(out: str, name: str, header, rows) -> tuple[str, int]:
+    """Write ``header`` and ``rows`` to ``out/name``, the only artifact writer; (path, rows)."""
     path = os.path.join(out, name)
+    cells = [[_cell(v) for v in row] for row in rows]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
-    return path
+        writer.writerows(cells)
+    return path, len(cells)
+
+
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's version from its package metadata, once per process, without importing scipy."""
+    from importlib.metadata import version
+
+    return version("scipy")
 
 
 def _number(value) -> float:
@@ -202,7 +217,7 @@ def _weight(spec) -> ratefn.WeightDensity:
         nodes=_field(spec, "nodes", _integer, ratefn.WEIGHT_NODES))
 
 
-def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
+def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[tuple[str, int]], dict]:
     weight = _field(cfg, "weight", _weight, {"gaussian": {}})
     index = _field(cfg, "index", _index, None)
     model = _checked(("weight", "index"), ratefn.RateModel, weight, index, UniformKernel(),
@@ -234,16 +249,17 @@ def _run_rate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     phases = {"sweep": {"rows": len(sweep), "seconds": swept - started},
               "conjugate": {"rows": len(conjugate), "levels": levels,
                             "seconds": time.perf_counter() - swept}}
+    reach = ratefn.tilted_mean_range(model)
     return [
         _write_csv(out, "rate_sweep.csv",
                    ["lambda", "gamma", "gamma_prime", "gamma_second", "beta"], sweep),
         _write_csv(out, "rate_conjugate.csv",
                    ["lambda1", "lambda2", "gamma_legendre", "gamma_closed", "abs_diff"],
                    conjugate),
-    ], {"phases": phases}
+    ], {"phases": phases, "model": {"v0": reach.v0, "v1": reach.v1, "mean": model.mean}}
 
 
-def _run_estimate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
+def _run_estimate(cfg: dict, out: str, seed: int) -> tuple[list[tuple[str, int]], dict]:
     model = _field(cfg, "model", _model)
     x0 = _field(cfg, "x0", _curve_on(model.grid))
     index = _field(cfg, "index", _index, None)
@@ -275,17 +291,17 @@ def _ladder_config(cfg: dict, seed: int) -> simulate.LadderConfig:
     )
 
 
-def _ladder_outputs(out: str, name: str, records) -> tuple[list[str], dict]:
+def _ladder_outputs(out: str, name: str, records) -> tuple[list[tuple[str, int]], dict]:
     """The ladder CSV, and the manifest's ``rungs``: each record's draws, time and throughput."""
     columns = [f.name for f in dataclasses.fields(simulate.ExperimentRecord)
                if f.name not in ("in_window_draws", "seconds")]
-    path = _write_csv(out, name, columns, [[getattr(r, c) for c in columns] for r in records])
+    written = _write_csv(out, name, columns, [[getattr(r, c) for c in columns] for r in records])
     rungs = [{"n": r.n, "replicates": r.replicates, "in_window_draws": r.in_window_draws,
               "seconds": r.seconds, "replicates_per_s": r.replicates / r.seconds} for r in records]
-    return [path], {"rungs": rungs}
+    return [written], {"rungs": rungs}
 
 
-def _run_simulate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
+def _run_simulate(cfg: dict, out: str, seed: int) -> tuple[list[tuple[str, int]], dict]:
     model = _field(cfg, "model", _model)
     x0 = _field(cfg, "x0", _curve_on(model.grid))
     index = _field(cfg, "index", _index, None)
@@ -294,7 +310,7 @@ def _run_simulate(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     return _ladder_outputs(out, "ladder.csv", records)
 
 
-def _run_uniform(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
+def _run_uniform(cfg: dict, out: str, seed: int) -> tuple[list[tuple[str, int]], dict]:
     model = _field(cfg, "model", _model)
     centers = _field(cfg, "centers", _list_of(_curve_on(model.grid)))
     index = _field(cfg, "index", _index, None)
@@ -336,7 +352,7 @@ def _radii(values) -> list[float]:
     return sorted(nu_values, reverse=True)
 
 
-def _run_cover(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
+def _run_cover(cfg: dict, out: str, seed: int) -> tuple[list[tuple[str, int]], dict]:
     ladder = _field(cfg, "ladder", _cover_ladder) if "ladder" in cfg else []
     if "nu_values" in cfg or not ladder:
         nu_values = _field(cfg, "nu_values", _radii)
@@ -352,19 +368,20 @@ def _run_cover(cfg: dict, out: str, seed: int) -> tuple[list[str], dict]:
     rows = [(r.nu, r.n_cover, r.nu_log_n,
              all(row["admissible"] for row in entropy if row["nu"] == r.nu) if ladder else "")
             for r in reports]
-    paths = [_write_csv(out, "cover_report.csv",
-                        ["nu", "n_cover", "nu_log_n", "admissible_flag"], rows)]
+    written = [_write_csv(out, "cover_report.csv",
+                          ["nu", "n_cover", "nu_log_n", "admissible_flag"], rows)]
     if ladder:
-        paths.append(_write_csv(out, "entropy_diagnostics.csv", _ENTROPY_FIELDS,
-                                [[row[f] for f in _ENTROPY_FIELDS] for row in entropy]))
+        written.append(_write_csv(out, "entropy_diagnostics.csv", _ENTROPY_FIELDS,
+                                  [[row[f] for f in _ENTROPY_FIELDS] for row in entropy]))
     covers = [{"nu": r.nu, "n_cover": r.n_cover, "distance_rows": r.distance_rows,
                "seconds": r.seconds} for r in reports]
-    return paths, {"covers": covers, "undersampled": cls.undersampled}
+    return written, {"covers": covers, "undersampled": cls.undersampled}
 
 
-# Each runner returns the artifact paths it wrote and the fields it adds
-# to the manifest (the ladders' per-rung stats, the cover command's
-# per-radius counters and times, the rate command's per-phase counters and times).
+# Each runner returns the (path, row count) of each artifact it wrote and
+# the fields it adds to the manifest (the ladders' per-rung stats, the cover
+# command's per-radius counters and times, the rate command's per-phase
+# counters and times and its model's reachable range and limit).
 _RUNNERS = {"rate": _run_rate, "estimate": _run_estimate, "simulate": _run_simulate,
             "uniform": _run_uniform, "cover": _run_cover}
 COMMANDS = tuple(_RUNNERS)
@@ -381,27 +398,30 @@ def run(cfg: dict, out: str) -> list[str]:
     started = time.perf_counter()
     try:
         seed = _field(cfg, "seed", _integer, _REQUIRED if command in _STOCHASTIC else 0)
-        outputs, record = _RUNNERS[command](cfg, out, seed)
+        written, record = _RUNNERS[command](cfg, out, seed)
     except ConfigError as exc:
         raise ConfigError(f"{exc} (command '{command}')") from None
+    wall_time_s = round(time.perf_counter() - started, 3)  # before the first version lookup
+    rows = {os.path.basename(path): count for path, count in written}
     manifest = {
         "command": command,
         "config": cfg,
         "seed": seed,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
+        "scipy_version": _scipy_version(),
         "python_version": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "wall_time_s": round(time.perf_counter() - started, 3),
-        "outputs": [os.path.basename(p) for p in outputs],
+        "wall_time_s": wall_time_s,
+        "outputs": list(rows),
+        "rows": rows,
         **record,
     }
     manifest_path = os.path.join(out, "manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return outputs + [manifest_path]
+    return [path for path, _ in written] + [manifest_path]
 
 
 def main(argv: list[str] | None = None) -> int:

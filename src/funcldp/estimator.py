@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .funcdata import (Curve, FactorRows, Grid, GridMismatchError, Kernel, Rows, SemiMetric,
                        frozen_array, integer, real, row_blocks)
@@ -215,6 +214,8 @@ def finite_n_log_mgf(
     deterministic and overflow-safe.  A replicate whose exponent is itself non-finite flags the
     estimate and yields an infinite value; a tilt may be infinite, but not NaN.
     """
+    from scipy.special import logsumexp  # local: scipy.special loads only for a log-MGF
+
     replicates, seed = integer(replicates, "replicates", 1), integer(seed, "seed", 0)
     if math.isnan(t1) or math.isnan(t2):
         raise ValueError(f"tilts t1 and t2 must not be NaN, got t1={t1!r}, t2={t2!r}")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import roots_sh_jacobi
 
 
 class GridMismatchError(ValueError):
@@ -314,6 +313,8 @@ def _power_gauss_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     The weights of ``roots_sh_jacobi`` (Golub-Welsch) sum to the mass
     1 / alpha of u**(alpha - 1) du, so they are scaled by alpha.
     """
+    from scipy.special import roots_sh_jacobi  # local: only a non-uniform kernel needs it
+
     u, weights = roots_sh_jacobi(_GAUSS_NODES, alpha, alpha)
     weights = weights * alpha
     u.flags.writeable = False

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import ratefn
 from .estimator import Dataset, IndexFunction
@@ -67,6 +66,8 @@ def _truncation(lo, hi) -> tuple[np.ndarray, ...]:
     Intervals in the upper half are reflected into the lower tail, where Phi
     keeps relative precision, so masses and draws stay accurate far out.
     """
+    from scipy.special import ndtr  # local: only the sampler loads scipy.special
+
     flip, lo, hi = _reflect_low(lo, hi)
     f_lo = ndtr(lo)
     return np.where(flip, -1.0, 1.0), lo, hi, f_lo, ndtr(hi) - f_lo
@@ -74,6 +75,8 @@ def _truncation(lo, hi) -> tuple[np.ndarray, ...]:
 
 def _truncated_normal(u: np.ndarray, constants, cell=slice(None)) -> np.ndarray:
     """Inverse-CDF draws at the uniforms u; draw i lies in ``_truncation`` interval cell[i]."""
+    from scipy.special import ndtri  # local: only the sampler loads scipy.special
+
     sign, lo, hi, f_lo, mass = (c[cell] for c in constants)
     return sign * np.minimum(np.maximum(ndtri(f_lo + u * mass), lo), hi)
 
@@ -84,6 +87,8 @@ def _phi_integral(x1, x2) -> np.ndarray:
     Intervals centered above 0 use G(x) - x = G(-x), which avoids the
     cancellation of two large G values.
     """
+    from scipy.special import ndtr  # local: only the sampler loads scipy.special
+
     flip, lo, hi = _reflect_low(x1, x2)
     g_lo = lo * ndtr(lo) + ratefn.normal_pdf(lo, 0.0, 1.0)
     g_hi = hi * ndtr(hi) + ratefn.normal_pdf(hi, 0.0, 1.0)
@@ -174,6 +179,8 @@ class UniformLaw:
         masses = np.maximum((b / (2.0 * half)) * (inner - outer), 0.0)
 
         def shape(x):  # the density of P at offset x, up to a constant
+            from scipy.special import ndtr  # local: only the sampler loads scipy.special
+
             x = -np.abs(x)
             return ndtr((x + half) / b) - ndtr((x - half) / b)
 

@@ -17,7 +17,8 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcldp import ratefn, simulate
+import fresh_process
+from funcldp import cli, ratefn, simulate
 from funcldp.cli import ConfigError, main, run
 from funcldp.estimator import IdentityIndex
 from funcldp.funcdata import Curve, Grid, LpDistance, write_curve_csv
@@ -382,6 +383,15 @@ class TestRateCommand:
         assert manifest["phases"]["conjugate"]["levels"] == 13  # 49 rows, 7 ratios
         assert len(levels) == len(set(levels)) == 13
 
+    def test_manifest_records_the_model_reach(self, tmp_path):
+        # the reachable range and the limit, so an inf cell is traced from the artifacts alone
+        run({"command": "rate"}, str(tmp_path / "out"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        model = ratefn.gaussian_identity_model()
+        reach = ratefn.tilted_mean_range(model)
+        assert manifest["model"] == {"v0": reach.v0, "v1": reach.v1, "mean": model.mean}
+        assert manifest["model"]["v0"] < manifest["model"]["mean"] < manifest["model"]["v1"]
+
     def test_default_run_builds_one_tilt_table(self, tmp_path, monkeypatch):
         # the sweep's closed forms need no log-MGF table; the conjugate grid shares one
         built = []
@@ -490,6 +500,22 @@ class TestSimulateCommand:
         assert manifest["cpu_count"] == os.cpu_count()
         assert manifest["outputs"] == ["ladder.csv"]
         assert "covers" not in manifest
+
+    def test_scipy_version_is_read_once_per_process(self, tmp_path, monkeypatch):
+        import importlib.metadata
+
+        looked_up = []
+        version = importlib.metadata.version
+        monkeypatch.setattr(importlib.metadata, "version",
+                            lambda name: (looked_up.append(name), version(name))[1])
+        cli._scipy_version.cache_clear()
+        cfg = {"command": "rate", "lambda_values": [1.0], "lambda1_values": [1.0],
+               "ratio_values": [0.0]}
+        for out in ("one", "two"):
+            run(cfg, str(tmp_path / out))
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            assert manifest["scipy_version"] == scipy.__version__
+        assert looked_up == ["scipy"]
 
     @pytest.mark.parametrize("command", ["simulate", "uniform"])
     def test_manifest_lists_rungs(self, tmp_path, command):
@@ -805,14 +831,24 @@ class TestConfigFuzz:
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
+def _readme_configs() -> list[dict]:
+    """Every JSON config block of the README, in order."""
+    with open(README) as fh:
+        return [json.loads(b) for b in re.findall(r"```json\n(.*?)```", fh.read(), re.S)]
+
+
+def _write_bump(path) -> None:
+    """The README's ``bump.csv``: a Gaussian bump on 201 nodes of [0, 1]."""
+    grid = Grid(0.0, 1.0, 201)
+    write_curve_csv(Curve(grid, np.exp(-0.5 * ((grid.nodes() - 0.5) / 0.08) ** 2)), path)
+
+
 def test_readme_configs_run(tmp_path, monkeypatch):
     # every JSON config in the README is a run that the CLI accepts
-    with open(README) as fh:
-        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", fh.read(), re.S)]
+    blocks = _readme_configs()
     assert sorted(cfg["command"] for cfg in blocks) == ["cover", "estimate", "rate", "simulate"]
     monkeypatch.chdir(tmp_path)
-    grid = Grid(0.0, 1.0, 201)
-    write_curve_csv(Curve(grid, np.exp(-0.5 * ((grid.nodes() - 0.5) / 0.08) ** 2)), "bump.csv")
+    _write_bump("bump.csv")
     for i, cfg in enumerate(blocks):
         assert run(cfg, str(tmp_path / f"out{i}"))
 
@@ -826,3 +862,54 @@ def test_readme_python_runs(tmp_path, monkeypatch, capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cfg, rows", [
+    ({"command": "rate"}, {"rate_sweep.csv": 9, "rate_conjugate.csv": 49}),
+    (_estimate_config(h_values=[0.05, 0.1, 0.2]), {"estimate.csv": 3}),
+    (_sim_config(n_values=[200, 500], replicates=1000), {"ladder.csv": 2}),
+    (_sim_config(command="uniform", n_values=[200], replicates=1000,
+                 centers=[{"constant": -0.5}, {"constant": 0.5}]), {"uniform_ladder.csv": 1}),
+    (_cover_config(nu_values=[0.2, 0.1], ladder=_COVER_LADDER),
+     {"cover_report.csv": 2, "entropy_diagnostics.csv": 4}),
+], ids=["rate", "estimate", "simulate", "uniform", "cover"])
+def test_manifest_counts_each_artifacts_rows(tmp_path, monkeypatch, cfg, rows):
+    # one count per artifact under "rows", each the lines of that CSV below its header
+    monkeypatch.chdir(tmp_path)
+    _write_bump("bump.csv")
+    run(cfg, "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["rows"] == rows
+    assert sorted(manifest["outputs"]) == sorted(rows)
+    for name, count in rows.items():
+        assert len((tmp_path / "out" / name).read_text().splitlines()) == count + 1
+
+
+def _fresh_process(tmp_path, mode: str, arg: str) -> dict:
+    """``tests/fresh_process.py MODE ARG`` in a new interpreter that imports this funcldp."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = os.path.join(os.path.dirname(__file__), "fresh_process.py")
+    proc = subprocess.run([sys.executable, script, mode, arg], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestFreshProcess:
+    """What a run imports, seen from a new interpreter: scipy loads only where it is called."""
+
+    def test_uniform_kernel_runs_load_no_scipy(self, tmp_path):
+        _write_bump(tmp_path / "bump.csv")
+        cover = next(cfg for cfg in _readme_configs() if cfg["command"] == "cover")
+        configs = {name: _write_config(tmp_path, cfg, f"{name}.json") for name, cfg in
+                   (("rate", {"command": "rate"}), ("estimate", _estimate_config()),
+                    ("cover", cover))}
+        report = _fresh_process(tmp_path, "loaded", json.dumps(configs))
+        assert report == {"import": [], "rate": [0, []], "estimate": [0, []], "cover": [0, []]}
+
+    def test_scipy_calls_match_in_process(self, tmp_path):
+        config = _write_config(tmp_path, _sim_config(n_values=[200], replicates=1000))
+        fresh = _fresh_process(tmp_path, "scipy_calls", config)
+        assert fresh.pop("special") is True
+        assert fresh == fresh_process.scipy_calls(config, str(tmp_path / "here"))
